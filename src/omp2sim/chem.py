@@ -45,6 +45,9 @@ class MolecularIntegrals:
         m = self.n_spatial
         if self.h1.shape != (m, m) or self.eri.shape != (m, m, m, m):
             raise ValueError("integral tensor shape mismatch")
+        # NaN passes every ">" tolerance check below, so reject it first
+        if not all(np.isfinite(x).all() for x in (self.h1, self.eri, self.e_core)):
+            raise ValueError("integrals must be finite")
         if np.abs(self.h1 - self.h1.T).max() > SYM_TOL:
             raise ValueError("h1 not symmetric")
         for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
@@ -146,6 +149,8 @@ def parse_fcidump(source) -> MolecularIntegrals:
             i, j, k, l = (int(x) for x in parts[1:])
         except ValueError as exc:
             raise FcidumpError(f"line {ln + 1}: {exc}") from None
+        if not np.isfinite(val):
+            raise FcidumpError(f"line {ln + 1}: integral value must be finite")
         if min(i, j, k, l) < 0 or max(i, j, k, l) > m:
             raise FcidumpError(f"line {ln + 1}: orbital index out of range")
         if i == 0 and j == 0 and k == 0 and l == 0:

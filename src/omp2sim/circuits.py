@@ -109,14 +109,6 @@ class Circuit:
             if max(g.qubits) > self.n_qubits:
                 raise ValueError(f"gate {g} exceeds {self.n_qubits} qubits")
 
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("qubit count mismatch")
-        return Circuit(self.n_qubits, self.gates + other.gates, {**self.metadata})
-
-    def extended(self, gates, **meta) -> "Circuit":
-        return Circuit(self.n_qubits, self.gates + tuple(gates), {**self.metadata, **meta})
-
     def to_text(self) -> str:
         return "\n".join(g.to_text() for g in self.gates)
 

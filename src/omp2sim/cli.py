@@ -28,7 +28,7 @@ import numpy as np
 
 from .chem import FcidumpError, freeze_active_space, parse_fcidump
 from .circuits import Circuit, compile_orbital_rotation, prep_reference
-from .omp2 import Estimator, EstimatorConfig, ThetaParams
+from .omp2 import CapacityError, Estimator, EstimatorConfig, ThetaParams
 from .oracle import ReferenceValues
 from .simulator import default_seed, load_noise_presets, run, trajectory_fidelity
 
@@ -74,6 +74,10 @@ class RunConfig:
     trajectories: int = 16
 
 
+class UsageError(Exception):
+    pass
+
+
 class FixtureProblem(Exception):
     pass
 
@@ -109,10 +113,7 @@ def _load_problem(path: Path, refs: ReferenceValues):
 def _estimator_config(run_cfg: RunConfig):
     noise = None
     if run_cfg.noise_preset is not None:
-        presets = load_noise_presets()
-        if run_cfg.noise_preset not in presets:
-            raise FixtureProblem(f"unknown noise preset {run_cfg.noise_preset!r}")
-        noise = presets[run_cfg.noise_preset]
+        noise = load_noise_presets()[run_cfg.noise_preset]
     return EstimatorConfig(
         mode=run_cfg.mode,
         shots=run_cfg.shots,
@@ -205,21 +206,16 @@ def _write(text: str, out: str | None):
 
 
 def _run_config(args) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        preset_seed = None
-        if getattr(args, "noise", None):
-            presets = load_noise_presets()
-            if args.noise in presets:
-                preset_seed = presets[args.noise].seed
-        seed = preset_seed if preset_seed is not None else default_seed()
+    # noise-study always runs in shots mode, whatever --mode says
+    if args.noise is not None and args.mode != "shots" and args.command != "noise-study":
+        raise UsageError("--noise needs --mode shots")
     return RunConfig(
         mode=args.mode,
         shots=args.shots,
-        noise_preset=getattr(args, "noise", None),
+        noise_preset=args.noise,
         postselect=args.postselect,
         tol=args.tol,
-        seed=seed,
+        seed=args.seed if args.seed is not None else default_seed(),
         jobs=getattr(args, "jobs", 1),
         fmt=args.format,
         out=args.out,
@@ -338,17 +334,32 @@ def _reference_fidelity(path: Path, run_cfg: RunConfig, refs: ReferenceValues, n
     }
 
 
+def _positive(kind):
+    """argparse type: kind(text), rejected unless above 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its own messages
+    return parse
+
+
 def _add_common(p, with_jobs=False):
     p.add_argument("--mode", choices=("exact", "shots"), default="exact")
-    p.add_argument("--shots", type=int, default=100_000)
-    p.add_argument("--noise", default=None, help="noise preset name")
+    p.add_argument("--shots", type=_positive(int), default=100_000)
+    p.add_argument(
+        "--noise", choices=sorted(load_noise_presets()), default=None, help="noise preset name"
+    )
     p.add_argument("--postselect", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-12, help="factorization truncation")
+    p.add_argument("--tol", type=_positive(float), default=1e-12, help="factorization truncation")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     if with_jobs:
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_positive(int), default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-study", help="theta = 0 energies under a noise preset")
     p.add_argument("--fixture", required=True)
-    p.add_argument("--trajectories", type=int, default=16)
+    p.add_argument("--trajectories", type=_positive(int), default=16)
     _add_common(p)
     p.set_defaults(fn=cmd_noise_study)
 
@@ -388,14 +399,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
+    except UsageError as exc:
+        return _fail(exc, EXIT_USAGE)
     except FixtureProblem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIXTURE
-    except ValueError as exc:
-        if "cap" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAPACITY
-        raise
+        return _fail(exc, EXIT_FIXTURE)
+    except CapacityError as exc:
+        return _fail(exc, EXIT_CAPACITY)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

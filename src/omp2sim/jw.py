@@ -162,12 +162,14 @@ def operator_matrix(op: QubitOperator, n_qubits: int) -> np.ndarray:
     return mat
 
 
-def hamming_weights(n_qubits: int) -> np.ndarray:
+def occupations(n_qubits: int) -> np.ndarray:
+    """(2^N, N) 0/1 table: row = basis index, column q-1 = occupation of qubit q."""
     idx = np.arange(1 << n_qubits)
-    w = np.zeros_like(idx)
-    for k in range(n_qubits):
-        w += (idx >> k) & 1
-    return w
+    return (idx[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
+
+
+def hamming_weights(n_qubits: int) -> np.ndarray:
+    return occupations(n_qubits).sum(axis=1)
 
 
 def apply_number_postselection_projector(mat: np.ndarray, n_electrons: int) -> np.ndarray:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jw import occupations
+
 SPIN_BLOCK_TOL = 1e-10
 
 
@@ -161,9 +163,5 @@ def group_expectation_coefficients(g: MeasurementGroup):
 
 def coefficient_vector(g: MeasurementGroup, n_qubits: int) -> np.ndarray:
     """coeff evaluated on every bitstring, ordered by basis index."""
-    dim = 1 << n_qubits
-    idx = np.arange(dim)
-    occ = np.zeros((dim, n_qubits))
-    for q in range(n_qubits):
-        occ[:, q] = (idx >> (n_qubits - 1 - q)) & 1
+    occ = occupations(n_qubits).astype(float)
     return occ @ g.linear + np.einsum("bp,pq,bq->b", occ, g.quadratic, occ)

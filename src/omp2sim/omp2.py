@@ -32,6 +32,7 @@ from .circuits import (
     double_excitation,
     prep_reference,
 )
+from .jw import occupations
 from .lowrank import coefficient_vector, factorize, one_body_group
 from .simulator import (
     NoiseModel,
@@ -50,6 +51,10 @@ MAX_QUBITS = 12
 
 _STREAM_SAMPLE = 0x5A
 _STREAM_TRAJECTORY = 0x7A
+
+
+class CapacityError(ValueError):
+    """The problem needs more qubits than the simulator holds."""
 
 
 @dataclass(frozen=True)
@@ -178,7 +183,7 @@ class Estimator:
         self.si = spin_orbitalize(mi)
         self.n_qubits = self.si.n_spin
         if self.n_qubits > MAX_QUBITS:
-            raise ValueError(f"{self.n_qubits} spin orbitals exceed the {MAX_QUBITS}-qubit cap")
+            raise CapacityError(f"{self.n_qubits} spin orbitals exceed the {MAX_QUBITS}-qubit cap")
         self.n_electrons = mi.n_electrons
         self.eps = orbital_energies(self.si, self.n_electrons)
         self.e_core = mi.e_core
@@ -212,10 +217,7 @@ class Estimator:
         self.n_groups = 1 + len(self._static_groups)
 
         dim = 1 << self.n_qubits
-        idx = np.arange(dim)
-        self._occ = np.zeros((dim, self.n_qubits))
-        for q in range(self.n_qubits):
-            self._occ[:, q] = (idx >> (self.n_qubits - 1 - q)) & 1
+        self._occ = occupations(self.n_qubits)
 
         # column 0 is the bare reference; then quarter/half turn per double
         prep = prep_reference(self.n_qubits, self.n_electrons)
@@ -260,53 +262,38 @@ class Estimator:
         var_cols = np.zeros(n_cols)
         kept = []
         cfg = self.cfg
-        noiseless_psi = None
         if cfg.noise is None:
-            noiseless_psi = apply_circuit(u_circ, self._base)
-        for l, meas_c in enumerate(meas):
-            coeff_vec = coeffs[l]
-
-            def coeff(occ, vec=coeff_vec):
-                pos = int(np.dot(occ, 1 << np.arange(self.n_qubits - 1, -1, -1)))
-                return float(vec[pos])
-
+            psi = apply_circuit(u_circ, self._base)
+        for l, (meas_c, coeff) in enumerate(zip(meas, coeffs)):
             if cfg.noise is None:
-                phi = apply_circuit(meas_c, noiseless_psi)
-                for col in range(n_cols):
+                phi = apply_circuit(meas_c, psi)
+            for col in range(n_cols):
+                if cfg.noise is None:
                     rng = rng_stream(cfg.seed, _STREAM_SAMPLE, col, l)
                     table = sample(StateVector(phi[:, col], self.n_qubits), cfg.shots, rng=rng)
-                    if cfg.postselect:
-                        table = postselect(table, self.n_electrons)
-                        kept.append(table.kept_fraction)
-                    e, v = expectation_with_variance(table, coeff)
-                    e_cols[col] += e
-                    var_cols[col] += v
-            else:
-                for col in range(n_cols):
-                    full = Circuit(
-                        self.n_qubits,
-                        self._column_gates[col] + u_circ.gates + meas_c.gates,
-                    )
-                    counts: dict[str, int] = {}
-                    per = np.full(cfg.trajectories, cfg.shots // cfg.trajectories)
-                    per[: cfg.shots % cfg.trajectories] += 1
-                    for t in range(cfg.trajectories):
-                        if per[t] == 0:
-                            continue
-                        rng = rng_stream(cfg.seed, _STREAM_TRAJECTORY, col, l, t)
-                        state = run(full, noise=cfg.noise, rng=rng)
-                        table_t = sample(state, int(per[t]), noise=cfg.noise, rng=rng)
-                        for bits, n in table_t.counts.items():
-                            counts[bits] = counts.get(bits, 0) + n
-                    table = _merge_counts(counts, cfg.shots)
-                    if cfg.postselect:
-                        table = postselect(table, self.n_electrons)
-                        kept.append(table.kept_fraction)
-                    e, v = expectation_with_variance(table, coeff)
-                    e_cols[col] += e
-                    var_cols[col] += v
+                else:
+                    table = self._noisy_shots(col, l, u_circ.gates + meas_c.gates)
+                if cfg.postselect:
+                    table = postselect(table, self.n_electrons)
+                    kept.append(table.kept_fraction)
+                e, v = expectation_with_variance(table, coeff)
+                e_cols[col] += e
+                var_cols[col] += v
         kept_mean = float(np.mean(kept)) if kept else None
         return e_cols, var_cols, kept_mean
+
+    def _noisy_shots(self, col: int, l: int, suffix: tuple) -> ShotTable:
+        """cfg.shots split over trajectories, each run and sampled on its own stream."""
+        cfg = self.cfg
+        full = Circuit(self.n_qubits, self._column_gates[col] + suffix)
+        per = np.full(cfg.trajectories, cfg.shots // cfg.trajectories)
+        per[: cfg.shots % cfg.trajectories] += 1
+        counts = np.zeros(1 << self.n_qubits, dtype=np.int64)
+        for t in np.flatnonzero(per):
+            rng = rng_stream(cfg.seed, _STREAM_TRAJECTORY, col, l, t)
+            state = run(full, noise=cfg.noise, rng=rng)
+            counts += sample(state, int(per[t]), noise=cfg.noise, rng=rng).counts
+        return ShotTable(counts=counts, shots=cfg.shots)
 
     def _assemble(self, e_cols, var_cols, kept_mean) -> EnergyBreakdown:
         e1 = float(e_cols[0])
@@ -440,7 +427,3 @@ def _zero_state(dim: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[0] = 1.0
     return v
-
-
-def _merge_counts(counts: dict[str, int], shots: int) -> ShotTable:
-    return ShotTable(counts=counts, shots=shots)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chem import ActiveSpaceSpec, SpinIntegrals
 from .circuits import Circuit, Gate
-from .jw import hamiltonian, jw_map, operator_matrix
+from .jw import hamiltonian
 
 MAX_DENSE_CIRCUIT_QUBITS = 8
 _ORDERING_SLACK = 1e-10
@@ -249,15 +249,6 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     for g in c.gates:
         u = _dense_gate(g, c.n_qubits) @ u
     return u
-
-
-def excitation_generator_unitary(terms, angle: float, n_qubits: int) -> np.ndarray:
-    """expm of the antihermitian combination angle * (T - T^dagger)."""
-    from scipy.linalg import expm
-
-    op = jw_map(terms, n_qubits)
-    mat = operator_matrix(op, n_qubits)
-    return expm(angle * (mat - mat.conj().T))
 
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -23,6 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .circuits import Circuit, Gate, lower_circuit
+from .jw import hamming_weights
 
 SEED_ENV_VAR = "OMP2SIM_SEED"
 
@@ -54,7 +55,6 @@ class NoiseModel:
     p1: float
     p2: float
     p_readout: float
-    seed: int = 0
 
     def __post_init__(self):
         for p in (self.p1, self.p2, self.p_readout):
@@ -64,7 +64,9 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ShotTable:
-    counts: dict[str, int]
+    """Shot counts per basis state, indexed like the amplitudes."""
+
+    counts: np.ndarray
     shots: int
     postselected: bool = False
     kept_fraction: float = 1.0
@@ -228,37 +230,30 @@ def sample(
     if noise is not None and noise.p_readout > 0.0:
         probs = _readout_distribution(probs, s.n_qubits, noise.p_readout)
     if rng is None:
-        rng = rng_stream(noise.seed if noise else default_seed())
-    draws = rng.multinomial(shots, probs)
-    counts = {
-        format(idx, f"0{s.n_qubits}b"): int(n) for idx, n in enumerate(draws) if n > 0
-    }
-    return ShotTable(counts=counts, shots=shots)
+        rng = rng_stream(default_seed())
+    return ShotTable(counts=rng.multinomial(shots, probs), shots=shots)
 
 
 def postselect(t: ShotTable, n_electrons: int) -> ShotTable:
-    kept = {b: n for b, n in t.counts.items() if b.count("1") == n_electrons}
-    total = sum(t.counts.values())
-    kept_total = sum(kept.values())
-    fraction = kept_total / total if total else 0.0
+    n_qubits = t.counts.size.bit_length() - 1
+    kept = np.where(hamming_weights(n_qubits) == n_electrons, t.counts, 0)
+    total = int(t.counts.sum())
+    fraction = int(kept.sum()) / total if total else 0.0
     return ShotTable(counts=kept, shots=t.shots, postselected=True, kept_fraction=fraction)
 
 
-def expectation_with_variance(t: ShotTable, coeff) -> tuple[float, float]:
-    """Empirical mean of coeff(bits) over the table and its squared standard error.
+def expectation_with_variance(t: ShotTable, coeff: np.ndarray) -> tuple[float, float]:
+    """Empirical mean of coeff over the table and its squared standard error.
 
-    coeff maps an occupation array (0/1 ints, qubit 1 first) to a float.
+    coeff holds one value per basis state, indexed like t.counts.
     """
-    if not t.counts:
+    # summing only the observed outcomes, in basis order, fixes the float
+    # rounding that seeded output is compared against byte for byte
+    seen = np.flatnonzero(t.counts)
+    if not seen.size:
         raise ValueError("empty shot table (all shots rejected?)")
-    values = []
-    weights = []
-    for bits, n in sorted(t.counts.items()):
-        occ = np.fromiter((int(ch) for ch in bits), dtype=np.int64)
-        values.append(coeff(occ))
-        weights.append(n)
-    values = np.array(values)
-    weights = np.array(weights, dtype=float)
+    values = coeff[seen]
+    weights = t.counts[seen].astype(float)
     total = weights.sum()
     mean = float(np.dot(weights, values) / total)
     var = float(np.dot(weights, (values - mean) ** 2) / total)
@@ -282,12 +277,10 @@ def fidelity_trajectories(
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
     n = c.n_qubits
-    base_seed = noise.seed if seed is None else seed
+    base_seed = default_seed() if seed is None else seed
     raw = np.empty(n_traj)
     ps = kept = None
     if postselect_n is not None:
-        from .jw import hamming_weights
-
         mask = hamming_weights(n) == postselect_n
         ideal_p = ideal.amplitudes * mask
         ideal_norm = np.linalg.norm(ideal_p)
@@ -352,13 +345,11 @@ def load_noise_presets(path=None) -> dict[str, NoiseModel]:
         with open(path) as fh:
             text = fh.read()
     raw = json.loads(text)
-    presets = {}
-    for name, fields in raw["presets"].items():
-        seed = int(os.environ.get(SEED_ENV_VAR, fields.get("seed", 0)))
-        presets[name] = NoiseModel(
+    return {
+        name: NoiseModel(
             p1=float(fields["p1"]),
             p2=float(fields["p2"]),
             p_readout=float(fields["p_readout"]),
-            seed=seed,
         )
-    return presets
+        for name, fields in raw["presets"].items()
+    }

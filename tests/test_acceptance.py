@@ -269,7 +269,7 @@ def test_criterion_7_noise_postselection(refs):
     )
 
     state = run(set_a)
-    readout = NoiseModel(p1=0.0, p2=0.0, p_readout=0.05, seed=2)
+    readout = NoiseModel(p1=0.0, p2=0.0, p_readout=0.05)
     noisy_kept = postselect(sample(state, 4000, noise=readout, rng=rng_stream(2)), mi.n_electrons)
     clean_kept = postselect(sample(state, 4000, rng=rng_stream(2)), mi.n_electrons)
     kept_ok = noisy_kept.kept_fraction < 1.0 and clean_kept.kept_fraction == 1.0

@@ -7,6 +7,7 @@ from conftest import load_point
 from omp2sim.chem import (
     ActiveSpaceSpec,
     FcidumpError,
+    MolecularIntegrals,
     build_perturbation,
     freeze_active_space,
     orbital_energies,
@@ -82,6 +83,20 @@ def test_parse_rejects_conflicting_duplicates():
 def test_parse_rejects_odd_electrons():
     with pytest.raises(FcidumpError):
         parse_fcidump(MINIMAL.replace("NELEC=2", "NELEC=3"))
+
+
+@pytest.mark.parametrize("field", ["h1", "eri", "e_core"])
+def test_integrals_must_be_finite(field):
+    mi = parse_fcidump(MINIMAL)
+    fields = dict(
+        n_spatial=2, e_core=mi.e_core, h1=mi.h1.copy(), eri=mi.eri.copy(), n_electrons=2
+    )
+    if field == "e_core":
+        fields["e_core"] = float("inf")
+    else:
+        fields[field].flat[0] = np.nan  # diagonal, so every symmetry check still passes
+    with pytest.raises(ValueError, match="finite"):
+        MolecularIntegrals(**fields)
 
 
 _H3P = parse_fcidump(fixture_path("h3p_2.0.fcidump"))

@@ -177,14 +177,6 @@ def test_adjacent_block_depth_totals():
         assert combined == 6 * n + double_excitation_depth_formula(1, 2, ne + 1, ne + 2)
 
 
-def test_circuit_concatenation():
-    a = Circuit(3, (x(1),))
-    b = Circuit(3, (cnot(1, 2),))
-    assert (a + b).gates == a.gates + b.gates
-    with pytest.raises(ValueError):
-        a + Circuit(4, ())
-
-
 def test_gate_text_round_trip():
     g = multi_cry((1, 3), 2, 0.25)
     assert "MULTI_CRY" in g.to_text()

@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,8 @@ from omp2sim.cli import EXIT_CAPACITY, EXIT_FIXTURE, EXIT_OK, EXIT_USAGE, main
 from omp2sim.oracle import fixture_path
 
 H2_FIXTURE = str(fixture_path("h2_1.4.fcidump"))
+LIH_FIXTURE = str(fixture_path("lih_3.1.fcidump"))
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 CAP_FIXTURE_TEXT = """&FCI NORB=  7,NELEC= 2,MS2=0,
  ORBSYM=1,1,1,1,1,1,1,
@@ -28,11 +31,25 @@ def read_csv(path):
     return [dict(zip(header, ln.split(","))) for ln in lines[2:]]
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert run_cli() == EXIT_USAGE
     assert run_cli("frobnicate") == EXIT_USAGE
     assert run_cli("energy") == EXIT_USAGE
     assert run_cli("energy", "--fixture", H2_FIXTURE, "--format", "yaml") == EXIT_USAGE
+    fixtures = str(fixture_path("h2_1.4.fcidump").parent)
+    out = tmp_path / "x.csv"
+    for argv in (
+        ("energy", "--fixture", H2_FIXTURE, "--mode", "shots", "--shots", "0"),
+        ("energy", "--fixture", H2_FIXTURE, "--tol", "0"),
+        ("energy", "--fixture", H2_FIXTURE, "--tol", "nan"),
+        ("energy", "--fixture", H2_FIXTURE, "--noise", "ibm_lima"),
+        ("curve", "--fixture-dir", fixtures, "--noise", "ibm_lima"),
+        ("curve", "--fixture-dir", fixtures, "--jobs", "0"),
+        ("resources", "--fixture", H2_FIXTURE, "--noise", "ibm_lima"),
+        ("noise-study", "--fixture", H2_FIXTURE, "--trajectories", "0"),
+    ):
+        assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE, argv
+    assert not out.exists()
 
 
 def test_missing_fixture(tmp_path, capsys):
@@ -52,8 +69,8 @@ def test_unknown_noise_preset(tmp_path, capsys):
         "noise-study", "--fixture", H2_FIXTURE, "--noise", "bogus_device",
         "--out", str(tmp_path / "x.csv"),
     )
-    assert code == EXIT_FIXTURE
-    assert "preset" in capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "invalid choice: 'bogus_device'" in capsys.readouterr().err
 
 
 def test_capacity_exit(tmp_path, capsys):
@@ -61,6 +78,22 @@ def test_capacity_exit(tmp_path, capsys):
     big.write_text(CAP_FIXTURE_TEXT)
     assert run_cli("energy", "--fixture", str(big)) == EXIT_CAPACITY
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_integral_is_fixture_problem(tmp_path, capsys, bad):
+    lines = fixture_path("h2_1.4.fcidump").read_text().splitlines()
+    # the (1 1 0 0) one-electron record
+    k = next(i for i, ln in enumerate(lines) if ln.split()[1:] == ["1", "1", "0", "0"])
+    lines[k] = f" {bad}   1   1   0   0"
+    broken = tmp_path / "h2_1.4.fcidump"
+    broken.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "row.csv"
+    assert run_cli("energy", "--fixture", str(broken), "--out", str(out)) == EXIT_FIXTURE
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_energy_csv_matches_reference(tmp_path, refs):
@@ -203,3 +236,37 @@ def test_seed_changes_shot_noise(tmp_path):
     run_cli(*base, "--seed", "1", "--out", str(c))
     assert a.read_bytes() != b.read_bytes()
     assert a.read_bytes() == c.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "golden,argv",
+    [
+        ("energy_shots_seed7.csv",
+         ("energy", "--fixture", H2_FIXTURE, "--mode", "shots", "--shots", "5000",
+          "--seed", "7")),
+        ("energy_postselect_seed3.json",
+         ("energy", "--fixture", H2_FIXTURE, "--mode", "shots", "--shots", "2000",
+          "--seed", "3", "--postselect", "--format", "json")),
+        ("noise_study_h2_auckland_seed5.json",
+         ("noise-study", "--fixture", H2_FIXTURE, "--noise", "ibm_auckland",
+          "--shots", "2000", "--trajectories", "8", "--seed", "5", "--format", "json")),
+        ("noise_study_lih_lima_seed9.json",
+         ("noise-study", "--fixture", LIH_FIXTURE, "--noise", "ibm_lima",
+          "--shots", "4000", "--trajectories", "4", "--seed", "9", "--format", "json")),
+    ],
+)
+def test_seeded_output_matches_golden(tmp_path, golden, argv):
+    out = tmp_path / golden
+    assert run_cli(*argv, "--out", str(out)) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_unseeded_noise_run_uses_env_seed(tmp_path, monkeypatch):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    base = ("noise-study", "--fixture", H2_FIXTURE, "--noise", "ibm_lima",
+            "--shots", "300", "--trajectories", "2")
+    monkeypatch.setenv("OMP2SIM_SEED", "5")
+    run_cli(*base, "--out", str(a))
+    monkeypatch.delenv("OMP2SIM_SEED")
+    run_cli(*base, "--seed", "5", "--out", str(b))
+    assert a.read_bytes() == b.read_bytes()

@@ -12,6 +12,7 @@ from omp2sim.jw import (
     hamiltonian,
     hamming_weights,
     jw_map,
+    occupations,
     operator_matrix,
 )
 from omp2sim.chem import spin_orbitalize
@@ -82,6 +83,7 @@ def test_number_operator_is_diagonal_occupation():
         idx = np.arange(1 << n)
         occ = (idx >> (n - p)) & 1
         assert np.abs(num - np.diag(occ.astype(float))).max() < 1e-14
+        assert np.array_equal(occupations(n)[:, p - 1], occ)
 
 
 def test_hamming_weights():

@@ -73,7 +73,7 @@ def test_estimator_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(mode="bogus")
     with pytest.raises(ValueError):
-        EstimatorConfig(mode="exact", noise=NoiseModel(0.0, 0.0, 0.1, 1))
+        EstimatorConfig(mode="exact", noise=NoiseModel(0.0, 0.0, 0.1))
     with pytest.raises(ValueError):
         EstimatorConfig(mode="shots", shots=0)
 
@@ -178,7 +178,7 @@ def test_noiseless_postselection_keeps_everything(refs):
 
 def test_noisy_postselection_discards_shots(refs):
     mi, _ = load_point(refs, "h2", 1.4)
-    noise = NoiseModel(p1=1e-3, p2=1e-2, p_readout=1e-2, seed=7)
+    noise = NoiseModel(p1=1e-3, p2=1e-2, p_readout=1e-2)
     cfg = EstimatorConfig(
         mode="shots", shots=400, seed=7, noise=noise, postselect=True, trajectories=4
     )
