@@ -11,7 +11,8 @@ Fixture files follow the naming convention {molecule}_{distance:.1f}.fcidump;
 recognized molecule names pick up the packaged reference energies and the
 matching active space.  Unknown names still run, without reference columns.
 
-Exit codes: 0 ok, 2 usage, 3 fixture problem, 4 no convergence, 5 over capacity.
+Exit codes: 0 ok, 2 usage, 3 fixture problem, 4 no estimate (no convergence,
+or postselection rejected every shot of a circuit), 5 over capacity.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .chem import FcidumpError, freeze_active_space, parse_fcidump
 from .circuits import Circuit, compile_orbital_rotation, prep_reference
-from .omp2 import CapacityError, Estimator, EstimatorConfig, ThetaParams
+from .omp2 import CapacityError, Estimator, EstimatorConfig, RejectedShotsError, ThetaParams
 from .oracle import ReferenceValues
 from .simulator import default_seed, load_noise_presets, run, trajectory_fidelity
 
@@ -163,14 +164,13 @@ def _energy_row(path: Path, run_cfg: RunConfig, refs: ReferenceValues, optimize=
             e_omp2_ref=ref_pt.e_omp2,
             e_fci_ref=ref_pt.e_fci,
         )
-    kept = bd.diagnostics.get("kept_fraction_mean")
     row.update(
         e0=bd.e0,
         e1=bd.e1,
         e2=bd.e2,
         e_total=bd.total + mi.e_core,
         variance=bd.variance,
-        kept_fraction_mean=kept if kept is not None else (1.0 if run_cfg.postselect else None),
+        kept_fraction_mean=bd.diagnostics.get("kept_fraction_mean"),
         status="ok" if bd.diagnostics.get("converged", True) else "no_convergence",
     )
     return row
@@ -207,8 +207,11 @@ def _write(text: str, out: str | None):
 
 def _run_config(args) -> RunConfig:
     # noise-study always runs in shots mode, whatever --mode says
-    if args.noise is not None and args.mode != "shots" and args.command != "noise-study":
-        raise UsageError("--noise needs --mode shots")
+    if args.mode != "shots" and args.command != "noise-study":
+        if args.noise is not None:
+            raise UsageError("--noise needs --mode shots")
+        if args.postselect:
+            raise UsageError("--postselect needs --mode shots")
     return RunConfig(
         mode=args.mode,
         shots=args.shots,
@@ -316,7 +319,7 @@ def _reference_fidelity(path: Path, run_cfg: RunConfig, refs: ReferenceValues, n
     est = Estimator(mi)
     n = est.n_qubits
     u_circ = compile_orbital_rotation(np.eye(n))
-    meas, _ = est._groups_at(np.zeros((n, n)))
+    meas = est.measurement_circuits(ThetaParams.zeros(n, est.n_electrons))
     circuit = Circuit(n, prep_reference(n, est.n_electrons).gates + u_circ.gates + meas[0].gates)
     ideal = run(circuit)
     raw = trajectory_fidelity(ideal, circuit, noise, n_traj, seed=run_cfg.seed)
@@ -403,6 +406,8 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_USAGE)
     except FixtureProblem as exc:
         return _fail(exc, EXIT_FIXTURE)
+    except RejectedShotsError as exc:
+        return _fail(exc, EXIT_CONVERGENCE)
     except CapacityError as exc:
         return _fail(exc, EXIT_CAPACITY)
 

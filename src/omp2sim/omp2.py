@@ -40,6 +40,7 @@ from .simulator import (
     StateVector,
     apply_circuit,
     expectation_with_variance,
+    number_sector,
     postselect,
     rng_stream,
     run,
@@ -55,6 +56,10 @@ _STREAM_TRAJECTORY = 0x7A
 
 class CapacityError(ValueError):
     """The problem needs more qubits than the simulator holds."""
+
+
+class RejectedShotsError(ValueError):
+    """Postselection rejected every shot of one circuit; no estimate can be formed."""
 
 
 @dataclass(frozen=True)
@@ -211,76 +216,104 @@ class Estimator:
             compile_orbital_rotation(np.kron(g.rotation, np.eye(2)).T)
             for g in self._static_groups
         )
+        self.n_groups = 1 + len(self._static_groups)
+        self._occ = occupations(self.n_qubits)
+
+        # exact and noiseless circuits run in the n_e sector; the noisy
+        # path keeps full-space coefficients, since its counts leave it
+        self._sector = number_sector(self.n_qubits, self.n_electrons)
+        states = self._sector.states
         self._static_coeffs = tuple(
             coefficient_vector(g, self.n_qubits) for g in self._static_groups
         )
-        self.n_groups = 1 + len(self._static_groups)
+        self._sector_coeffs = tuple(coeff[states] for coeff in self._static_coeffs)
 
-        dim = 1 << self.n_qubits
-        self._occ = occupations(self.n_qubits)
-
-        # column 0 is the bare reference; then quarter/half turn per double
+        # column 0 is the bare reference; then quarter/half turn per double,
+        # each built in the full space and kept at the sector rows
         prep = prep_reference(self.n_qubits, self.n_electrons)
         self._column_gates = [prep.gates]
-        ref = apply_circuit(prep, _zero_state(dim))
-        cols = [ref]
-        for d in self.doubles:
-            for omega in (np.pi / 4, np.pi / 2):
+        ref = apply_circuit(prep, _zero_state(1 << self.n_qubits))
+        self._base = np.empty((self._sector.size, 1 + 2 * len(self.doubles)), dtype=complex)
+        self._base[:, 0] = ref[states]
+        for k, d in enumerate(self.doubles):
+            for h, omega in enumerate((np.pi / 4, np.pi / 2)):
                 gates = double_excitation(d.i, d.j, d.a, d.b, omega)
                 self._column_gates.append(prep.gates + gates)
-                cols.append(apply_circuit(Circuit(self.n_qubits, gates), ref))
-        self._base = np.stack(cols, axis=1)
+                excited = apply_circuit(Circuit(self.n_qubits, gates), ref)
+                self._base[:, 1 + 2 * k + h] = excited[states]
         self.n_evaluations = 0
 
     # -- measurement plumbing ------------------------------------------------
 
     def _groups_at(self, theta_mat: np.ndarray):
+        """Every group's measurement circuit, and group 0's full-space coefficients."""
         t_spin, _ = build_perturbation(self.si, self.eps, theta_mat)
         g0 = one_body_group(t_spin, self.si.eri_spatial)
         meas0 = compile_orbital_rotation(np.kron(g0.rotation, np.eye(2)).T)
-        coeff0 = self._occ @ g0.linear
-        meas = (meas0,) + self._static_meas
-        coeffs = (coeff0,) + self._static_coeffs
-        return meas, coeffs
+        return (meas0,) + self._static_meas, self._occ @ g0.linear
+
+    def _sector_groups(self, theta_mat: np.ndarray):
+        """Yield (coeff, phi) per group: sector coefficients and measured columns."""
+        meas, coeff0 = self._groups_at(theta_mat)
+        coeffs = (coeff0[self._sector.states],) + self._sector_coeffs
+        u_circ = compile_orbital_rotation(expm(theta_mat))
+        psi = apply_circuit(u_circ, self._base, sector=self._sector)
+        for meas_c, coeff in zip(meas, coeffs):
+            yield coeff, apply_circuit(meas_c, psi, sector=self._sector)
 
     def _column_energies_exact(self, theta_mat: np.ndarray):
-        meas, coeffs = self._groups_at(theta_mat)
-        u_circ = compile_orbital_rotation(expm(theta_mat))
-        psi = apply_circuit(u_circ, self._base)
-        n_cols = self._base.shape[1]
-        e_cols = np.zeros(n_cols)
-        for meas_c, coeff in zip(meas, coeffs):
-            phi = apply_circuit(meas_c, psi)
-            e_cols += coeff @ (np.abs(phi) ** 2)
-        return e_cols, np.zeros(n_cols), None
+        e_cols = np.zeros(self._base.shape[1])
+        for coeff, phi in self._sector_groups(theta_mat):
+            # einsum sums each column in row order without BLAS, so the
+            # rounding does not depend on the BLAS build or its threads
+            e_cols += np.einsum("i,ij->j", coeff, np.abs(phi) ** 2)
+        return e_cols, np.zeros_like(e_cols), None
 
     def _column_energies_shots(self, theta_mat: np.ndarray):
-        meas, coeffs = self._groups_at(theta_mat)
-        u_circ = compile_orbital_rotation(expm(theta_mat))
         n_cols = self._base.shape[1]
         e_cols = np.zeros(n_cols)
         var_cols = np.zeros(n_cols)
         kept = []
-        cfg = self.cfg
-        if cfg.noise is None:
-            psi = apply_circuit(u_circ, self._base)
-        for l, (meas_c, coeff) in enumerate(zip(meas, coeffs)):
-            if cfg.noise is None:
-                phi = apply_circuit(meas_c, psi)
-            for col in range(n_cols):
-                if cfg.noise is None:
-                    rng = rng_stream(cfg.seed, _STREAM_SAMPLE, col, l)
-                    table = sample(StateVector(phi[:, col], self.n_qubits), cfg.shots, rng=rng)
-                else:
-                    table = self._noisy_shots(col, l, u_circ.gates + meas_c.gates)
-                if cfg.postselect:
+        for l, (coeff, tables) in enumerate(self._shot_tables(theta_mat)):
+            for col, table in enumerate(tables):
+                if self.cfg.postselect:
                     table = postselect(table, self.n_electrons)
                     kept.append(table.kept_fraction)
+                    if not table.counts.any():
+                        raise RejectedShotsError(
+                            f"postselection rejected all {table.shots} shots of circuit "
+                            f"column {col} in measurement group {l}"
+                        )
                 e, v = expectation_with_variance(table, coeff)
                 e_cols[col] += e
                 var_cols[col] += v
         kept_mean = float(np.mean(kept)) if kept else None
         return e_cols, var_cols, kept_mean
+
+    def _shot_tables(self, theta_mat: np.ndarray):
+        """Yield, per group, its full-space coefficients and one shot table per column."""
+        cfg = self.cfg
+        n_cols = self._base.shape[1]
+        if cfg.noise is not None:
+            meas, coeff0 = self._groups_at(theta_mat)
+            u_gates = compile_orbital_rotation(expm(theta_mat)).gates
+            for l, (meas_c, coeff) in enumerate(zip(meas, (coeff0,) + self._static_coeffs)):
+                yield coeff, (
+                    self._noisy_shots(col, l, u_gates + meas_c.gates) for col in range(n_cols)
+                )
+            return
+        states = self._sector.states
+        dim = 1 << self.n_qubits
+        for l, (coeff, phi) in enumerate(self._sector_groups(theta_mat)):
+            # noiseless counts stay in the sector, so zeros elsewhere are never read
+            yield _scatter(coeff, states, dim), (
+                sample(
+                    StateVector(_scatter(phi[:, col], states, dim), self.n_qubits),
+                    cfg.shots,
+                    rng=rng_stream(cfg.seed, _STREAM_SAMPLE, col, l),
+                )
+                for col in range(n_cols)
+            )
 
     def _noisy_shots(self, col: int, l: int, suffix: tuple) -> ShotTable:
         """cfg.shots split over trajectories, each run and sampled on its own stream."""
@@ -389,6 +422,10 @@ class Estimator:
         )
         return theta, bd
 
+    def measurement_circuits(self, theta: ThetaParams) -> tuple[Circuit, ...]:
+        """The measurement rotation of every group at theta, group 0 first."""
+        return self._groups_at(theta.to_matrix())[0]
+
     def resource_summary(self) -> ResourceSummary:
         meas, _ = self._groups_at(np.zeros((self.n_qubits, self.n_qubits)))
         u_circ = compile_orbital_rotation(np.eye(self.n_qubits))
@@ -426,4 +463,10 @@ class Estimator:
 def _zero_state(dim: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[0] = 1.0
+    return v
+
+
+def _scatter(values: np.ndarray, rows: np.ndarray, dim: int) -> np.ndarray:
+    v = np.zeros(dim, dtype=values.dtype)
+    v[rows] = values
     return v

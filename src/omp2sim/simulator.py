@@ -1,5 +1,12 @@
 """Statevector execution, shot sampling, noise, and post-selection.
 
+Exact and noiseless circuits conserve particle number, so they run in
+the fixed-number sector: only the amplitudes of basis states with
+n_electrons set bits are stored, and each Givens triple
+CNOT(p,p+1) MULTI_CRY((p+1,),p) CNOT(p,p+1) is one rotation on
+precomputed row pairs (`NumberSector`).  Noisy circuits run on all 2^N
+amplitudes, because a Pauli error leaves the sector.
+
 Noise is a stochastic Pauli trajectory model: after each gate, with
 probability p1 (one-qubit) or p2 (two-qubit), a uniformly random
 non-identity Pauli acts on the gate's qubits; measurement flips each
@@ -17,7 +24,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -161,16 +169,91 @@ def _apply_gate(tensor, g: Gate):
         raise ValueError(f"unknown gate kind {kind}")
 
 
+@dataclass(frozen=True, eq=False)
+class NumberSector:
+    """Basis states of n_qubits with exactly n_electrons set bits.
+
+    states holds their sorted basis indices; sector amplitudes are the
+    full-space amplitudes gathered at states.  pairs[p - 1] is (rows_p,
+    rows_q) for the adjacent qubits (p, q = p + 1): sector rows with p
+    occupied and q empty, and, at the same positions, the rows that
+    differ from them only by moving that electron from p to q.
+    """
+
+    n_qubits: int
+    n_electrons: int
+    states: np.ndarray
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def size(self) -> int:
+        return self.states.size
+
+
+@lru_cache(maxsize=None)
+def number_sector(n_qubits: int, n_electrons: int) -> NumberSector:
+    """The (cached, read-only) sector of n_electrons among n_qubits."""
+    states = np.flatnonzero(hamming_weights(n_qubits) == n_electrons)
+    pairs = []
+    for p in range(1, n_qubits):
+        bit_p, bit_q = 1 << (n_qubits - p), 1 << (n_qubits - p - 1)
+        rows_p = np.flatnonzero((states & bit_p != 0) & (states & bit_q == 0))
+        rows_q = np.searchsorted(states, states[rows_p] ^ (bit_p | bit_q))
+        pairs.append((rows_p, rows_q))
+    for a in (states, *(r for pair in pairs for r in pair)):
+        a.setflags(write=False)
+    return NumberSector(n_qubits, n_electrons, states, tuple(pairs))
+
+
+def _apply_sector(c: Circuit, work: np.ndarray, sector: NumberSector) -> None:
+    # only Givens triples (single_excitation) occur on the sector path; each
+    # is the full-space CNOT/MULTI_CRY/CNOT restricted to its moved rows,
+    # with _apply_gate's expressions, so the amplitudes are bit-identical
+    gates = c.gates
+    k = 0
+    while k < len(gates):
+        g = gates[k]
+        p = g.qubits[0]
+        if (
+            g.kind != "CNOT"
+            or g.qubits[1] != p + 1
+            or k + 2 >= len(gates)
+            or gates[k + 1].kind != "MULTI_CRY"
+            or gates[k + 1].qubits != (p + 1, p)
+            or gates[k + 2] != g
+        ):
+            raise ValueError(f"gate {g.to_text()!r} is not a Givens triple; no sector kernel")
+        angle = gates[k + 1].angle
+        c_, s_ = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        rows_p, rows_q = sector.pairs[p - 1]
+        a0 = work[rows_q]
+        a1 = work[rows_p]
+        work[rows_q] = c_ * a0 - s_ * a1
+        work[rows_p] = s_ * a0 + c_ * a1
+        k += 3
+
+
 def apply_circuit(
     c: Circuit,
     amplitudes: np.ndarray,
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
+    sector: NumberSector | None = None,
 ) -> np.ndarray:
     """Apply c to amplitudes of shape (2^N, ...batch); returns a new array.
 
     With noise, one stochastic Pauli trajectory is produced (rng required).
+    With a sector, amplitudes have shape (sector.size, ...batch) and c
+    must consist of Givens triples; anything else raises ValueError.
     """
+    if sector is not None:
+        if noise is not None:
+            raise ValueError("noisy execution leaves the number sector")
+        if c.n_qubits != sector.n_qubits or amplitudes.shape[0] != sector.size:
+            raise ValueError("amplitudes do not match the sector")
+        work = amplitudes.astype(complex)
+        _apply_sector(c, work, sector)
+        return work
     batch = amplitudes.shape[1:]
     work = amplitudes.astype(complex).reshape((2,) * c.n_qubits + batch)
     if noise is None:

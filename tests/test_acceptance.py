@@ -243,7 +243,7 @@ def test_criterion_7_noise_postselection(refs):
     n_traj = 200
 
     u0 = compile_orbital_rotation(np.eye(n))
-    meas, _ = est._groups_at(np.zeros((n, n)))
+    meas = est.measurement_circuits(ThetaParams.zeros(n, mi.n_electrons))
     prep = prep_reference(n, mi.n_electrons)
     set_a = Circuit(n, prep.gates + u0.gates + meas[0].gates)
     deepest = max(

@@ -4,7 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from omp2sim.cli import EXIT_CAPACITY, EXIT_FIXTURE, EXIT_OK, EXIT_USAGE, main
+from omp2sim.cli import (
+    EXIT_CAPACITY,
+    EXIT_CONVERGENCE,
+    EXIT_FIXTURE,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
 from omp2sim.oracle import fixture_path
 
 H2_FIXTURE = str(fixture_path("h2_1.4.fcidump"))
@@ -46,6 +53,9 @@ def test_usage_errors(tmp_path):
         ("curve", "--fixture-dir", fixtures, "--noise", "ibm_lima"),
         ("curve", "--fixture-dir", fixtures, "--jobs", "0"),
         ("resources", "--fixture", H2_FIXTURE, "--noise", "ibm_lima"),
+        ("energy", "--fixture", H2_FIXTURE, "--postselect"),
+        ("curve", "--fixture-dir", fixtures, "--postselect"),
+        ("resources", "--fixture", H2_FIXTURE, "--postselect"),
         ("noise-study", "--fixture", H2_FIXTURE, "--trajectories", "0"),
     ):
         assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE, argv
@@ -198,6 +208,19 @@ def test_noise_study_rows(tmp_path):
     assert [r["postselected"] for r in rows] == ["false", "true"]
     # noiseless: postselection keeps every shot
     assert float(rows[1]["kept_fraction_mean"]) == 1.0
+
+
+def test_all_shots_rejected_is_no_estimate(capsys):
+    # one Pauli flip can move a whole trajectory out of the n_e sector
+    code = run_cli(
+        "noise-study", "--fixture", H2_FIXTURE, "--noise", "ionq_harmony",
+        "--shots", "1000", "--trajectories", "3", "--seed", "13",
+    )
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONVERGENCE
+    assert "Traceback" not in err
+    assert "nan" not in out
+    assert err.startswith("error: postselection rejected all") and err.count("\n") == 1
 
 
 def test_noise_study_preset_json(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import load_point
-from omp2sim.chem import build_perturbation
+from omp2sim.chem import build_perturbation, parse_fcidump
 from helpers import dense_perturbation
 from omp2sim.circuits import Circuit, compile_orbital_rotation, double_excitation, prep_reference
 from omp2sim.omp2 import (
@@ -17,7 +17,7 @@ from omp2sim.omp2 import (
     enumerate_doubles,
     pair_indices,
 )
-from omp2sim.oracle import circuit_unitary
+from omp2sim.oracle import canonical_mp2, circuit_unitary, fixture_path, hartree_fock_energy
 from omp2sim.simulator import NoiseModel
 
 
@@ -89,6 +89,17 @@ def test_theta_zero_recovers_reference_energies(refs, molecule, distance):
     assert bd.e0 + bd.e1 + mi.e_core == pytest.approx(pt.e_hf, abs=1e-8)
     assert bd.total + mi.e_core == pytest.approx(pt.e_mp2, abs=1e-8)
     assert bd.variance == 0.0
+
+
+def test_full_space_lih_matches_canonical_mp2():
+    # LiH with all six orbitals: 12 qubits, no active space
+    mi = parse_fcidump(fixture_path("lih_3.1.fcidump"))
+    est = Estimator(mi)
+    assert est.n_qubits == 12
+    bd = est.mp2_energy(ThetaParams.zeros(est.n_qubits, mi.n_electrons))
+    e_hf = hartree_fock_energy(est.si, mi.e_core, mi.n_electrons)
+    assert abs(bd.e2 - canonical_mp2(est.si, est.eps, mi.n_electrons)) <= 1e-8
+    assert abs(bd.e0 + bd.e1 + mi.e_core - e_hf) <= 1e-8
 
 
 @settings(max_examples=6, deadline=None)

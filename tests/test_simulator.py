@@ -2,8 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import special_ortho_group
 
-from omp2sim.circuits import Circuit, cnot, cz, h, multi_cry, ry, rz, x
+from omp2sim.circuits import (
+    Circuit,
+    cnot,
+    compile_orbital_rotation,
+    cz,
+    h,
+    multi_cry,
+    ry,
+    rz,
+    single_excitation,
+    x,
+)
 from omp2sim.oracle import circuit_unitary
 from omp2sim.simulator import (
     NoiseModel,
@@ -13,6 +25,7 @@ from omp2sim.simulator import (
     default_seed,
     expectation_with_variance,
     load_noise_presets,
+    number_sector,
     postselect,
     rng_stream,
     run,
@@ -57,6 +70,37 @@ def test_apply_circuit_matches_dense_unitary(n, seed):
     # batched columns go through the same kernels
     batch = np.eye(1 << n, dtype=complex)[:, :3]
     assert np.abs(apply_circuit(c, batch) - u[:, :3]).max() < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((4, 6, 8)), st.data())
+def test_sector_kernel_matches_full_space(n, data):
+    n_electrons = data.draw(st.sampled_from(range(0, n + 1, 2)))
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    c = compile_orbital_rotation(special_ortho_group.rvs(n, random_state=rng))
+    sector = number_sector(n, n_electrons)
+    batch = rng.normal(size=(sector.size, 3)) + 1j * rng.normal(size=(sector.size, 3))
+    full = np.zeros((1 << n, 3), dtype=complex)
+    full[sector.states] = batch
+    assert np.array_equal(
+        apply_circuit(c, batch, sector=sector), apply_circuit(c, full)[sector.states]
+    )
+
+
+def test_sector_rejects_other_gates_and_noise():
+    sector = number_sector(4, 2)
+    batch = np.zeros((sector.size, 1), dtype=complex)
+    batch[0] = 1.0
+    givens = single_excitation(2, 0.3)
+    for gates in ((x(1),), (cnot(1, 2),), givens[:2], givens + (x(3),)):
+        with pytest.raises(ValueError):
+            apply_circuit(Circuit(4, gates), batch, sector=sector)
+    with pytest.raises(ValueError):
+        apply_circuit(
+            Circuit(4, givens), batch, noise=NoiseModel(0.1, 0.1, 0.0),
+            rng=rng_stream(1), sector=sector,
+        )
 
 
 def test_run_produces_normalized_state():
