@@ -24,6 +24,9 @@ from scipy.linalg import expm
 
 SYM_TOL = 1e-12
 DUPLICATE_TOL = 1e-10
+# hartree; the absolute tolerances here and downstream assume integrals of
+# at most this size (a uranium 1s orbital is about -4e3)
+MAX_INTEGRAL = 1e4
 
 
 class FcidumpError(ValueError):
@@ -43,11 +46,18 @@ class MolecularIntegrals:
 
     def __post_init__(self):
         m = self.n_spatial
+        if not 1 <= self.n_electrons <= 2 * m:
+            raise ValueError(
+                f"n_electrons must lie in 1..{2 * m} (two per spatial orbital), "
+                f"got {self.n_electrons}"
+            )
         if self.h1.shape != (m, m) or self.eri.shape != (m, m, m, m):
             raise ValueError("integral tensor shape mismatch")
         # NaN passes every ">" tolerance check below, so reject it first
         if not all(np.isfinite(x).all() for x in (self.h1, self.eri, self.e_core)):
             raise ValueError("integrals must be finite")
+        if max(np.abs(self.h1).max(), np.abs(self.eri).max()) > MAX_INTEGRAL:
+            raise ValueError(f"h1 and eri entries must not exceed {MAX_INTEGRAL:g} in magnitude")
         if np.abs(self.h1 - self.h1.T).max() > SYM_TOL:
             raise ValueError("h1 not symmetric")
         for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
@@ -128,9 +138,14 @@ def parse_fcidump(source) -> MolecularIntegrals:
         fields[key.upper()] = val
     if "NORB" not in fields or "NELEC" not in fields:
         raise FcidumpError("header missing NORB or NELEC")
-    m = int(fields["NORB"].split(",")[0])
-    n_electrons = int(fields["NELEC"].split(",")[0])
-    ms2 = int(fields.get("MS2", "0").split(",")[0])
+    try:
+        m, n_electrons, ms2 = (
+            int(fields.get(key, "0").split(",")[0]) for key in ("NORB", "NELEC", "MS2")
+        )
+    except ValueError:
+        raise FcidumpError("header NORB, NELEC and MS2 must be integers") from None
+    if m < 1:
+        raise FcidumpError(f"NORB must be at least 1, got {m}")
 
     h1 = np.zeros((m, m))
     eri = np.zeros((m, m, m, m))

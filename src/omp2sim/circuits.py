@@ -22,7 +22,7 @@ convention of module jw (qubit p = spin orbital p, |1> = occupied):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +101,6 @@ def multi_cry(controls, target, angle):
 class Circuit:
     n_qubits: int
     gates: tuple[Gate, ...]
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -124,9 +123,7 @@ def prep_reference(n_qubits: int, n_electrons: int) -> Circuit:
     """X on qubits 1..n_electrons: the closed-shell reference determinant."""
     if n_electrons > n_qubits:
         raise ValueError("more electrons than qubits")
-    return Circuit(
-        n_qubits, tuple(x(q) for q in range(1, n_electrons + 1)), {"kind": "prep"}
-    )
+    return Circuit(n_qubits, tuple(x(q) for q in range(1, n_electrons + 1)))
 
 
 def single_excitation(p: int, alpha: float) -> tuple[Gate, ...]:
@@ -208,10 +205,10 @@ def lower_circuit(c: Circuit) -> Circuit:
     gates = []
     for g in c.gates:
         gates.extend(lower_multi_cry(g))
-    return Circuit(c.n_qubits, tuple(gates), dict(c.metadata))
+    return Circuit(c.n_qubits, tuple(gates))
 
 
-def compile_orbital_rotation(u: np.ndarray, metadata: dict | None = None) -> Circuit:
+def compile_orbital_rotation(u: np.ndarray) -> Circuit:
     """Decompose special-orthogonal U into nearest-neighbor Givens layers.
 
     Zig-zag elimination: odd sweeps zero lower-triangle elements with
@@ -269,8 +266,7 @@ def compile_orbital_rotation(u: np.ndarray, metadata: dict | None = None) -> Cir
     for layer in _rotation_layers(rotations):
         for p, ang in layer:
             gates.extend(single_excitation(p, ang))
-    meta = {"kind": "orbital_rotation", **(metadata or {})}
-    return Circuit(n, tuple(gates), meta)
+    return Circuit(n, tuple(gates))
 
 
 def _givens(n: int, p: int, angle: float) -> np.ndarray:

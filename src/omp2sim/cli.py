@@ -21,13 +21,12 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .chem import FcidumpError, freeze_active_space, parse_fcidump
+from .chem import freeze_active_space, parse_fcidump
 from .circuits import Circuit, compile_orbital_rotation, prep_reference
 from .omp2 import CapacityError, Estimator, EstimatorConfig, RejectedShotsError, ThetaParams
 from .oracle import ReferenceValues
@@ -61,20 +60,6 @@ _CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    shots: int
-    noise_preset: str | None
-    postselect: bool
-    tol: float
-    seed: int
-    jobs: int
-    fmt: str
-    out: str | None
-    trajectories: int = 16
-
-
 class UsageError(Exception):
     pass
 
@@ -91,89 +76,68 @@ def _parse_fixture_name(path: Path):
 
 
 def _load_problem(path: Path, refs: ReferenceValues):
+    """The fixture's integrals, in the molecule's active space, and its reference point."""
     if not path.exists():
         raise FixtureProblem(f"fixture not found: {path}")
-    try:
-        mi = parse_fcidump(path)
-    except FcidumpError as exc:
-        raise FixtureProblem(f"{path}: {exc}") from exc
     mol, dist = _parse_fixture_name(path)
     ref_mol = refs.molecules.get(mol) if mol else None
-    ref_pt = None
-    if ref_mol is not None:
-        spec = ref_mol.active_space
-        if spec.frozen_occupied or spec.deleted_virtual:
-            mi = freeze_active_space(mi, spec)
-        try:
-            ref_pt = ref_mol.point_at(dist)
-        except KeyError:
-            ref_pt = None
+    try:
+        # FcidumpError and UnicodeDecodeError are ValueErrors, as are the
+        # active-space checks on a file too small for the molecule's spec
+        mi = parse_fcidump(path)
+        if ref_mol is not None:
+            spec = ref_mol.active_space
+            if spec.frozen_occupied or spec.deleted_virtual:
+                mi = freeze_active_space(mi, spec)
+    except (OSError, ValueError) as exc:
+        raise FixtureProblem(f"{path}: {exc}") from exc
+    try:
+        ref_pt = ref_mol.point_at(dist) if ref_mol is not None else None
+    except KeyError:
+        ref_pt = None
     return mi, mol, dist, ref_pt
 
 
-def _estimator_config(run_cfg: RunConfig):
-    noise = None
-    if run_cfg.noise_preset is not None:
-        noise = load_noise_presets()[run_cfg.noise_preset]
-    return EstimatorConfig(
-        mode=run_cfg.mode,
-        shots=run_cfg.shots,
-        noise=noise,
-        postselect=run_cfg.postselect,
-        truncation_tol=run_cfg.tol,
-        seed=run_cfg.seed,
-        trajectories=run_cfg.trajectories,
-    )
+def _estimator_config(args, **fixed) -> EstimatorConfig:
+    """One EstimatorConfig from the command line; fixed overrides its flags."""
+    try:
+        settings = dict(
+            mode=args.mode,
+            shots=args.shots,
+            noise=load_noise_presets()[args.noise] if args.noise else None,
+            postselect=args.postselect,
+            truncation_tol=args.tol,
+            seed=args.seed if args.seed is not None else default_seed(),
+        )
+        return EstimatorConfig(**{**settings, **fixed})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
-def _blank_row(mol, dist, run_cfg: RunConfig):
+def _energy_row(est: Estimator, mol, dist, ref_pt, preset: str | None, optimize=True):
+    if optimize:
+        _, bd = est.optimize()
+    else:
+        bd = est.mp2_energy(ThetaParams.zeros(est.n_qubits, est.n_electrons))
+    cfg = est.cfg
     return {
         "molecule": mol or "unknown",
         "distance_bohr": dist,
-        "e_hf_ref": None,
-        "e_mp2_ref": None,
-        "e_omp2_ref": None,
-        "e_fci_ref": None,
-        "e0": None,
-        "e1": None,
-        "e2": None,
-        "e_total": None,
-        "variance": None,
-        "shots": run_cfg.shots if run_cfg.mode == "shots" else 0,
-        "noise_preset": run_cfg.noise_preset or "",
-        "postselected": run_cfg.postselect,
-        "kept_fraction_mean": None,
-        "status": "ok",
+        "e_hf_ref": ref_pt.e_hf if ref_pt else None,
+        "e_mp2_ref": ref_pt.e_mp2 if ref_pt else None,
+        "e_omp2_ref": ref_pt.e_omp2 if ref_pt else None,
+        "e_fci_ref": ref_pt.e_fci if ref_pt else None,
+        "e0": bd.e0,
+        "e1": bd.e1,
+        "e2": bd.e2,
+        "e_total": bd.total + est.e_core,
+        "variance": bd.variance,
+        "shots": cfg.shots if cfg.mode == "shots" else 0,
+        "noise_preset": preset or "",
+        "postselected": cfg.postselect,
+        "kept_fraction_mean": bd.diagnostics.get("kept_fraction_mean"),
+        "status": "ok" if bd.diagnostics.get("converged", True) else "no_convergence",
     }
-
-
-def _energy_row(path: Path, run_cfg: RunConfig, refs: ReferenceValues, optimize=True):
-    mi, mol, dist, ref_pt = _load_problem(path, refs)
-    cfg = _estimator_config(run_cfg)
-    est = Estimator(mi, cfg)
-    if optimize:
-        theta, bd = est.optimize()
-    else:
-        theta = ThetaParams.zeros(est.n_qubits, est.n_electrons)
-        bd = est.mp2_energy(theta)
-    row = _blank_row(mol, dist, run_cfg)
-    if ref_pt is not None:
-        row.update(
-            e_hf_ref=ref_pt.e_hf,
-            e_mp2_ref=ref_pt.e_mp2,
-            e_omp2_ref=ref_pt.e_omp2,
-            e_fci_ref=ref_pt.e_fci,
-        )
-    row.update(
-        e0=bd.e0,
-        e1=bd.e1,
-        e2=bd.e2,
-        e_total=bd.total + mi.e_core,
-        variance=bd.variance,
-        kept_fraction_mean=bd.diagnostics.get("kept_fraction_mean"),
-        status="ok" if bd.diagnostics.get("converged", True) else "no_convergence",
-    )
-    return row
 
 
 def _format_value(key, value):
@@ -186,8 +150,8 @@ def _format_value(key, value):
     return str(value)
 
 
-def _emit(rows, run_cfg: RunConfig, extra=None) -> str:
-    if run_cfg.fmt == "json":
+def _emit(rows, fmt: str, extra=None) -> str:
+    if fmt == "json":
         doc = {"schema": 1, "rows": rows}
         if extra:
             doc.update(extra)
@@ -205,64 +169,38 @@ def _write(text: str, out: str | None):
         Path(out).write_text(text)
 
 
-def _run_config(args) -> RunConfig:
-    # noise-study always runs in shots mode, whatever --mode says
-    if args.mode != "shots" and args.command != "noise-study":
-        if args.noise is not None:
-            raise UsageError("--noise needs --mode shots")
-        if args.postselect:
-            raise UsageError("--postselect needs --mode shots")
-    return RunConfig(
-        mode=args.mode,
-        shots=args.shots,
-        noise_preset=args.noise,
-        postselect=args.postselect,
-        tol=args.tol,
-        seed=args.seed if args.seed is not None else default_seed(),
-        jobs=getattr(args, "jobs", 1),
-        fmt=args.format,
-        out=args.out,
-    )
-
-
 def cmd_energy(args) -> int:
-    run_cfg = _run_config(args)
-    refs = ReferenceValues.load()
-    row = _energy_row(Path(args.fixture), run_cfg, refs)
-    _write(_emit([row], run_cfg), run_cfg.out)
+    cfg = _estimator_config(args)
+    mi, mol, dist, ref_pt = _load_problem(Path(args.fixture), ReferenceValues.load())
+    row = _energy_row(Estimator(mi, cfg), mol, dist, ref_pt, args.noise)
+    _write(_emit([row], args.format), args.out)
     return EXIT_OK if row["status"] == "ok" else EXIT_CONVERGENCE
 
 
 def cmd_curve(args) -> int:
-    run_cfg = _run_config(args)
+    # --jobs is accepted, but rows run serially: threads were measured slower
+    cfg = _estimator_config(args)
     refs = ReferenceValues.load()
     paths = sorted(Path(args.fixture_dir).glob("*.fcidump"))
     if args.molecule:
         paths = [p for p in paths if _parse_fixture_name(p)[0] == args.molecule]
     if not paths:
         raise FixtureProblem(f"no fixtures in {args.fixture_dir}")
-
-    def work(path):
-        return _energy_row(path, run_cfg, refs)
-
-    if run_cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=run_cfg.jobs) as pool:
-            rows = list(pool.map(work, paths))
-    else:
-        rows = [work(p) for p in paths]
+    rows = []
+    for path in paths:
+        mi, mol, dist, ref_pt = _load_problem(path, refs)
+        rows.append(_energy_row(Estimator(mi, cfg), mol, dist, ref_pt, args.noise))
     rows.sort(key=lambda r: (r["molecule"], r["distance_bohr"]))
-    _write(_emit(rows, run_cfg), run_cfg.out)
+    _write(_emit(rows, args.format), args.out)
     if any(r["status"] != "ok" for r in rows):
         return EXIT_CONVERGENCE
     return EXIT_OK
 
 
 def cmd_resources(args) -> int:
-    run_cfg = _run_config(args)
-    refs = ReferenceValues.load()
-    mi, mol, dist, _ = _load_problem(Path(args.fixture), refs)
-    est = Estimator(mi, _estimator_config(run_cfg))
-    summary = est.resource_summary()
+    cfg = _estimator_config(args)
+    mi, mol, dist, _ = _load_problem(Path(args.fixture), ReferenceValues.load())
+    summary = Estimator(mi, cfg).resource_summary()
     doc = {
         "schema": 1,
         "molecule": mol or "unknown",
@@ -277,54 +215,43 @@ def cmd_resources(args) -> int:
         "cnot_count_reference": summary.cnot_count_reference,
         "cnot_count_residual_max": summary.cnot_count_residual_max,
     }
-    if run_cfg.fmt == "json":
-        _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", run_cfg.out)
+    if args.format == "json":
+        _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     else:
         keys = [k for k in doc if k != "schema"]
         lines = ["# schema=1", ",".join(keys), ",".join(_format_value(k, doc[k]) for k in keys)]
-        _write("\n".join(lines) + "\n", run_cfg.out)
+        _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_noise_study(args) -> int:
-    run_cfg = _run_config(args)
-    refs = ReferenceValues.load()
-    path = Path(args.fixture)
+    # noise-study always runs in shots mode, whatever --mode says
+    cfg = _estimator_config(args, mode="shots", trajectories=args.trajectories)
+    mi, mol, dist, ref_pt = _load_problem(Path(args.fixture), ReferenceValues.load())
     rows = []
     for ps in (False, True):
-        cfg_i = RunConfig(
-            mode="shots",
-            shots=run_cfg.shots,
-            noise_preset=run_cfg.noise_preset,
-            postselect=ps,
-            tol=run_cfg.tol,
-            seed=run_cfg.seed,
-            jobs=1,
-            fmt=run_cfg.fmt,
-            out=run_cfg.out,
-            trajectories=args.trajectories,
-        )
-        rows.append(_energy_row(path, cfg_i, refs, optimize=False))
+        est = Estimator(mi, replace(cfg, postselect=ps))
+        rows.append(_energy_row(est, mol, dist, ref_pt, args.noise, optimize=False))
     extra = None
-    if run_cfg.noise_preset is not None:
-        extra = {"fidelity": _reference_fidelity(path, run_cfg, refs, args.trajectories)}
-    _write(_emit(rows, run_cfg, extra=extra), run_cfg.out)
+    # CSV has no place for the fidelity block, so only JSON computes it; its
+    # theta = 0 circuit is the same whichever row's estimator builds it
+    if cfg.noise is not None and args.format == "json":
+        extra = {"fidelity": _reference_fidelity(est)}
+    _write(_emit(rows, args.format, extra=extra), args.out)
     return EXIT_OK
 
 
-def _reference_fidelity(path: Path, run_cfg: RunConfig, refs: ReferenceValues, n_traj: int):
+def _reference_fidelity(est: Estimator):
     """Raw vs post-selected fidelity of the undoubled measurement circuit."""
-    mi, _, _, _ = _load_problem(path, refs)
-    noise = load_noise_presets()[run_cfg.noise_preset]
-    est = Estimator(mi)
+    cfg = est.cfg
     n = est.n_qubits
     u_circ = compile_orbital_rotation(np.eye(n))
     meas = est.measurement_circuits(ThetaParams.zeros(n, est.n_electrons))
     circuit = Circuit(n, prep_reference(n, est.n_electrons).gates + u_circ.gates + meas[0].gates)
     ideal = run(circuit)
-    raw = trajectory_fidelity(ideal, circuit, noise, n_traj, seed=run_cfg.seed)
+    raw = trajectory_fidelity(ideal, circuit, cfg.noise, cfg.trajectories, seed=cfg.seed)
     ps = trajectory_fidelity(
-        ideal, circuit, noise, n_traj, postselect_n=est.n_electrons, seed=run_cfg.seed
+        ideal, circuit, cfg.noise, cfg.trajectories, postselect_n=est.n_electrons, seed=cfg.seed
     )
     return {
         "raw": {"fidelity": raw.fidelity, "stderr": raw.stderr},
@@ -333,17 +260,18 @@ def _reference_fidelity(path: Path, run_cfg: RunConfig, refs: ReferenceValues, n
             "stderr": ps.stderr,
             "kept_fraction_mean": ps.kept_fraction_mean,
         },
-        "n_trajectories": n_traj,
+        "n_trajectories": cfg.trajectories,
     }
 
 
-def _positive(kind):
-    """argparse type: kind(text), rejected unless above 0."""
+def _bounded(kind, low, strict=True):
+    """argparse type: kind(text), rejected unless above low (at least low if not strict)."""
 
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+        if not (value > low if strict else value >= low):  # also rejects nan
+            bound = "above" if strict else "at least"
+            raise argparse.ArgumentTypeError(f"must be {bound} {low}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its own messages
@@ -352,17 +280,17 @@ def _positive(kind):
 
 def _add_common(p, with_jobs=False):
     p.add_argument("--mode", choices=("exact", "shots"), default="exact")
-    p.add_argument("--shots", type=_positive(int), default=100_000)
+    p.add_argument("--shots", type=_bounded(int, 0), default=100_000)
     p.add_argument(
         "--noise", choices=sorted(load_noise_presets()), default=None, help="noise preset name"
     )
     p.add_argument("--postselect", action="store_true")
-    p.add_argument("--tol", type=_positive(float), default=1e-12, help="factorization truncation")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--tol", type=_bounded(float, 0), default=1e-12, help="factorization truncation")
+    p.add_argument("--seed", type=_bounded(int, 0, strict=False), default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     if with_jobs:
-        p.add_argument("--jobs", type=_positive(int), default=1)
+        p.add_argument("--jobs", type=_bounded(int, 0), default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-study", help="theta = 0 energies under a noise preset")
     p.add_argument("--fixture", required=True)
-    p.add_argument("--trajectories", type=_positive(int), default=16)
+    p.add_argument("--trajectories", type=_bounded(int, 0), default=16)
     _add_common(p)
     p.set_defaults(fn=cmd_noise_study)
 
@@ -401,6 +329,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        if args.out is not None:
+            out = Path(args.out)
+            # checked before any work, so a bad path cannot waste a run
+            if out.is_dir() or not out.parent.is_dir():
+                raise UsageError(f"--out {out}: not a file path in an existing directory")
         return args.fn(args)
     except UsageError as exc:
         return _fail(exc, EXIT_USAGE)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .chem import MolecularIntegrals, build_perturbation, orbital_energies, spin_orbitalize
 from .circuits import (
@@ -164,6 +164,8 @@ class EstimatorConfig:
             raise ValueError("trajectories must be positive")
         if self.noise is not None and self.mode == "exact":
             raise ValueError("gate noise requires shots mode")
+        if self.postselect and self.mode == "exact":
+            raise ValueError("postselection requires shots mode")
 
 
 @dataclass(frozen=True)
@@ -387,7 +389,10 @@ class Estimator:
         def fun(x):
             return self.mp2_energy(theta0.with_values(x)).total
 
-        if self.cfg.mode == "exact":
+        if n_par == 0:
+            # a filled shell has no rotation angles, so theta = 0 is the answer
+            res = OptimizeResult(x=np.zeros(0), success=True, nit=0, message="no parameters")
+        elif self.cfg.mode == "exact":
             step = 1e-4
 
             def grad(x):

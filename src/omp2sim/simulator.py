@@ -95,7 +95,10 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "1"))
+    text = os.environ.get(SEED_ENV_VAR, "1")
+    if not text.strip().isdecimal():
+        raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,22 @@ def test_parse_rejects_odd_electrons():
         parse_fcidump(MINIMAL.replace("NELEC=2", "NELEC=3"))
 
 
+@pytest.mark.parametrize(
+    "header,match",
+    [
+        ("NORB=-1,NELEC=2", "NORB must be at least 1"),
+        ("NORB=0,NELEC=2", "NORB must be at least 1"),
+        ("NORB=1,NELEC=4", "n_electrons must lie in 1..2"),
+        ("NORB=2,NELEC=0", "n_electrons must lie in 1..4"),
+        ("NORB=2,NELEC=-2", "n_electrons must lie in 1..4"),
+        ("NORB=2-1,NELEC=2", "must be integers"),
+    ],
+)
+def test_parse_rejects_impossible_counts(header, match):
+    with pytest.raises(FcidumpError, match=match):
+        parse_fcidump(f"&FCI {header},MS2=0,\n&END\n")
+
+
 @pytest.mark.parametrize("field", ["h1", "eri", "e_core"])
 def test_integrals_must_be_finite(field):
     mi = parse_fcidump(MINIMAL)
@@ -97,6 +113,14 @@ def test_integrals_must_be_finite(field):
         fields[field].flat[0] = np.nan  # diagonal, so every symmetry check still passes
     with pytest.raises(ValueError, match="finite"):
         MolecularIntegrals(**fields)
+
+
+@pytest.mark.parametrize("value", ["1.0000001e4", "-1e300"])
+def test_parse_rejects_oversized_integrals(value):
+    # far above any molecule's integrals; such values overflowed the energy to nan
+    text = MINIMAL.replace("-1.2000000000000000E+00", value)
+    with pytest.raises(FcidumpError, match="must not exceed 10000"):
+        parse_fcidump(text)
 
 
 _H3P = parse_fcidump(fixture_path("h3p_2.0.fcidump"))

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from omp2sim import cli
 from omp2sim.cli import (
     EXIT_CAPACITY,
     EXIT_CONVERGENCE,
@@ -38,7 +44,7 @@ def read_csv(path):
     return [dict(zip(header, ln.split(","))) for ln in lines[2:]]
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, monkeypatch, capsys):
     assert run_cli() == EXIT_USAGE
     assert run_cli("frobnicate") == EXIT_USAGE
     assert run_cli("energy") == EXIT_USAGE
@@ -57,9 +63,21 @@ def test_usage_errors(tmp_path):
         ("curve", "--fixture-dir", fixtures, "--postselect"),
         ("resources", "--fixture", H2_FIXTURE, "--postselect"),
         ("noise-study", "--fixture", H2_FIXTURE, "--trajectories", "0"),
+        ("energy", "--fixture", H2_FIXTURE, "--mode", "shots", "--seed", "-1"),
     ):
         assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE, argv
     assert not out.exists()
+    capsys.readouterr()
+    # the --out directory is checked before the fixture is read
+    no_dir = tmp_path / "missing" / "x.csv"
+    assert run_cli("energy", "--fixture", "nope_1.0.fcidump", "--out", str(no_dir)) == EXIT_USAGE
+    assert run_cli("energy", "--fixture", H2_FIXTURE, "--out", str(tmp_path)) == EXIT_USAGE
+    monkeypatch.setenv("OMP2SIM_SEED", "abc")
+    assert run_cli("energy", "--fixture", H2_FIXTURE, "--out", str(out)) == EXIT_USAGE
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(ln.startswith("error: ") for ln in err)
+    assert "--out" in err[0] and "--out" in err[1] and "OMP2SIM_SEED" in err[2]
 
 
 def test_missing_fixture(tmp_path, capsys):
@@ -72,6 +90,49 @@ def test_broken_fixture(tmp_path, capsys):
     bad.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\nnot a record\n")
     assert run_cli("energy", "--fixture", str(bad)) == EXIT_FIXTURE
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,content,match",
+    [
+        ("a_1.0.fcidump", b"&FCI NORB=1,NELEC=4,MS2=0,\n&END\n", "n_electrons"),
+        ("b_1.0.fcidump", b"&FCI NORB=2,NELEC=0,MS2=0,\n&END\n", "n_electrons"),
+        ("c_1.0.fcidump", b"&FCI NORB=2,NELEC=-2,MS2=0,\n&END\n", "n_electrons"),
+        ("d_1.0.fcidump", b"&FCI NORB=-1,NELEC=2,MS2=0,\n&END\n", "NORB"),
+        ("e_1.0.fcidump", b"&FCI NORB=0,NELEC=2,MS2=0,\n&END\n", "NORB"),
+        ("f_1.0.fcidump", b"\xff\xfe&FCI NORB=2,NELEC=2,MS2=0,\n&END\n", "utf-8"),
+        # two orbitals cannot hold LiH's active space
+        ("lih_3.1.fcidump", Path(H2_FIXTURE).read_bytes(), "active-space"),
+        ("x.fcidump", None, "Is a directory"),
+    ],
+    ids=["nelec_4_norb_1", "nelec_0", "nelec_-2", "norb_-1", "norb_0", "not_utf8",
+         "too_small_for_active_space", "directory"],
+)
+@pytest.mark.parametrize("command", ["energy", "resources"])
+def test_unusable_fixture_is_fixture_problem(tmp_path, capsys, command, name, content, match):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    out = tmp_path / "row.csv"
+    assert run_cli(command, "--fixture", str(path), "--out", str(out)) == EXIT_FIXTURE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert match in err
+    assert not out.exists()
+
+
+def test_filled_shell_needs_no_optimization(tmp_path):
+    # NORB=3, NELEC=6 has no virtual orbital, so no rotation angle
+    full = tmp_path / "zz_1.0.fcidump"
+    full.write_text("&FCI NORB=3,NELEC=6,MS2=0,\n&END\n -1.0 1 1 0 0\n")
+    out = tmp_path / "row.csv"
+    assert run_cli("energy", "--fixture", str(full), "--out", str(out)) == EXIT_OK
+    row = read_csv(out)[0]
+    assert row["status"] == "ok"
+    assert float(row["e2"]) == 0.0
+    assert float(row["e_total"]) == -2.0
 
 
 def test_unknown_noise_preset(tmp_path, capsys):
@@ -210,6 +271,29 @@ def test_noise_study_rows(tmp_path):
     assert float(rows[1]["kept_fraction_mean"]) == 1.0
 
 
+def test_noise_study_does_its_work_once(tmp_path, monkeypatch):
+    calls = {"parse_fcidump": 0, "Estimator": 0, "trajectory_fidelity": 0}
+
+    def count(name):
+        fn = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    for name in calls:
+        count(name)
+    argv = ("noise-study", "--fixture", H2_FIXTURE, "--noise", "ibm_lima",
+            "--shots", "200", "--trajectories", "2")
+    assert run_cli(*argv, "--out", str(tmp_path / "a.csv")) == EXIT_OK
+    # CSV has no fidelity block, so no fidelity trajectories run
+    assert calls == {"parse_fcidump": 1, "Estimator": 2, "trajectory_fidelity": 0}
+    assert run_cli(*argv, "--format", "json", "--out", str(tmp_path / "a.json")) == EXIT_OK
+    assert calls == {"parse_fcidump": 2, "Estimator": 4, "trajectory_fidelity": 2}
+
+
 def test_all_shots_rejected_is_no_estimate(capsys):
     # one Pauli flip can move a whole trajectory out of the n_e sector
     code = run_cli(
@@ -293,3 +377,99 @@ def test_unseeded_noise_run_uses_env_seed(tmp_path, monkeypatch):
     monkeypatch.delenv("OMP2SIM_SEED")
     run_cli(*base, "--seed", "5", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def _run_captured(argv):
+    """main(argv) with stdout and stderr captured: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, stdout, stderr, out_path):
+    assert "Traceback" not in stderr
+    assert "nan" not in stdout + (out_path.read_text() if out_path.exists() else "")
+    if code not in (EXIT_OK, EXIT_CONVERGENCE):
+        # argparse prints its usage block above its one error line
+        lines = [ln for ln in stderr.splitlines() if not ln.startswith(("usage:", " "))]
+        assert len(lines) == 1 and "error: " in lines[0], stderr
+        assert not out_path.exists()
+
+
+_RECORD_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1.0d0", "x"]),
+)
+
+
+@st.composite
+def fcidump_bytes(draw):
+    """An FCIDUMP; half are well formed, the rest arbitrary and sometimes not UTF-8."""
+    if draw(st.booleans()):
+        norb = draw(st.integers(1, 3))
+        lines = [f"&FCI NORB={norb},NELEC={2 * draw(st.integers(1, norb))},MS2=0,", "&END"]
+        for _ in range(draw(st.integers(0, 8))):
+            idx = draw(st.lists(st.integers(1, norb), min_size=4, max_size=4))
+            if draw(st.booleans()):
+                idx[2:] = [0, 0]  # one-electron record
+            lines.append(" ".join([repr(draw(st.floats(-1e4, 1e4))), *map(str, idx)]))
+        return ("\n".join(lines) + "\n").encode()
+    norb = draw(st.integers(-1, 3))
+    nelec = draw(st.integers(-2, 8))
+    lines = [f"&FCI NORB={norb},NELEC={nelec},MS2={draw(st.sampled_from([0, 1]))},", "&END"]
+    for _ in range(draw(st.integers(0, 8))):
+        n_idx = draw(st.integers(3, 5))
+        idx = draw(st.lists(st.integers(0, max(norb + 1, 0)), min_size=n_idx, max_size=n_idx))
+        lines.append(" ".join([draw(_RECORD_VALUES), *map(str, idx)]))
+    data = ("\n".join(lines) + "\n").encode()
+    cut = draw(st.integers(0, len(data)))
+    return data[:cut] + draw(st.sampled_from([b"", b"\xff", b"\xc3("])) + data[cut:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=fcidump_bytes(),
+    name=st.sampled_from(["zz_1.0.fcidump", "h2_1.4.fcidump", "lih_3.1.fcidump"]),
+)
+def test_generated_fixtures_exit_cleanly(data, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / name, Path(tmp) / "row.csv"
+        path.write_bytes(data)
+        code, stdout, stderr = _run_captured(["energy", "--fixture", str(path), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_FIXTURE, EXIT_CONVERGENCE)
+        _assert_clean_exit(code, stdout, stderr, out)
+
+
+_VALID_FLAGS = (
+    ("--shots", "300"), ("--seed", "0"), ("--seed", "7"), ("--tol", "1e-8"), ("--jobs", "2"),
+    ("--trajectories", "2"), ("--noise", "ibm_lima"), ("--format", "json"), ("--format", "csv"),
+)
+_INVALID_FLAGS = (
+    ("--shots", "0"), ("--shots", "-3"), ("--shots", "1.5"), ("--seed", "-1"), ("--seed", "x"),
+    ("--tol", "0"), ("--tol", "-1e-9"), ("--tol", "nan"), ("--jobs", "0"), ("--jobs", "x"),
+    ("--trajectories", "0"), ("--noise", "bogus"), ("--format", "yaml"),
+)
+# valid only in shots mode, which noise-study always runs in
+_SHOTS_ONLY = (("--postselect",), ("--noise", "ionq_harmony"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["energy", "curve", "resources", "noise-study"]),
+    valid=st.lists(st.sampled_from(_VALID_FLAGS), max_size=3),
+    invalid=st.sampled_from(_INVALID_FLAGS + _SHOTS_ONLY),
+)
+def test_invalid_flags_exit_cleanly(command, valid, invalid):
+    assume(not (command == "noise-study" and invalid in _SHOTS_ONLY))
+    if command == "curve":
+        target = ["--fixture-dir", str(Path(H2_FIXTURE).parent), "--molecule", "h2"]
+    else:
+        target = ["--fixture", H2_FIXTURE]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "row.csv"
+        argv = [command, *target, *(t for flag in valid + [invalid] for t in flag)]
+        code, stdout, stderr = _run_captured([*argv, "--out", str(out)])
+        assert code == EXIT_USAGE, argv
+        assert stdout == ""
+        _assert_clean_exit(code, stdout, stderr, out)

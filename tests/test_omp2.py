@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import load_point
-from omp2sim.chem import build_perturbation, parse_fcidump
+from omp2sim.chem import MolecularIntegrals, build_perturbation, parse_fcidump
 from helpers import dense_perturbation
 from omp2sim.circuits import Circuit, compile_orbital_rotation, double_excitation, prep_reference
 from omp2sim.omp2 import (
@@ -17,7 +17,13 @@ from omp2sim.omp2 import (
     enumerate_doubles,
     pair_indices,
 )
-from omp2sim.oracle import canonical_mp2, circuit_unitary, fixture_path, hartree_fock_energy
+from omp2sim.oracle import (
+    canonical_mp2,
+    circuit_unitary,
+    fci_energy,
+    fixture_path,
+    hartree_fock_energy,
+)
 from omp2sim.simulator import NoiseModel
 
 
@@ -76,6 +82,23 @@ def test_estimator_config_validation():
         EstimatorConfig(mode="exact", noise=NoiseModel(0.0, 0.0, 0.1))
     with pytest.raises(ValueError):
         EstimatorConfig(mode="shots", shots=0)
+    with pytest.raises(ValueError, match="postselection requires shots mode"):
+        EstimatorConfig(mode="exact", postselect=True)
+    EstimatorConfig(mode="shots", postselect=True)
+
+
+def test_filled_shell_optimize_is_theta_zero():
+    # NORB=2, NELEC=4: no virtual orbitals, so no rotation angle to optimize
+    mi = MolecularIntegrals(
+        n_spatial=2, e_core=0.0, h1=np.diag([-1.0, -0.5]), eri=np.zeros((2, 2, 2, 2)),
+        n_electrons=4,
+    )
+    est = Estimator(mi)
+    theta, bd = est.optimize()
+    assert theta.values == ()
+    assert bd.diagnostics["converged"] is True
+    assert bd.diagnostics["n_iterations"] == 0
+    assert bd.total == pytest.approx(-3.0)
 
 
 @pytest.mark.parametrize(
@@ -100,6 +123,9 @@ def test_full_space_lih_matches_canonical_mp2():
     e_hf = hartree_fock_energy(est.si, mi.e_core, mi.n_electrons)
     assert abs(bd.e2 - canonical_mp2(est.si, est.eps, mi.n_electrons)) <= 1e-8
     assert abs(bd.e0 + bd.e1 + mi.e_core - e_hf) <= 1e-8
+    # second order lands between the variational FCI floor and HF
+    e_fci = fci_energy(est.si, mi.e_core, mi.n_electrons)
+    assert e_fci <= bd.total + mi.e_core <= e_hf
 
 
 @settings(max_examples=6, deadline=None)
