@@ -21,6 +21,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -186,10 +187,12 @@ def cmd_curve(args) -> int:
         paths = [p for p in paths if _parse_fixture_name(p)[0] == args.molecule]
     if not paths:
         raise FixtureProblem(f"no fixtures in {args.fixture_dir}")
-    rows = []
-    for path in paths:
-        mi, mol, dist, ref_pt = _load_problem(path, refs)
-        rows.append(_energy_row(Estimator(mi, cfg), mol, dist, ref_pt, args.noise))
+    # every fixture is checked before any is optimized, so a bad file costs no work
+    problems = [_load_problem(path, refs) for path in paths]
+    rows = [
+        _energy_row(Estimator(mi, cfg), mol, dist, ref_pt, args.noise)
+        for mi, mol, dist, ref_pt in problems
+    ]
     rows.sort(key=lambda r: (r["molecule"], r["distance_bohr"]))
     _write(_emit(rows, args.format), args.out)
     if any(r["status"] != "ok" for r in rows):
@@ -329,12 +332,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if args.out is not None:
-            out = Path(args.out)
-            # checked before any work, so a bad path cannot waste a run
-            if out.is_dir() or not out.parent.is_dir():
-                raise UsageError(f"--out {out}: not a file path in an existing directory")
-        return args.fn(args)
+        with warnings.catch_warnings():
+            # one stderr line per warning, like the error lines below
+            warnings.showwarning = _show_warning
+            if args.out is not None:
+                out = Path(args.out)
+                # checked before any work, so a bad path cannot waste a run
+                if out.is_dir() or not out.parent.is_dir():
+                    raise UsageError(f"--out {out}: not a file path in an existing directory")
+            return args.fn(args)
     except UsageError as exc:
         return _fail(exc, EXIT_USAGE)
     except FixtureProblem as exc:
@@ -348,6 +354,10 @@ def main(argv=None) -> int:
 def _fail(exc: Exception, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -142,15 +142,6 @@ def factorize(t_spin: np.ndarray, eri: np.ndarray, tol: float) -> FactorizedPert
     )
 
 
-def refresh_one_body(fp: FactorizedPerturbation, t_spin: np.ndarray, eri: np.ndarray) -> FactorizedPerturbation:
-    """New factorization for a changed one-body part; groups >= 1 are reused."""
-    return FactorizedPerturbation(
-        groups=(one_body_group(t_spin, eri),) + fp.groups[1:],
-        truncation_tol=fp.truncation_tol,
-        reconstruction_error=fp.reconstruction_error,
-    )
-
-
 def group_expectation_coefficients(g: MeasurementGroup):
     """b -> sum_p d_p b_p + sum_pq d_pq b_p b_q over occupation arrays."""
 

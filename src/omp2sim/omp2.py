@@ -33,11 +33,9 @@ from .circuits import (
     prep_reference,
 )
 from .jw import occupations
-from .lowrank import coefficient_vector, factorize, one_body_group
+from .lowrank import coefficient_vector, one_body_group, two_body_groups
 from .simulator import (
     NoiseModel,
-    ShotTable,
-    StateVector,
     apply_circuit,
     expectation_with_variance,
     number_sector,
@@ -166,6 +164,8 @@ class EstimatorConfig:
             raise ValueError("gate noise requires shots mode")
         if self.postselect and self.mode == "exact":
             raise ValueError("postselection requires shots mode")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -210,10 +210,7 @@ class Estimator:
                 stacklevel=2,
             )
 
-        theta0 = np.zeros((self.n_qubits, self.n_qubits))
-        t0, _ = build_perturbation(self.si, self.eps, theta0)
-        self._fp = factorize(t0, self.si.eri_spatial, self.cfg.truncation_tol)
-        self._static_groups = self._fp.groups[1:]
+        self._static_groups = two_body_groups(self.si.eri_spatial, self.cfg.truncation_tol)
         self._static_meas = tuple(
             compile_orbital_rotation(np.kron(g.rotation, np.eye(2)).T)
             for g in self._static_groups
@@ -234,7 +231,7 @@ class Estimator:
         # each built in the full space and kept at the sector rows
         prep = prep_reference(self.n_qubits, self.n_electrons)
         self._column_gates = [prep.gates]
-        ref = apply_circuit(prep, _zero_state(1 << self.n_qubits))
+        ref = run(prep)
         self._base = np.empty((self._sector.size, 1 + 2 * len(self.doubles)), dtype=complex)
         self._base[:, 0] = ref[states]
         for k, d in enumerate(self.doubles):
@@ -275,25 +272,26 @@ class Estimator:
         n_cols = self._base.shape[1]
         e_cols = np.zeros(n_cols)
         var_cols = np.zeros(n_cols)
-        kept = []
-        for l, (coeff, tables) in enumerate(self._shot_tables(theta_mat)):
-            for col, table in enumerate(tables):
+        kept_fractions = []
+        for l, (coeff, column_counts) in enumerate(self._shot_counts(theta_mat)):
+            for col, counts in enumerate(column_counts):
                 if self.cfg.postselect:
-                    table = postselect(table, self.n_electrons)
-                    kept.append(table.kept_fraction)
-                    if not table.counts.any():
+                    kept = postselect(counts, self.n_electrons)
+                    kept_fractions.append(int(kept.sum()) / int(counts.sum()))
+                    if not kept.any():
                         raise RejectedShotsError(
-                            f"postselection rejected all {table.shots} shots of circuit "
+                            f"postselection rejected all {int(counts.sum())} shots of circuit "
                             f"column {col} in measurement group {l}"
                         )
-                e, v = expectation_with_variance(table, coeff)
+                    counts = kept
+                e, v = expectation_with_variance(counts, coeff)
                 e_cols[col] += e
                 var_cols[col] += v
-        kept_mean = float(np.mean(kept)) if kept else None
+        kept_mean = float(np.mean(kept_fractions)) if kept_fractions else None
         return e_cols, var_cols, kept_mean
 
-    def _shot_tables(self, theta_mat: np.ndarray):
-        """Yield, per group, its full-space coefficients and one shot table per column."""
+    def _shot_counts(self, theta_mat: np.ndarray):
+        """Yield, per group, its full-space coefficients and one count array per column."""
         cfg = self.cfg
         n_cols = self._base.shape[1]
         if cfg.noise is not None:
@@ -310,14 +308,14 @@ class Estimator:
             # noiseless counts stay in the sector, so zeros elsewhere are never read
             yield _scatter(coeff, states, dim), (
                 sample(
-                    StateVector(_scatter(phi[:, col], states, dim), self.n_qubits),
+                    _scatter(phi[:, col], states, dim),
                     cfg.shots,
                     rng=rng_stream(cfg.seed, _STREAM_SAMPLE, col, l),
                 )
                 for col in range(n_cols)
             )
 
-    def _noisy_shots(self, col: int, l: int, suffix: tuple) -> ShotTable:
+    def _noisy_shots(self, col: int, l: int, suffix: tuple) -> np.ndarray:
         """cfg.shots split over trajectories, each run and sampled on its own stream."""
         cfg = self.cfg
         full = Circuit(self.n_qubits, self._column_gates[col] + suffix)
@@ -327,8 +325,8 @@ class Estimator:
         for t in np.flatnonzero(per):
             rng = rng_stream(cfg.seed, _STREAM_TRAJECTORY, col, l, t)
             state = run(full, noise=cfg.noise, rng=rng)
-            counts += sample(state, int(per[t]), noise=cfg.noise, rng=rng).counts
-        return ShotTable(counts=counts, shots=cfg.shots)
+            counts += sample(state, int(per[t]), noise=cfg.noise, rng=rng)
+        return counts
 
     def _assemble(self, e_cols, var_cols, kept_mean) -> EnergyBreakdown:
         e1 = float(e_cols[0])
@@ -367,19 +365,6 @@ class Estimator:
         if self.cfg.mode == "exact":
             return self._assemble(*self._column_energies_exact(mat))
         return self._assemble(*self._column_energies_shots(mat))
-
-    def estimate_e1(self, theta: ThetaParams) -> tuple[float, float]:
-        bd = self.mp2_energy(theta)
-        return bd.e1, bd.diagnostics["var_e1"]
-
-    def estimate_residual(self, d: DoubleExcitationIndex, theta: ThetaParams) -> tuple[float, float]:
-        bd = self.mp2_energy(theta)
-        key = (d.i, d.j, d.a, d.b)
-        for found, r in bd.diagnostics["residuals"]:
-            if found == key:
-                var = dict(bd.diagnostics["residual_variances"])[key]
-                return r, var
-        raise KeyError(f"no residual for {d} (degenerate denominator?)")
 
     def optimize(self, maxiter: int = 200) -> tuple[ThetaParams, EnergyBreakdown]:
         """Minimize the total electronic energy over the rotation angles."""
@@ -463,12 +448,6 @@ class Estimator:
             cnot_count_reference=ref_cnots,
             cnot_count_residual_max=res_cnots,
         )
-
-
-def _zero_state(dim: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[0] = 1.0
-    return v
 
 
 def _scatter(values: np.ndarray, rows: np.ndarray, dim: int) -> np.ndarray:

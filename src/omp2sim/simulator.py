@@ -14,8 +14,12 @@ read bit with probability p_readout.  Multi-controlled rotations are
 lowered to their CRY/CNOT network before noisy execution so error
 counts follow the depth accounting.
 
-Every stochastic routine draws from a generator derived from
-(seed, stream key) so shot tables are bit-reproducible regardless of
+States and shots are plain arrays: `run` returns the normalized 2^N
+amplitudes, `sample` returns multinomial shot counts indexed like those
+amplitudes, and `postselect` returns the counts with every outcome of
+another electron number zeroed, so the kept fraction is kept shots over
+all shots.  Every stochastic routine draws from a generator derived from
+(seed, stream key) so counts are bit-reproducible regardless of
 execution order.
 """
 
@@ -39,26 +43,6 @@ _PAULIS_1Q = ("X", "Y", "Z")
 
 
 @dataclass(frozen=True)
-class StateVector:
-    amplitudes: np.ndarray
-    n_qubits: int
-
-    def __post_init__(self):
-        if self.amplitudes.shape != (1 << self.n_qubits,):
-            raise ValueError("amplitude length mismatch")
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state not normalized: |psi| = {norm}")
-        self.amplitudes.setflags(write=False)
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "StateVector":
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(amps, n_qubits)
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     p1: float
     p2: float
@@ -68,16 +52,6 @@ class NoiseModel:
         for p in (self.p1, self.p2, self.p_readout):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("noise probabilities must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ShotTable:
-    """Shot counts per basis state, indexed like the amplitudes."""
-
-    counts: np.ndarray
-    shots: int
-    postselected: bool = False
-    kept_fraction: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -282,17 +256,15 @@ def apply_circuit(
 
 def run(
     c: Circuit,
-    initial: StateVector | None = None,
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
-) -> StateVector:
-    if initial is None:
-        initial = StateVector.zero(c.n_qubits)
-    if initial.n_qubits != c.n_qubits:
-        raise ValueError("dimension mismatch")
-    amps = apply_circuit(c, initial.amplitudes, noise, rng)
+) -> np.ndarray:
+    """Normalized amplitudes of c applied to |0...0>."""
+    zero = np.zeros(1 << c.n_qubits, dtype=complex)
+    zero[0] = 1.0
+    amps = apply_circuit(c, zero, noise, rng)
     amps /= np.linalg.norm(amps)
-    return StateVector(amps, c.n_qubits)
+    return amps
 
 
 def _readout_distribution(probs: np.ndarray, n_qubits: int, p_flip: float) -> np.ndarray:
@@ -304,98 +276,83 @@ def _readout_distribution(probs: np.ndarray, n_qubits: int, p_flip: float) -> np
 
 
 def sample(
-    s: StateVector,
+    amplitudes: np.ndarray,
     shots: int,
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
-) -> ShotTable:
+) -> np.ndarray:
+    """Shot counts per basis state, indexed like amplitudes (one vector of 2^N)."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = np.abs(s.amplitudes) ** 2
+    n_qubits = amplitudes.size.bit_length() - 1
+    if amplitudes.ndim != 1 or n_qubits < 0 or amplitudes.size != 1 << n_qubits:
+        raise ValueError(f"need one vector of 2^N amplitudes, got shape {amplitudes.shape}")
+    probs = np.abs(amplitudes) ** 2
     probs /= probs.sum()
     if noise is not None and noise.p_readout > 0.0:
-        probs = _readout_distribution(probs, s.n_qubits, noise.p_readout)
+        probs = _readout_distribution(probs, n_qubits, noise.p_readout)
     if rng is None:
         rng = rng_stream(default_seed())
-    return ShotTable(counts=rng.multinomial(shots, probs), shots=shots)
+    return rng.multinomial(shots, probs)
 
 
-def postselect(t: ShotTable, n_electrons: int) -> ShotTable:
-    n_qubits = t.counts.size.bit_length() - 1
-    kept = np.where(hamming_weights(n_qubits) == n_electrons, t.counts, 0)
-    total = int(t.counts.sum())
-    fraction = int(kept.sum()) / total if total else 0.0
-    return ShotTable(counts=kept, shots=t.shots, postselected=True, kept_fraction=fraction)
+def postselect(counts: np.ndarray, n_electrons: int) -> np.ndarray:
+    """counts with every outcome of another electron number set to zero."""
+    n_qubits = counts.size.bit_length() - 1
+    return np.where(hamming_weights(n_qubits) == n_electrons, counts, 0)
 
 
-def expectation_with_variance(t: ShotTable, coeff: np.ndarray) -> tuple[float, float]:
-    """Empirical mean of coeff over the table and its squared standard error.
+def expectation_with_variance(counts: np.ndarray, coeff: np.ndarray) -> tuple[float, float]:
+    """Empirical mean of coeff over the counts and its squared standard error.
 
-    coeff holds one value per basis state, indexed like t.counts.
+    coeff holds one value per basis state, indexed like counts.
     """
     # summing only the observed outcomes, in basis order, fixes the float
     # rounding that seeded output is compared against byte for byte
-    seen = np.flatnonzero(t.counts)
+    seen = np.flatnonzero(counts)
     if not seen.size:
-        raise ValueError("empty shot table (all shots rejected?)")
+        raise ValueError("no shots to average (all shots rejected?)")
     values = coeff[seen]
-    weights = t.counts[seen].astype(float)
+    weights = counts[seen].astype(float)
     total = weights.sum()
     mean = float(np.dot(weights, values) / total)
     var = float(np.dot(weights, (values - mean) ** 2) / total)
     return mean, var / total
 
 
-def fidelity_trajectories(
-    ideal: StateVector,
+def trajectory_fidelity(
+    ideal: np.ndarray,
     c: Circuit,
     noise: NoiseModel,
     n_traj: int,
     postselect_n: int | None = None,
-    initial: StateVector | None = None,
     seed: int | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Per-trajectory overlaps with the ideal state: (raw, postselected, kept).
+) -> FidelityEstimate:
+    """Mean overlap of noisy trajectories of c with the ideal amplitudes.
 
-    Post-selected entries project both states on the electron-number
+    Post-selected overlaps project both states on the electron-number
     subspace, renormalize, and weight by the trajectory's kept norm.
     """
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
-    n = c.n_qubits
     base_seed = default_seed() if seed is None else seed
     raw = np.empty(n_traj)
-    ps = kept = None
     if postselect_n is not None:
-        mask = hamming_weights(n) == postselect_n
-        ideal_p = ideal.amplitudes * mask
+        mask = hamming_weights(c.n_qubits) == postselect_n
+        ideal_p = ideal * mask
         ideal_norm = np.linalg.norm(ideal_p)
         if ideal_norm > 0:
             ideal_p = ideal_p / ideal_norm
         ps = np.empty(n_traj)
         kept = np.empty(n_traj)
     for t in range(n_traj):
-        rng = rng_stream(base_seed, 0xF1D, t)
-        state = run(c, initial, noise, rng)
-        raw[t] = abs(np.vdot(ideal.amplitudes, state.amplitudes)) ** 2
+        state = run(c, noise, rng_stream(base_seed, 0xF1D, t))
+        raw[t] = abs(np.vdot(ideal, state)) ** 2
         if postselect_n is not None:
-            proj = state.amplitudes * mask
+            proj = state * mask
             w = float(np.linalg.norm(proj) ** 2)
             kept[t] = w
             ps[t] = abs(np.vdot(ideal_p, proj / math.sqrt(w))) ** 2 if w > 0 else 0.0
-    return raw, ps, kept
-
-
-def trajectory_fidelity(
-    ideal: StateVector,
-    c: Circuit,
-    noise: NoiseModel,
-    n_traj: int,
-    postselect_n: int | None = None,
-    initial: StateVector | None = None,
-    seed: int | None = None,
-) -> FidelityEstimate:
-    raw, ps, kept = fidelity_trajectories(ideal, c, noise, n_traj, postselect_n, initial, seed)
     if postselect_n is None:
         return FidelityEstimate(
             fidelity=float(raw.mean()),

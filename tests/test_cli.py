@@ -135,6 +135,21 @@ def test_filled_shell_needs_no_optimization(tmp_path):
     assert float(row["e_total"]) == -2.0
 
 
+def test_warning_is_one_stderr_line(tmp_path, capsys):
+    # no integrals: every orbital energy is 0, so every denominator is degenerate
+    bare = tmp_path / "zz_1.0.fcidump"
+    bare.write_text("&FCI NORB=3,NELEC=2,MS2=0,\n&END\n")
+    out = tmp_path / "row.csv"
+    assert run_cli("energy", "--fixture", str(bare), "--out", str(out)) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: degenerate excitation denominators")
+    assert "cli.py" not in err[0]
+    row = read_csv(out)[0]
+    assert row["status"] == "ok"
+    assert float(row["e_total"]) == 0.0
+
+
 def test_unknown_noise_preset(tmp_path, capsys):
     code = run_cli(
         "noise-study", "--fixture", H2_FIXTURE, "--noise", "bogus_device",
@@ -230,6 +245,25 @@ def test_curve_jobs_do_not_change_output(tmp_path):
 
 def test_curve_empty_dir(tmp_path):
     assert run_cli("curve", "--fixture-dir", str(tmp_path)) == EXIT_FIXTURE
+
+
+def test_curve_checks_every_fixture_before_any_work(tmp_path, monkeypatch, capsys):
+    for name in ("h2_1.4.fcidump", "h2_1.6.fcidump"):
+        shutil.copy(fixture_path(name), tmp_path / name)
+    (tmp_path / "h2_9.9.fcidump").write_text("&FCI NORB=0,NELEC=2,MS2=0,\n&END\n")
+    built = []
+    estimator = cli.Estimator
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return estimator(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "Estimator", counted)
+    assert run_cli("curve", "--fixture-dir", str(tmp_path)) == EXIT_FIXTURE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert built == []
 
 
 @pytest.mark.parametrize(

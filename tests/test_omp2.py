@@ -84,6 +84,8 @@ def test_estimator_config_validation():
         EstimatorConfig(mode="shots", shots=0)
     with pytest.raises(ValueError, match="postselection requires shots mode"):
         EstimatorConfig(mode="exact", postselect=True)
+    with pytest.raises(ValueError, match="seed"):
+        EstimatorConfig(mode="shots", seed=-1)
     EstimatorConfig(mode="shots", postselect=True)
 
 
@@ -221,19 +223,6 @@ def test_noisy_postselection_discards_shots(refs):
     )
     bd = Estimator(mi, cfg).mp2_energy(ThetaParams.zeros(4, mi.n_electrons))
     assert 0.0 < bd.diagnostics["kept_fraction_mean"] < 1.0
-
-
-def test_single_component_estimates(refs):
-    mi, _ = load_point(refs, "h2", 1.4)
-    est = Estimator(mi)
-    theta = ThetaParams.zeros(est.n_qubits, mi.n_electrons)
-    e1, var_e1 = est.estimate_e1(theta)
-    assert var_e1 == 0.0
-    bd = est.mp2_energy(theta)
-    assert e1 == pytest.approx(bd.e1, abs=1e-12)
-    r, var_r = est.estimate_residual(est.doubles[0], theta)
-    assert var_r == 0.0
-    assert r == pytest.approx(bd.diagnostics["residuals"][0][1], abs=1e-12)
 
 
 def test_energy_breakdown_total():

@@ -19,8 +19,6 @@ from omp2sim.circuits import (
 from omp2sim.oracle import circuit_unitary
 from omp2sim.simulator import (
     NoiseModel,
-    ShotTable,
-    StateVector,
     apply_circuit,
     default_seed,
     expectation_with_variance,
@@ -105,68 +103,67 @@ def test_sector_rejects_other_gates_and_noise():
 
 def test_run_produces_normalized_state():
     c = Circuit(2, (h(1), cnot(1, 2)))
-    s = run(c)
-    assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
-    assert abs(abs(s.amplitudes[0b00]) ** 2 - 0.5) < 1e-12
-    assert abs(abs(s.amplitudes[0b11]) ** 2 - 0.5) < 1e-12
+    amps = run(c)
+    assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
+    assert abs(abs(amps[0b00]) ** 2 - 0.5) < 1e-12
+    assert abs(abs(amps[0b11]) ** 2 - 0.5) < 1e-12
+    assert run(Circuit(3, ())).tolist() == [1.0] + [0.0] * 7
 
 
-def test_statevector_validation():
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]), 1)
-    z = StateVector.zero(3)
-    assert z.amplitudes[0] == 1.0
+def test_sample_rejects_bad_input():
+    amps = run(Circuit(2, (h(1),)))
+    with pytest.raises(ValueError, match="shots"):
+        sample(amps, 0, rng=rng_stream(1))
+    for bad in (amps[:3], amps.reshape(2, 2), np.zeros(0), np.stack([amps, amps])):
+        with pytest.raises(ValueError, match="2\\^N"):
+            sample(bad, 10, rng=rng_stream(1))
 
 
 def test_sample_is_deterministic_per_stream():
-    s = run(Circuit(2, (h(1), cnot(1, 2))))
-    t1 = sample(s, 500, rng=rng_stream(9, 1))
-    t2 = sample(s, 500, rng=rng_stream(9, 1))
-    t3 = sample(s, 500, rng=rng_stream(9, 2))
-    assert np.array_equal(t1.counts, t2.counts)
-    assert not np.array_equal(t1.counts, t3.counts)
-    assert t1.counts.sum() == 500
-    assert t1.counts.shape == (4,)
+    amps = run(Circuit(2, (h(1), cnot(1, 2))))
+    c1 = sample(amps, 500, rng=rng_stream(9, 1))
+    c2 = sample(amps, 500, rng=rng_stream(9, 1))
+    c3 = sample(amps, 500, rng=rng_stream(9, 2))
+    assert np.array_equal(c1, c2)
+    assert not np.array_equal(c1, c3)
+    assert c1.sum() == 500
+    assert c1.shape == (4,)
 
 
 def test_full_readout_flip():
-    s = StateVector.zero(3)
     noisy = NoiseModel(p1=0.0, p2=0.0, p_readout=1.0)
-    t = sample(s, 100, noise=noisy, rng=rng_stream(1))
-    assert t.counts.tolist() == [0] * 7 + [100]
+    counts = sample(run(Circuit(3, ())), 100, noise=noisy, rng=rng_stream(1))
+    assert counts.tolist() == [0] * 7 + [100]
 
 
 def test_postselect_filters_by_weight():
     counts = np.zeros(16, dtype=np.int64)
     counts[[0b1100, 0b1000, 0b1110]] = (60, 25, 15)
-    kept = postselect(ShotTable(counts=counts, shots=100), 2)
-    assert np.flatnonzero(kept.counts).tolist() == [0b1100]
-    assert kept.counts[0b1100] == 60
-    assert kept.kept_fraction == 0.6
-    assert kept.postselected
+    kept = postselect(counts, 2)
+    assert np.flatnonzero(kept).tolist() == [0b1100]
+    assert kept[0b1100] == 60
+    assert kept.sum() / counts.sum() == 0.6
 
 
 def test_postselect_empty_result_allowed():
-    t = ShotTable(counts=np.array([0, 0, 5, 0]), shots=5)
-    kept = postselect(t, 2)
-    assert not kept.counts.any()
-    assert kept.kept_fraction == 0.0
+    kept = postselect(np.array([0, 0, 5, 0]), 2)
+    assert not kept.any()
     with pytest.raises(ValueError):
         expectation_with_variance(kept, np.ones(4))
 
 
 def test_expectation_closed_form():
     # basis order 00, 01, 10, 11; the value is +1 when qubit 1 is occupied
-    t = ShotTable(counts=np.array([0, 25, 75, 0]), shots=100)
-    mean, var = expectation_with_variance(t, np.array([-1.0, -1.0, 1.0, 1.0]))
+    counts = np.array([0, 25, 75, 0])
+    mean, var = expectation_with_variance(counts, np.array([-1.0, -1.0, 1.0, 1.0]))
     assert abs(mean - 0.5) < 1e-12
     # population variance of +-1 outcomes over the counts, divided by shots
     assert abs(var - (1.0 - 0.5**2) / 100) < 1e-12
 
 
 def test_single_outcome_has_zero_variance():
-    t = ShotTable(counts=np.array([0, 0, 0, 40]), shots=40)
-    mean, var = expectation_with_variance(t, np.array([0.0, 1.0, 1.0, 2.0]))
+    counts = np.array([0, 0, 0, 40])
+    mean, var = expectation_with_variance(counts, np.array([0.0, 1.0, 1.0, 2.0]))
     assert mean == 2.0
     assert var == 0.0
 
@@ -176,15 +173,15 @@ def test_noise_trajectories_deterministic():
     noise = NoiseModel(p1=0.05, p2=0.2, p_readout=0.0)
     s1 = run(c, noise=noise, rng=rng_stream(4, 0))
     s2 = run(c, noise=noise, rng=rng_stream(4, 0))
-    assert np.array_equal(s1.amplitudes, s2.amplitudes)
-    others = [run(c, noise=noise, rng=rng_stream(4, k)).amplitudes for k in range(1, 20)]
-    assert any(not np.array_equal(s1.amplitudes, a) for a in others)
+    assert np.array_equal(s1, s2)
+    others = [run(c, noise=noise, rng=rng_stream(4, k)) for k in range(1, 20)]
+    assert any(not np.array_equal(s1, a) for a in others)
 
 
 def test_noisy_run_requires_rng():
     c = Circuit(2, (cnot(1, 2),))
     with pytest.raises(ValueError):
-        apply_circuit(c, StateVector.zero(2).amplitudes, noise=NoiseModel(0.1, 0.1, 0.0))
+        apply_circuit(c, np.eye(4, dtype=complex)[:, 0], noise=NoiseModel(0.1, 0.1, 0.0))
 
 
 def test_trajectory_fidelity_noiseless_is_one():
