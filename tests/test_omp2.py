@@ -9,6 +9,7 @@ from conftest import load_point
 from omp2sim.chem import MolecularIntegrals, build_perturbation, parse_fcidump
 from helpers import dense_perturbation
 from omp2sim.circuits import Circuit, compile_orbital_rotation, double_excitation, prep_reference
+from omp2sim import omp2
 from omp2sim.omp2 import (
     EnergyBreakdown,
     Estimator,
@@ -172,6 +173,102 @@ def test_optimize_improves_on_mp2(refs):
     assert bd.total + mi.e_core == pytest.approx(pt.e_omp2, abs=1e-6)
     assert bd.total + mi.e_core <= pt.e_mp2 + 1e-10
     assert bd.diagnostics["n_iterations"] > 0
+
+
+def _closed_form(est, theta):
+    h1, eri = est._measured_integrals()
+    return omp2._omp2_energy_and_gradient(h1, eri, est.eps[0::2], theta)
+
+
+def _random_theta(est, rng, scale=0.5):
+    theta = ThetaParams.zeros(est.n_qubits, est.n_electrons)
+    return theta.with_values(rng.uniform(-scale, scale, len(theta.values)))
+
+
+@pytest.mark.parametrize(
+    "molecule,distance,tol",
+    [
+        ("h2", 1.4, 1e-12),
+        ("h3p", 2.4, 1e-12),
+        ("h4", 1.8, 1e-12),
+        ("lih", 3.1, 1e-12),
+        # a coarse truncation changes the measured operator, not just its groups
+        ("h4", 2.6, 1e-3),
+        ("h4", 2.6, 5e-2),
+    ],
+)
+def test_closed_form_equals_circuit_energy(refs, molecule, distance, tol):
+    mi, _ = load_point(refs, molecule, distance)
+    est = Estimator(mi, EstimatorConfig(truncation_tol=tol))
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        theta = _random_theta(est, rng)
+        energy, _ = _closed_form(est, theta)
+        assert abs(energy - est.mp2_energy(theta).total) <= 1e-12
+
+
+def test_closed_form_with_every_double_skipped():
+    # no integrals: every denominator is 0, so every double is dropped
+    mi = parse_fcidump("&FCI NORB=3,NELEC=2,MS2=0,\n&END\n")
+    with pytest.warns(UserWarning, match="degenerate excitation denominators"):
+        est = Estimator(mi)
+    theta = ThetaParams(6, 2, (0.3, -0.2))
+    energy, grad = _closed_form(est, theta)
+    assert abs(energy - est.mp2_energy(theta).total) <= 1e-12
+    assert np.isfinite(grad).all()
+
+
+@pytest.mark.parametrize("molecule,distance", [("h3p", 2.4), ("h4", 2.6)])
+def test_gradient_matches_circuit_central_differences(refs, molecule, distance):
+    mi, _ = load_point(refs, molecule, distance)
+    est = Estimator(mi)
+    theta = _random_theta(est, np.random.default_rng(3), scale=0.3)
+    _, grad = _closed_form(est, theta)
+    step = 1e-5
+    for k in range(len(theta.values)):
+        x = np.array(theta.values)
+        x[k] += step
+        e_plus = est.mp2_energy(theta.with_values(x)).total
+        x[k] -= 2.0 * step
+        e_minus = est.mp2_energy(theta.with_values(x)).total
+        assert abs(grad[k] - (e_plus - e_minus) / (2.0 * step)) <= 1e-7
+
+
+def test_exact_optimize_needs_few_evaluations(refs):
+    mi, pt = load_point(refs, "h4", 2.6)
+    _, bd = Estimator(mi).optimize()
+    assert bd.diagnostics["converged"]
+    assert bd.diagnostics["n_evaluations"] <= 15
+    assert bd.total + mi.e_core == pytest.approx(pt.e_omp2, abs=1e-6)
+
+
+def test_shots_optimize_never_calls_the_gradient(refs, monkeypatch):
+    def no_gradient(*args):
+        raise AssertionError("shots mode must not use the closed-form gradient")
+
+    monkeypatch.setattr(omp2, "_omp2_energy_and_gradient", no_gradient)
+    mi, _ = load_point(refs, "h2", 1.4)
+    cfg = EstimatorConfig(mode="shots", shots=500, seed=4)
+    theta, bd = Estimator(mi, cfg).optimize(maxiter=5)
+    # the optimum's stored evaluation equals a fresh one: streams are keyed
+    # by seed, column and group, not by how many evaluations came before
+    assert Estimator(mi, cfg).mp2_energy(theta) == bd
+
+
+def test_optimize_does_not_rerun_the_optimum(refs):
+    mi, _ = load_point(refs, "h4", 1.8)
+    est = Estimator(mi)
+    seen = []
+    evaluate = est.mp2_energy
+
+    def spy(theta):
+        seen.append(theta.values)
+        return evaluate(theta)
+
+    est.mp2_energy = spy
+    theta, bd = est.optimize()
+    assert seen.count(theta.values) == 1
+    assert len(seen) == bd.diagnostics["n_evaluations"]
 
 
 def test_resource_summary_smallest_case(refs):
