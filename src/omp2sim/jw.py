@@ -162,9 +162,10 @@ def operator_matrix(op: QubitOperator, n_qubits: int) -> np.ndarray:
     return mat
 
 
-def occupations(n_qubits: int) -> np.ndarray:
-    """(2^N, N) 0/1 table: row = basis index, column q-1 = occupation of qubit q."""
-    idx = np.arange(1 << n_qubits)
+def occupations(n_qubits: int, states: np.ndarray | None = None) -> np.ndarray:
+    """0/1 table: row k = basis index states[k] (default all 2^N in order),
+    column q-1 = occupation of qubit q."""
+    idx = np.arange(1 << n_qubits) if states is None else np.asarray(states)
     return (idx[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
 
 

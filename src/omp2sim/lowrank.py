@@ -152,7 +152,12 @@ def group_expectation_coefficients(g: MeasurementGroup):
     return coeff
 
 
+def occupation_coefficients(g: MeasurementGroup, occ: np.ndarray) -> np.ndarray:
+    """coeff evaluated on each row of an occupation table."""
+    occ = occ.astype(float)
+    return occ @ g.linear + np.einsum("bp,pq,bq->b", occ, g.quadratic, occ)
+
+
 def coefficient_vector(g: MeasurementGroup, n_qubits: int) -> np.ndarray:
     """coeff evaluated on every bitstring, ordered by basis index."""
-    occ = occupations(n_qubits).astype(float)
-    return occ @ g.linear + np.einsum("bp,pq,bq->b", occ, g.quadratic, occ)
+    return occupation_coefficients(g, occupations(n_qubits))

@@ -25,6 +25,7 @@ steer a noisy estimate.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -41,7 +42,12 @@ from .circuits import (
     prep_reference,
 )
 from .jw import occupations
-from .lowrank import coefficient_vector, one_body_group, two_body_groups
+from .lowrank import (
+    coefficient_vector,
+    occupation_coefficients,
+    one_body_group,
+    two_body_groups,
+)
 from .simulator import (
     NoiseModel,
     apply_circuit,
@@ -56,6 +62,7 @@ from .simulator import (
 DEGENERACY_TOL = 1e-8
 MAX_QUBITS = 12
 
+_OMEGAS = (np.pi / 4, np.pi / 2)  # the quarter and half turn of each double
 _STREAM_SAMPLE = 0x5A
 _STREAM_TRAJECTORY = 0x7A
 
@@ -224,45 +231,45 @@ class Estimator:
             for g in self._static_groups
         )
         self.n_groups = 1 + len(self._static_groups)
-        self._occ = occupations(self.n_qubits)
 
-        # exact and noiseless circuits run in the n_e sector; the noisy
-        # path keeps full-space coefficients, since its counts leave it
+        # exact and noiseless circuits run in the n_e sector, on float64
+        # amplitudes and on coefficients evaluated at the sector's rows only;
+        # the noisy path keeps full-space coefficients, since its counts leave it
         self._sector = number_sector(self.n_qubits, self.n_electrons)
-        states = self._sector.states
-        self._static_coeffs = tuple(
-            coefficient_vector(g, self.n_qubits) for g in self._static_groups
+        self._sector_occ = occupations(self.n_qubits, self._sector.states)
+        self._sector_coeffs = tuple(
+            occupation_coefficients(g, self._sector_occ) for g in self._static_groups
         )
-        self._sector_coeffs = tuple(coeff[states] for coeff in self._static_coeffs)
+        if self.cfg.noise is not None:
+            self._static_coeffs = tuple(
+                coefficient_vector(g, self.n_qubits) for g in self._static_groups
+            )
 
-        # column 0 is the bare reference; then quarter/half turn per double,
-        # each built in the full space and kept at the sector rows
+        # column 0 is the bare reference; then a quarter and a half turn per
+        # double, written straight into the sector rows; the gates that
+        # prepare them serve the noisy path and the depth accounting
         prep = prep_reference(self.n_qubits, self.n_electrons)
-        self._column_gates = [prep.gates]
-        ref = run(prep)
-        self._base = np.empty((self._sector.size, 1 + 2 * len(self.doubles)), dtype=complex)
-        self._base[:, 0] = ref[states]
-        for k, d in enumerate(self.doubles):
-            for h, omega in enumerate((np.pi / 4, np.pi / 2)):
-                gates = double_excitation(d.i, d.j, d.a, d.b, omega)
-                self._column_gates.append(prep.gates + gates)
-                excited = apply_circuit(Circuit(self.n_qubits, gates), ref)
-                self._base[:, 1 + 2 * k + h] = excited[states]
+        self._column_gates = [prep.gates] + [
+            prep.gates + double_excitation(d.i, d.j, d.a, d.b, omega)
+            for d in self.doubles
+            for omega in _OMEGAS
+        ]
+        self._base = _excited_columns(self._sector, self.doubles, _OMEGAS)
         self.n_evaluations = 0
 
     # -- measurement plumbing ------------------------------------------------
 
     def _groups_at(self, theta_mat: np.ndarray):
-        """Every group's measurement circuit, and group 0's full-space coefficients."""
+        """Every group's measurement circuit, and group 0's linear spin vector."""
         t_spin, _ = build_perturbation(self.si, self.eps, theta_mat)
         g0 = one_body_group(t_spin, self.si.eri_spatial)
         meas0 = compile_orbital_rotation(np.kron(g0.rotation, np.eye(2)).T)
-        return (meas0,) + self._static_meas, self._occ @ g0.linear
+        return (meas0,) + self._static_meas, g0.linear
 
     def _sector_groups(self, theta_mat: np.ndarray):
         """Yield (coeff, phi) per group: sector coefficients and measured columns."""
-        meas, coeff0 = self._groups_at(theta_mat)
-        coeffs = (coeff0[self._sector.states],) + self._sector_coeffs
+        meas, linear0 = self._groups_at(theta_mat)
+        coeffs = (self._sector_occ @ linear0,) + self._sector_coeffs
         u_circ = compile_orbital_rotation(expm(theta_mat))
         psi = apply_circuit(u_circ, self._base, sector=self._sector)
         for meas_c, coeff in zip(meas, coeffs):
@@ -303,7 +310,8 @@ class Estimator:
         cfg = self.cfg
         n_cols = self._base.shape[1]
         if cfg.noise is not None:
-            meas, coeff0 = self._groups_at(theta_mat)
+            meas, linear0 = self._groups_at(theta_mat)
+            coeff0 = occupations(self.n_qubits) @ linear0
             u_gates = compile_orbital_rotation(expm(theta_mat)).gates
             for l, (meas_c, coeff) in enumerate(zip(meas, (coeff0,) + self._static_coeffs)):
                 yield coeff, (
@@ -474,6 +482,30 @@ class Estimator:
             cnot_count_reference=ref_cnots,
             cnot_count_residual_max=res_cnots,
         )
+
+
+def _excited_columns(sector, doubles, omegas) -> np.ndarray:
+    """float64 sector columns: |ref>, then each double at each omega on |ref>.
+
+    exp[omega (a+_a a+_b a_j a_i - h.c.)] |ref> = cos(omega) |ref> +
+    (-1)^(i+j+1) sin(omega) |D>, with D the reference with i, j emptied and
+    a, b filled; these are the values the gates produce, bit for bit.
+    """
+    n, n_e = sector.n_qubits, sector.n_electrons
+    ref = ((1 << n_e) - 1) << (n - n_e)
+    ref_row = np.searchsorted(sector.states, ref)
+    cols = np.zeros((sector.size, 1 + len(doubles) * len(omegas)))
+    cols[ref_row, 0] = 1.0
+    col = 1
+    for d in doubles:
+        moved = sum(1 << (n - p) for p in (d.i, d.j, d.a, d.b))
+        row = np.searchsorted(sector.states, ref ^ moved)
+        sign = 1.0 if (d.i + d.j) % 2 else -1.0
+        for omega in omegas:
+            cols[ref_row, col] = math.cos(omega)
+            cols[row, col] = sign * math.sin(omega)
+            col += 1
+    return cols
 
 
 def _scatter(values: np.ndarray, rows: np.ndarray, dim: int) -> np.ndarray:

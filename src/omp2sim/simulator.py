@@ -4,8 +4,10 @@ Exact and noiseless circuits conserve particle number, so they run in
 the fixed-number sector: only the amplitudes of basis states with
 n_electrons set bits are stored, and each Givens triple
 CNOT(p,p+1) MULTI_CRY((p+1,),p) CNOT(p,p+1) is one rotation on
-precomputed row pairs (`NumberSector`).  Noisy circuits run on all 2^N
-amplitudes, because a Pauli error leaves the sector.
+precomputed row pairs (`NumberSector`).  Every gate on that path is real,
+so sector amplitudes keep their input's floating dtype and a float64
+batch stays float64.  Noisy circuits run on all 2^N complex amplitudes,
+because a Pauli error leaves the sector and Y is not real.
 
 Noise is a stochastic Pauli trajectory model: after each gate, with
 probability p1 (one-qubit) or p2 (two-qubit), a uniformly random
@@ -30,6 +32,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from importlib import resources
 
 import numpy as np
@@ -170,7 +173,13 @@ class NumberSector:
 @lru_cache(maxsize=None)
 def number_sector(n_qubits: int, n_electrons: int) -> NumberSector:
     """The (cached, read-only) sector of n_electrons among n_qubits."""
-    states = np.flatnonzero(hamming_weights(n_qubits) == n_electrons)
+    states = np.array(
+        sorted(
+            sum(1 << (n_qubits - p) for p in occ)
+            for occ in combinations(range(1, n_qubits + 1), n_electrons)
+        ),
+        dtype=np.intp,
+    )
     pairs = []
     for p in range(1, n_qubits):
         bit_p, bit_q = 1 << (n_qubits - p), 1 << (n_qubits - p - 1)
@@ -222,13 +231,15 @@ def apply_circuit(
     With noise, one stochastic Pauli trajectory is produced (rng required).
     With a sector, amplitudes have shape (sector.size, ...batch) and c
     must consist of Givens triples; anything else raises ValueError.
+    The sector result keeps a floating input dtype (integers become
+    float64); the full-space result is always complex.
     """
     if sector is not None:
         if noise is not None:
             raise ValueError("noisy execution leaves the number sector")
         if c.n_qubits != sector.n_qubits or amplitudes.shape[0] != sector.size:
             raise ValueError("amplitudes do not match the sector")
-        work = amplitudes.astype(complex)
+        work = amplitudes.astype(np.result_type(amplitudes, float))
         _apply_sector(c, work, sector)
         return work
     batch = amplitudes.shape[1:]

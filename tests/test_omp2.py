@@ -25,7 +25,7 @@ from omp2sim.oracle import (
     fixture_path,
     hartree_fock_energy,
 )
-from omp2sim.simulator import NoiseModel
+from omp2sim.simulator import NoiseModel, apply_circuit, number_sector, run
 
 
 @given(st.integers(1, 4), st.integers(1, 4))
@@ -320,6 +320,87 @@ def test_noisy_postselection_discards_shots(refs):
     )
     bd = Estimator(mi, cfg).mp2_energy(ThetaParams.zeros(4, mi.n_electrons))
     assert 0.0 < bd.diagnostics["kept_fraction_mean"] < 1.0
+
+
+def _gate_built_columns(est):
+    """The estimator's columns built gate by gate on all 2^N amplitudes,
+    then kept at the sector rows."""
+    n = est.n_qubits
+    ref = run(prep_reference(n, est.n_electrons))
+    cols = [ref]
+    for d in est.doubles:
+        for omega in (np.pi / 4, np.pi / 2):
+            gates = double_excitation(d.i, d.j, d.a, d.b, omega)
+            cols.append(apply_circuit(Circuit(n, gates), ref))
+    return np.stack(cols, axis=1)[est._sector.states]
+
+
+@pytest.mark.parametrize(
+    "molecule,distance",
+    [("h2", 1.4), ("h3p", 2.4), ("h4", 2.6), ("lih", None)],
+)
+def test_sector_columns_equal_the_gate_built_columns(refs, molecule, distance):
+    if distance is None:
+        # LiH with all six orbitals: 12 qubits, no active space
+        mi = parse_fcidump(fixture_path("lih_3.1.fcidump"))
+    else:
+        mi, _ = load_point(refs, molecule, distance)
+    est = Estimator(mi)
+    built = _gate_built_columns(est)
+    assert est._base.dtype == np.float64
+    assert np.array_equal(built.imag, np.zeros(built.shape))
+    assert np.array_equal(built.real, est._base)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(-np.pi, np.pi, allow_nan=False))
+def test_double_excitation_sign_on_the_reference(omega):
+    # every double of every even filling up to 10 qubits
+    for n in (4, 6, 8, 10):
+        for n_electrons in range(2, n - 1, 2):
+            sector = number_sector(n, n_electrons)
+            doubles = enumerate_doubles(n, n_electrons)
+            cols = omp2._excited_columns(sector, doubles, (omega,))
+            ref = run(prep_reference(n, n_electrons))
+            for k, d in enumerate(doubles):
+                gates = double_excitation(d.i, d.j, d.a, d.b, omega)
+                excited = apply_circuit(Circuit(n, gates), ref)
+                expected = np.zeros(1 << n)
+                expected[sector.states] = cols[:, 1 + k]
+                assert np.array_equal(excited, expected)
+            assert np.array_equal(ref[sector.states], cols[:, 0])
+
+
+def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
+    def full_space(*args, **kwargs):
+        raise AssertionError("exact mode must not build full-space states or coefficients")
+
+    monkeypatch.setattr(omp2, "run", full_space)
+    monkeypatch.setattr(omp2, "coefficient_vector", full_space)
+    occupations = omp2.occupations
+
+    def sector_occupations(n_qubits, states=None):
+        assert states is not None, "exact mode must not tabulate all 2^N occupations"
+        return occupations(n_qubits, states)
+
+    monkeypatch.setattr(omp2, "occupations", sector_occupations)
+    batches = []
+
+    def sector_apply(c, amplitudes, *args, sector=None, **kwargs):
+        assert sector is not None and amplitudes.shape[0] == sector.size
+        assert amplitudes.dtype == np.float64
+        batches.append(amplitudes.shape)
+        return apply_circuit(c, amplitudes, *args, sector=sector, **kwargs)
+
+    monkeypatch.setattr(omp2, "apply_circuit", sector_apply)
+
+    est = Estimator(parse_fcidump(fixture_path("lih_3.1.fcidump")))
+    rng = np.random.default_rng(3)
+    est.mp2_energy(_random_theta(est, rng, scale=0.2))
+    assert len(batches) == 1 + est.n_groups
+    mi, pt = load_point(refs, "h4", 2.6)
+    _, bd = Estimator(mi).optimize()
+    assert bd.total + mi.e_core == pytest.approx(pt.e_omp2, abs=1e-6)
 
 
 def test_energy_breakdown_total():

@@ -16,6 +16,7 @@ from omp2sim.circuits import (
     single_excitation,
     x,
 )
+from omp2sim.jw import hamming_weights, occupations
 from omp2sim.oracle import circuit_unitary
 from omp2sim.simulator import (
     NoiseModel,
@@ -84,6 +85,31 @@ def test_sector_kernel_matches_full_space(n, data):
     assert np.array_equal(
         apply_circuit(c, batch, sector=sector), apply_circuit(c, full)[sector.states]
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((4, 6, 8)), st.data())
+def test_sector_kernel_keeps_real_amplitudes_real(n, data):
+    n_electrons = data.draw(st.sampled_from(range(0, n + 1, 2)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    c = compile_orbital_rotation(special_ortho_group.rvs(n, random_state=rng))
+    sector = number_sector(n, n_electrons)
+    real = rng.normal(size=(sector.size, 3))
+    out = apply_circuit(c, real, sector=sector)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, apply_circuit(c, real.astype(complex), sector=sector).real)
+    ints = rng.integers(-3, 4, size=(sector.size, 2))
+    out = apply_circuit(c, ints, sector=sector)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, apply_circuit(c, ints.astype(float), sector=sector))
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 10])
+def test_number_sector_holds_every_state_of_its_weight(n):
+    for n_electrons in range(n + 2):
+        states = number_sector(n, n_electrons).states
+        assert np.array_equal(states, np.flatnonzero(hamming_weights(n) == n_electrons))
+        assert np.array_equal(occupations(n, states), occupations(n)[states])
 
 
 def test_sector_rejects_other_gates_and_noise():
