@@ -14,6 +14,12 @@ one measurement rotation.  The orbital rotation carries the variational
 parameters; everything before and after it is fixed per run, which is
 what keeps the per-evaluation work linear in circuits.
 
+Exact and noiseless numbers come from the exact action of the compiled
+rotations on the n_e-electron sector (`simulator.apply_orbital_rotation`,
+pinned to the gate kernel on the compiled circuits by the test suite),
+so those paths compile no circuit.  The gates themselves are run only on
+the noisy path, and they back the depth and resource accounting.
+
 Exact mode minimizes with L-BFGS-B.  Its gradient is the analytic OMP2
 orbital gradient of the operator the circuits measure, taken from the
 energy's closed form; the energy it minimizes and reports still comes from
@@ -31,7 +37,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm, expm_frechet
-from scipy.optimize import OptimizeResult, minimize
 
 from .chem import MolecularIntegrals, build_perturbation, orbital_energies, spin_orbitalize
 from .circuits import (
@@ -50,7 +55,7 @@ from .lowrank import (
 )
 from .simulator import (
     NoiseModel,
-    apply_circuit,
+    apply_orbital_rotation,
     expectation_with_variance,
     number_sector,
     postselect,
@@ -226,15 +231,14 @@ class Estimator:
             )
 
         self._static_groups = two_body_groups(self.si.eri_spatial, self.cfg.truncation_tol)
-        self._static_meas = tuple(
-            compile_orbital_rotation(np.kron(g.rotation, np.eye(2)).T)
-            for g in self._static_groups
-        )
         self.n_groups = 1 + len(self._static_groups)
 
         # exact and noiseless circuits run in the n_e sector, on float64
-        # amplitudes and on coefficients evaluated at the sector's rows only;
-        # the noisy path keeps full-space coefficients, since its counts leave it
+        # amplitudes and on coefficients evaluated at the sector's rows only:
+        # their numbers come from the exact action of the compiled orbital
+        # rotations (apply_orbital_rotation, tested against the gates), so no
+        # circuit is compiled for them; the noisy path runs the gates and
+        # keeps full-space coefficients, since its counts leave the sector
         self._sector = number_sector(self.n_qubits, self.n_electrons)
         self._sector_occ = occupations(self.n_qubits, self._sector.states)
         self._sector_coeffs = tuple(
@@ -259,21 +263,27 @@ class Estimator:
 
     # -- measurement plumbing ------------------------------------------------
 
+    def _group0(self, theta_mat: np.ndarray):
+        t_spin, _ = build_perturbation(self.si, self.eps, theta_mat)
+        return one_body_group(t_spin, self.si.eri_spatial)
+
     def _groups_at(self, theta_mat: np.ndarray):
         """Every group's measurement circuit, and group 0's linear spin vector."""
-        t_spin, _ = build_perturbation(self.si, self.eps, theta_mat)
-        g0 = one_body_group(t_spin, self.si.eri_spatial)
-        meas0 = compile_orbital_rotation(np.kron(g0.rotation, np.eye(2)).T)
-        return (meas0,) + self._static_meas, g0.linear
+        g0 = self._group0(theta_mat)
+        meas = tuple(
+            compile_orbital_rotation(np.kron(g.rotation, np.eye(2)).T)
+            for g in (g0, *self._static_groups)
+        )
+        return meas, g0.linear
 
     def _sector_groups(self, theta_mat: np.ndarray):
         """Yield (coeff, phi) per group: sector coefficients and measured columns."""
-        meas, linear0 = self._groups_at(theta_mat)
-        coeffs = (self._sector_occ @ linear0,) + self._sector_coeffs
-        u_circ = compile_orbital_rotation(expm(theta_mat))
-        psi = apply_circuit(u_circ, self._base, sector=self._sector)
-        for meas_c, coeff in zip(meas, coeffs):
-            yield coeff, apply_circuit(meas_c, psi, sector=self._sector)
+        g0 = self._group0(theta_mat)
+        coeffs = (self._sector_occ @ g0.linear,) + self._sector_coeffs
+        psi = apply_orbital_rotation(expm(theta_mat[0::2, 0::2]), self._base, self._sector)
+        for g, coeff in zip((g0, *self._static_groups), coeffs):
+            # the measurement circuit is compiled from kron(rotation, I_2).T
+            yield coeff, apply_orbital_rotation(g.rotation.T, psi, self._sector)
 
     def _column_energies_exact(self, theta_mat: np.ndarray):
         e_cols = np.zeros(self._base.shape[1])
@@ -384,6 +394,9 @@ class Estimator:
 
     def optimize(self, maxiter: int = 200) -> tuple[ThetaParams, EnergyBreakdown]:
         """Minimize the total electronic energy over the rotation angles."""
+        # imported here so runs that never optimize skip its import time and memory
+        from scipy.optimize import OptimizeResult, minimize
+
         theta0 = ThetaParams.zeros(self.n_qubits, self.n_electrons)
         n_par = len(theta0.values)
         evaluated = {}

@@ -1,13 +1,17 @@
 """Statevector execution, shot sampling, noise, and post-selection.
 
-Exact and noiseless circuits conserve particle number, so they run in
-the fixed-number sector: only the amplitudes of basis states with
-n_electrons set bits are stored, and each Givens triple
-CNOT(p,p+1) MULTI_CRY((p+1,),p) CNOT(p,p+1) is one rotation on
-precomputed row pairs (`NumberSector`).  Every gate on that path is real,
-so sector amplitudes keep their input's floating dtype and a float64
-batch stays float64.  Noisy circuits run on all 2^N complex amplitudes,
-because a Pauli error leaves the sector and Y is not real.
+Exact and noiseless circuits are the reference column preparation, the
+orbital rotation U(theta) and one measurement rotation.  Both rotations
+are spin-free, kron(u, I_2), and conserve particle number, so they run in
+the fixed-number sector (`NumberSector`): only the amplitudes of basis
+states with n_electrons set bits are stored, and `apply_orbital_rotation`
+applies the exact action of the compiled Givens network as two small
+matrix products per (n_alpha, n_beta) block of alpha-string x
+beta-string amplitudes, the approach of the Fermionic Quantum Emulator
+(Rubin et al., Quantum 5, 568 (2021)).  u is real, so a real batch
+stays real: float64 in, float64 out.
+`apply_circuit` runs gates on all 2^N complex amplitudes; noisy circuits
+need it, because a Pauli error leaves the sector and Y is not real.
 
 Noise is a stochastic Pauli trajectory model: after each gate, with
 probability p1 (one-qubit) or p2 (two-qubit), a uniformly random
@@ -154,16 +158,30 @@ class NumberSector:
     """Basis states of n_qubits with exactly n_electrons set bits.
 
     states holds their sorted basis indices; sector amplitudes are the
-    full-space amplitudes gathered at states.  pairs[p - 1] is (rows_p,
-    rows_q) for the adjacent qubits (p, q = p + 1): sector rows with p
-    occupied and q empty, and, at the same positions, the rows that
-    differ from them only by moving that electron from p to q.
+    full-space amplitudes gathered at states.  For even n_qubits, qubit
+    2k - 1 is spin orbital alpha_k and qubit 2k is beta_k, and the sector
+    also holds the tables of apply_orbital_rotation:
+
+      subsets[k]: every k-subset of the n_qubits / 2 spatial orbitals
+        (0-based), in itertools.combinations order; a k-electron string
+        of one spin is indexed by its row here.
+      spin_order: the sector rows sorted by (n_alpha, alpha string, beta
+        string), so the rows of each n_alpha form a contiguous block
+        that reshapes to (len(subsets[n_alpha]),
+        len(subsets[n_electrons - n_alpha])).
+      spin_signs: +-1 per sector row, (-1)^(sum over beta electrons of
+        the alpha electrons on later orbitals): the sign of moving every
+        alpha creation operator ahead of every beta one.
+
+    For odd n_qubits the three are None.
     """
 
     n_qubits: int
     n_electrons: int
     states: np.ndarray
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    subsets: tuple[np.ndarray, ...] | None = None
+    spin_order: np.ndarray | None = None
+    spin_signs: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -180,43 +198,81 @@ def number_sector(n_qubits: int, n_electrons: int) -> NumberSector:
         ),
         dtype=np.intp,
     )
-    pairs = []
-    for p in range(1, n_qubits):
-        bit_p, bit_q = 1 << (n_qubits - p), 1 << (n_qubits - p - 1)
-        rows_p = np.flatnonzero((states & bit_p != 0) & (states & bit_q == 0))
-        rows_q = np.searchsorted(states, states[rows_p] ^ (bit_p | bit_q))
-        pairs.append((rows_p, rows_q))
-    for a in (states, *(r for pair in pairs for r in pair)):
+    states.setflags(write=False)
+    if n_qubits % 2:
+        return NumberSector(n_qubits, n_electrons, states)
+    n_orb = n_qubits // 2
+    subsets = tuple(
+        np.array(list(combinations(range(n_orb), k)), dtype=np.intp).reshape(-1, k)
+        for k in range(1, n_orb + 1)
+    )
+    subsets = (np.zeros((1, 0), dtype=np.intp),) + subsets
+    # rank[mask] is the row in subsets[popcount(mask)] of the orbitals set in mask
+    rank = np.empty(1 << n_orb, dtype=np.intp)
+    for rows in subsets:
+        rank[(1 << rows).sum(axis=1)] = np.arange(len(rows))
+    occ = (states[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1  # column p - 1 is qubit p
+    occ_a, occ_b = occ[:, 0::2], occ[:, 1::2]
+    weights = 1 << np.arange(n_orb)
+    spin_order = np.lexsort((rank[occ_b @ weights], rank[occ_a @ weights], occ_a.sum(axis=1)))
+    later_a = occ_a[:, ::-1].cumsum(axis=1)[:, ::-1] - occ_a
+    spin_signs = 1.0 - 2.0 * ((occ_b * later_a).sum(axis=1) % 2)
+    for a in (*subsets, spin_order, spin_signs):
         a.setflags(write=False)
-    return NumberSector(n_qubits, n_electrons, states, tuple(pairs))
+    return NumberSector(n_qubits, n_electrons, states, subsets, spin_order, spin_signs)
 
 
-def _apply_sector(c: Circuit, work: np.ndarray, sector: NumberSector) -> None:
-    # only Givens triples (single_excitation) occur on the sector path; each
-    # is the full-space CNOT/MULTI_CRY/CNOT restricted to its moved rows,
-    # with _apply_gate's expressions, so the amplitudes are bit-identical
-    gates = c.gates
-    k = 0
-    while k < len(gates):
-        g = gates[k]
-        p = g.qubits[0]
-        if (
-            g.kind != "CNOT"
-            or g.qubits[1] != p + 1
-            or k + 2 >= len(gates)
-            or gates[k + 1].kind != "MULTI_CRY"
-            or gates[k + 1].qubits != (p + 1, p)
-            or gates[k + 2] != g
-        ):
-            raise ValueError(f"gate {g.to_text()!r} is not a Givens triple; no sector kernel")
-        angle = gates[k + 1].angle
-        c_, s_ = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        rows_p, rows_q = sector.pairs[p - 1]
-        a0 = work[rows_q]
-        a1 = work[rows_p]
-        work[rows_q] = c_ * a0 - s_ * a1
-        work[rows_p] = s_ * a0 + c_ * a1
-        k += 3
+def _exterior_power(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # Lambda^k(u)[I, J] = det u[I, J] over the k-subsets I, J listed in rows
+    if rows.shape[1] == 0:
+        return np.ones((1, 1))
+    return np.linalg.det(u[rows[:, None, :, None], rows[None, :, None, :]])
+
+
+def apply_orbital_rotation(
+    u: np.ndarray, amplitudes: np.ndarray, sector: NumberSector
+) -> np.ndarray:
+    """Apply the spin-free orbital rotation kron(u, I_2) to sector amplitudes.
+
+    u is the orthogonal (N/2, N/2) spatial matrix and amplitudes has shape
+    (sector.size, ...batch), rows in sector.states order; the result
+    equals apply_circuit(compile_orbital_rotation(np.kron(u, np.eye(2))),
+    full)[sector.states] for the full-space embedding full.  With every
+    alpha creation operator moved ahead of every beta one, a state is a
+    matrix C[alpha string, beta string] per n_alpha, and the rotation
+    maps it to Lambda^n_alpha(u) C Lambda^n_beta(u)^T, Lambda^k(u) the
+    matrix of k x k minors of u: two small matrix products per block.
+    Real and integer input gives float64, complex input complex128.
+    """
+    if sector.spin_order is None:
+        raise ValueError("orbital rotations need an even number of qubits")
+    n_orb = sector.n_qubits // 2
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n_orb, n_orb):
+        raise ValueError(f"u must be {n_orb} x {n_orb}, got shape {u.shape}")
+    if amplitudes.shape[:1] != (sector.size,):
+        raise ValueError("amplitudes do not match the sector")
+    order = sector.spin_order
+    signs = sector.spin_signs[order, None]
+    n_columns = math.prod(amplitudes.shape[1:])
+    blocks = amplitudes.reshape(sector.size, n_columns)[order] * signs
+    out = np.empty_like(blocks)
+    n_e = sector.n_electrons
+    # n_alpha and n_beta = n_e - n_alpha run over the same range
+    n_alphas = range(max(0, n_e - n_orb), min(n_e, n_orb) + 1)
+    powers = {k: _exterior_power(u, sector.subsets[k]) for k in n_alphas}
+    start = 0
+    for n_a in n_alphas:
+        lam_a, lam_b = powers[n_a], powers[n_e - n_a]
+        n_a_strings, n_b_strings = len(lam_a), len(lam_b)
+        stop = start + n_a_strings * n_b_strings
+        c = lam_a @ blocks[start:stop].reshape(n_a_strings, n_b_strings * n_columns)
+        c = lam_b @ c.reshape(n_a_strings, n_b_strings, n_columns)
+        out[start:stop] = c.reshape(stop - start, n_columns)
+        start = stop
+    result = np.empty_like(out)
+    result[order] = out * signs
+    return result.reshape(amplitudes.shape)
 
 
 def apply_circuit(
@@ -224,24 +280,11 @@ def apply_circuit(
     amplitudes: np.ndarray,
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
-    sector: NumberSector | None = None,
 ) -> np.ndarray:
-    """Apply c to amplitudes of shape (2^N, ...batch); returns a new array.
+    """Apply c to amplitudes of shape (2^N, ...batch); returns a new complex array.
 
     With noise, one stochastic Pauli trajectory is produced (rng required).
-    With a sector, amplitudes have shape (sector.size, ...batch) and c
-    must consist of Givens triples; anything else raises ValueError.
-    The sector result keeps a floating input dtype (integers become
-    float64); the full-space result is always complex.
     """
-    if sector is not None:
-        if noise is not None:
-            raise ValueError("noisy execution leaves the number sector")
-        if c.n_qubits != sector.n_qubits or amplitudes.shape[0] != sector.size:
-            raise ValueError("amplitudes do not match the sector")
-        work = amplitudes.astype(np.result_type(amplitudes, float))
-        _apply_sector(c, work, sector)
-        return work
     batch = amplitudes.shape[1:]
     work = amplitudes.astype(complex).reshape((2,) * c.n_qubits + batch)
     if noise is None:

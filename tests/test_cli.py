@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import omp2sim
 from omp2sim import cli
 from omp2sim.cli import (
     EXIT_CAPACITY,
@@ -367,6 +371,17 @@ def test_outputs_are_deterministic(tmp_path):
     run_cli(*args, "--out", str(a))
     run_cli(*args, "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_import_leaves_the_optimizer_unloaded():
+    # only Estimator.optimize needs scipy.optimize, and it imports it itself
+    src = str(Path(omp2sim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, omp2sim, omp2sim.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_seed_changes_shot_noise(tmp_path):

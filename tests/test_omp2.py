@@ -25,7 +25,13 @@ from omp2sim.oracle import (
     fixture_path,
     hartree_fock_energy,
 )
-from omp2sim.simulator import NoiseModel, apply_circuit, number_sector, run
+from omp2sim.simulator import (
+    NoiseModel,
+    apply_circuit,
+    apply_orbital_rotation,
+    number_sector,
+    run,
+)
 
 
 @given(st.integers(1, 4), st.integers(1, 4))
@@ -384,15 +390,20 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
         return occupations(n_qubits, states)
 
     monkeypatch.setattr(omp2, "occupations", sector_occupations)
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("exact mode must not compile circuits")
+
+    monkeypatch.setattr(omp2, "compile_orbital_rotation", no_compile)
     batches = []
 
-    def sector_apply(c, amplitudes, *args, sector=None, **kwargs):
-        assert sector is not None and amplitudes.shape[0] == sector.size
+    def sector_apply(u, amplitudes, sector):
+        assert amplitudes.shape[0] == sector.size
         assert amplitudes.dtype == np.float64
         batches.append(amplitudes.shape)
-        return apply_circuit(c, amplitudes, *args, sector=sector, **kwargs)
+        return apply_orbital_rotation(u, amplitudes, sector)
 
-    monkeypatch.setattr(omp2, "apply_circuit", sector_apply)
+    monkeypatch.setattr(omp2, "apply_orbital_rotation", sector_apply)
 
     est = Estimator(parse_fcidump(fixture_path("lih_3.1.fcidump")))
     rng = np.random.default_rng(3)

@@ -13,7 +13,6 @@ from omp2sim.circuits import (
     multi_cry,
     ry,
     rz,
-    single_excitation,
     x,
 )
 from omp2sim.jw import hamming_weights, occupations
@@ -21,6 +20,7 @@ from omp2sim.oracle import circuit_unitary
 from omp2sim.simulator import (
     NoiseModel,
     apply_circuit,
+    apply_orbital_rotation,
     default_seed,
     expectation_with_variance,
     load_noise_presets,
@@ -71,20 +71,35 @@ def test_apply_circuit_matches_dense_unitary(n, seed):
     assert np.abs(apply_circuit(c, batch) - u[:, :3]).max() < 1e-12
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from((4, 6, 8)), st.data())
-def test_sector_kernel_matches_full_space(n, data):
-    n_electrons = data.draw(st.sampled_from(range(0, n + 1, 2)))
-    seed = data.draw(st.integers(0, 2**31 - 1))
+def _spatial_rotations(n_orb, rng):
+    """The identity, the orbital reversal (exact zeros), and a random SO(n_orb)."""
+    reversal = np.eye(n_orb)[::-1].copy()
+    if np.linalg.det(reversal) < 0:
+        reversal[:, 0] *= -1.0
+    rotations = [np.eye(n_orb), reversal]
+    if n_orb > 1:
+        rotations.append(special_ortho_group.rvs(n_orb, random_state=rng))
+    return rotations
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from((2, 4, 6, 8, 10)), st.integers(0, 2**31 - 1))
+def test_sector_kernel_matches_full_space(n, seed):
+    # the gate kernel on the compiled circuit is the reference, on every
+    # filling; the two algorithms agree to rounding, not bit for bit
     rng = np.random.default_rng(seed)
-    c = compile_orbital_rotation(special_ortho_group.rvs(n, random_state=rng))
-    sector = number_sector(n, n_electrons)
-    batch = rng.normal(size=(sector.size, 3)) + 1j * rng.normal(size=(sector.size, 3))
-    full = np.zeros((1 << n, 3), dtype=complex)
-    full[sector.states] = batch
-    assert np.array_equal(
-        apply_circuit(c, batch, sector=sector), apply_circuit(c, full)[sector.states]
-    )
+    for u in _spatial_rotations(n // 2, rng):
+        c = compile_orbital_rotation(np.kron(u, np.eye(2)))
+        for n_electrons in range(n + 1):
+            sector = number_sector(n, n_electrons)
+            batch = rng.normal(size=(sector.size, 3)) + 1j * rng.normal(size=(sector.size, 3))
+            full = np.zeros((1 << n, 3), dtype=complex)
+            full[sector.states] = batch
+            out = apply_orbital_rotation(u, batch, sector)
+            assert np.abs(out - apply_circuit(c, full)[sector.states]).max() < 1e-12
+            # a single column, without a batch axis
+            column = apply_orbital_rotation(u, batch[:, 0], sector)
+            assert np.abs(column - out[:, 0]).max() < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -92,16 +107,16 @@ def test_sector_kernel_matches_full_space(n, data):
 def test_sector_kernel_keeps_real_amplitudes_real(n, data):
     n_electrons = data.draw(st.sampled_from(range(0, n + 1, 2)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
-    c = compile_orbital_rotation(special_ortho_group.rvs(n, random_state=rng))
+    u = special_ortho_group.rvs(n // 2, random_state=rng)
     sector = number_sector(n, n_electrons)
     real = rng.normal(size=(sector.size, 3))
-    out = apply_circuit(c, real, sector=sector)
+    out = apply_orbital_rotation(u, real, sector)
     assert out.dtype == np.float64
-    assert np.array_equal(out, apply_circuit(c, real.astype(complex), sector=sector).real)
+    assert np.abs(out - apply_orbital_rotation(u, real.astype(complex), sector)).max() < 1e-12
     ints = rng.integers(-3, 4, size=(sector.size, 2))
-    out = apply_circuit(c, ints, sector=sector)
+    out = apply_orbital_rotation(u, ints, sector)
     assert out.dtype == np.float64
-    assert np.array_equal(out, apply_circuit(c, ints.astype(float), sector=sector))
+    assert np.array_equal(out, apply_orbital_rotation(u, ints.astype(float), sector))
 
 
 @pytest.mark.parametrize("n", [1, 4, 7, 10])
@@ -112,19 +127,19 @@ def test_number_sector_holds_every_state_of_its_weight(n):
         assert np.array_equal(occupations(n, states), occupations(n)[states])
 
 
-def test_sector_rejects_other_gates_and_noise():
+def test_orbital_rotation_rejects_bad_input():
     sector = number_sector(4, 2)
-    batch = np.zeros((sector.size, 1), dtype=complex)
+    batch = np.zeros((sector.size, 1))
     batch[0] = 1.0
-    givens = single_excitation(2, 0.3)
-    for gates in ((x(1),), (cnot(1, 2),), givens[:2], givens + (x(3),)):
-        with pytest.raises(ValueError):
-            apply_circuit(Circuit(4, gates), batch, sector=sector)
-    with pytest.raises(ValueError):
-        apply_circuit(
-            Circuit(4, givens), batch, noise=NoiseModel(0.1, 0.1, 0.0),
-            rng=rng_stream(1), sector=sector,
-        )
+    # the spin-orbital matrix instead of the spatial one, and a non-square u
+    for u in (np.eye(4), np.eye(3), np.eye(2)[:1]):
+        with pytest.raises(ValueError, match="u must be"):
+            apply_orbital_rotation(u, batch, sector)
+    with pytest.raises(ValueError, match="sector"):
+        apply_orbital_rotation(np.eye(2), batch[1:], sector)
+    odd = number_sector(5, 2)
+    with pytest.raises(ValueError, match="even"):
+        apply_orbital_rotation(np.eye(2), np.zeros((odd.size, 1)), odd)
 
 
 def test_run_produces_normalized_state():
