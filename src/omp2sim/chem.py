@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 SYM_TOL = 1e-12
 DUPLICATE_TOL = 1e-10
@@ -265,12 +264,39 @@ def build_perturbation(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-body T(theta) = h1s - U diag(eps) U^T with U = exp(theta), plus the
     (theta-independent) two-body tensor.  theta is the expanded antisymmetric
-    spin-orbital matrix."""
+    spin-orbital matrix; U comes from `expm_antisymmetric`, so theta = 0
+    gives U = I exactly."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (si.n_spin, si.n_spin):
         raise ValueError("theta matrix shape mismatch")
     if np.abs(theta + theta.T).max() > 1e-10:
         raise ValueError("theta matrix must be antisymmetric")
-    u = expm(theta)
+    u = expm_antisymmetric(theta)
     t = si.h1s - u @ np.diag(eps) @ u.T
     return t, si.eri_spatial
+
+
+def expm_antisymmetric(kappa: np.ndarray) -> np.ndarray:
+    """exp(kappa) for a real antisymmetric kappa, from one Hermitian eigensolve.
+
+    With 1j*kappa = V diag(lam) V^H, exp(kappa) = I + Re[V diag(expm1(-1j lam)) V^H];
+    writing it around I makes kappa = 0 give exactly I.  Only the lower
+    triangle of kappa is read.
+    """
+    lam, v = np.linalg.eigh(1j * np.asarray(kappa, dtype=float))
+    return np.eye(len(lam)) + ((v * np.expm1(-1j * lam)) @ v.conj().T).real
+
+
+def expm_antisymmetric_adjoint(kappa: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The adjoint Frechet derivative of expm at a real antisymmetric kappa, applied to g.
+
+    This is dE/dkappa for dE/dU = g at U = exp(kappa), i.e. the Frechet
+    derivative of expm at kappa^T in direction g.  In the eigenbasis of
+    1j*kappa (eigenvalues lam) it is the Daleckii-Krein product with
+    Phi_jk = exp(1j (lam_j + lam_k)/2) sinc((lam_j - lam_k)/2pi), which needs
+    no branch for equal eigenvalues.
+    """
+    lam, v = np.linalg.eigh(1j * np.asarray(kappa, dtype=float))
+    phi = np.exp(0.5j * (lam[:, None] + lam)) * np.sinc((lam[:, None] - lam) / (2.0 * np.pi))
+    vh = v.conj().T
+    return (v @ ((vh @ g @ v) * phi) @ vh).real

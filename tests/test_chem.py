@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm, expm_frechet
 
 from conftest import load_point
 from omp2sim.chem import (
@@ -9,6 +10,8 @@ from omp2sim.chem import (
     FcidumpError,
     MolecularIntegrals,
     build_perturbation,
+    expm_antisymmetric,
+    expm_antisymmetric_adjoint,
     freeze_active_space,
     orbital_energies,
     parse_fcidump,
@@ -209,3 +212,44 @@ def test_perturbation_trace_invariant(a, b):
     t, _ = build_perturbation(si, eps, theta)
     t0, _ = build_perturbation(si, eps, np.zeros((4, 4)))
     assert abs(np.trace(t) - np.trace(t0)) < 1e-10
+
+
+def _antisymmetric(n: int, norm: float, seed: int) -> np.ndarray:
+    """A random real antisymmetric n x n matrix of spectral norm `norm` (0 for n = 1)."""
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    kappa = a - a.T
+    size = np.linalg.norm(kappa, 2)
+    return kappa * (norm / size) if size else kappa
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+def test_expm_antisymmetric_matches_scipy(n, norm, seed):
+    kappa = _antisymmetric(n, norm, seed)
+    assert np.abs(expm_antisymmetric(kappa) - expm(kappa)).max() <= 1e-13
+
+
+def test_expm_antisymmetric_of_zero_is_exactly_identity():
+    for n in range(1, 9):
+        assert np.array_equal(expm_antisymmetric(np.zeros((n, n))), np.eye(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+def test_expm_adjoint_matches_scipy_frechet(n, norm, seed):
+    kappa = _antisymmetric(n, norm, seed)
+    g = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, (n, n))
+    ref = expm_frechet(kappa.T, g, compute_expm=False)
+    assert np.abs(expm_antisymmetric_adjoint(kappa, g) - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("copies,angle", [(1, 0.0), (3, 0.0), (3, 0.7), (4, 2.5)])
+def test_expm_adjoint_with_degenerate_spectrum(copies, angle):
+    # kappa = 0, or block-diagonal copies of one 2x2 generator: every
+    # eigenvalue repeats, the case a divided difference must not divide by
+    block = np.array([[0.0, angle], [-angle, 0.0]])
+    kappa = np.kron(np.eye(copies), block)
+    g = np.random.default_rng(copies).normal(size=kappa.shape)
+    ref = expm_frechet(kappa.T, g, compute_expm=False)
+    assert np.abs(expm_antisymmetric_adjoint(kappa, g) - ref).max() <= 1e-12
+    assert np.abs(expm_antisymmetric(kappa) - expm(kappa)).max() <= 1e-13

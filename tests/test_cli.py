@@ -373,15 +373,29 @@ def test_outputs_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_import_leaves_the_optimizer_unloaded():
-    # only Estimator.optimize needs scipy.optimize, and it imports it itself
+def test_import_leaves_the_optimizer_unloaded(tmp_path):
+    # exact mode runs on numpy alone: its exponentials are closed form and its
+    # optimizer is in the package; only shots mode imports scipy, itself
+    shutil.copyfile(H2_FIXTURE, tmp_path / "h2_1.4.fcidump")
     src = str(Path(omp2sim.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, omp2sim, omp2sim.cli; print('scipy.optimize' in sys.modules)"
+    code = f"""
+import contextlib, io, sys
+import omp2sim.cli
+from omp2sim import Estimator, ThetaParams, parse_fcidump
+from omp2sim.oracle import fixture_path
+
+est = Estimator(parse_fcidump(fixture_path("lih_3.1.fcidump")))
+est.mp2_energy(ThetaParams.zeros(est.n_qubits, est.n_electrons))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert omp2sim.cli.main(["curve", "--fixture-dir", {str(tmp_path)!r}, "--jobs", "1"]) == 0
+    assert omp2sim.cli.main(["energy", "--fixture", {H2_FIXTURE!r}]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_seed_changes_shot_noise(tmp_path):

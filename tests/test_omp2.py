@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scipy.linalg import expm
+from scipy.optimize import minimize
 
 from conftest import load_point
 from omp2sim.chem import MolecularIntegrals, build_perturbation, parse_fcidump
@@ -275,6 +276,108 @@ def test_optimize_does_not_rerun_the_optimum(refs):
     theta, bd = est.optimize()
     assert seen.count(theta.values) == 1
     assert len(seen) == bd.diagnostics["n_evaluations"]
+
+
+def _rosenbrock(x):
+    return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+
+
+def _rosenbrock_gradient(x):
+    return np.array(
+        [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)]
+    )
+
+
+def test_lbfgs_minimizes_a_convex_quadratic():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(6, 6))
+    hess = a @ a.T + 0.5 * np.eye(6)
+    b = rng.normal(size=6)
+    res = omp2._lbfgs(
+        lambda x: 0.5 * x @ hess @ x - b @ x, lambda x: hess @ x - b, np.zeros(6), 200
+    )
+    assert res.success
+    assert np.abs(hess @ res.x - b).max() <= 1e-9
+    assert np.abs(res.x - np.linalg.solve(hess, b)).max() <= 1e-8
+
+
+def test_lbfgs_minimizes_rosenbrock():
+    res = omp2._lbfgs(_rosenbrock, _rosenbrock_gradient, np.array([-1.2, 1.0]), 200)
+    assert res.success
+    assert 0 < res.nit < 200
+    assert np.abs(res.x - 1.0).max() <= 1e-8
+
+
+def test_lbfgs_caps_the_trial_step():
+    trials = []
+
+    def steep(x):
+        trials.append(x.copy())
+        return 500.0 * (x - 3.0) @ (x - 3.0)
+
+    res = omp2._lbfgs(steep, lambda x: 1000.0 * (x - 3.0), np.zeros(3), 200)
+    assert res.success
+    assert np.abs(res.x - 3.0).max() <= 1e-9
+    assert all(np.abs(b - a).max() <= 1.0 for a, b in zip(trials, trials[1:]))
+
+
+def test_lbfgs_reports_running_out_of_iterations(refs):
+    res = omp2._lbfgs(_rosenbrock, _rosenbrock_gradient, np.array([-1.2, 1.0]), 3)
+    assert not res.success
+    assert res.nit == 3
+    assert "3 iterations" in res.message
+    mi, _ = load_point(refs, "h4", 2.6)
+    _, bd = Estimator(mi).optimize(maxiter=1)
+    assert bd.diagnostics["converged"] is False
+    assert bd.diagnostics["n_iterations"] == 1
+    assert "1 iterations" in bd.diagnostics["optimizer_message"]
+
+
+@pytest.mark.parametrize("molecule,distance", [("h3p", 2.4), ("h4", 2.6), ("lih", 3.1)])
+def test_optimize_matches_scipy_lbfgsb(refs, molecule, distance):
+    # scipy's L-BFGS-B on the same circuit energy and closed-form gradient
+    mi, _ = load_point(refs, molecule, distance)
+    est = Estimator(mi)
+    _, bd = est.optimize()
+    theta0 = ThetaParams.zeros(est.n_qubits, est.n_electrons)
+    res = minimize(
+        lambda x: est.mp2_energy(theta0.with_values(x)).total,
+        np.zeros(len(theta0.values)),
+        jac=lambda x: _closed_form(est, theta0.with_values(x))[1],
+        method="L-BFGS-B",
+        options={"ftol": 1e-12, "gtol": 1e-9},
+    )
+    assert res.success
+    assert abs(bd.total - res.fun) <= 1e-10
+
+
+def _newton_polish(est, theta, steps=4):
+    """theta moved by Newton steps on the closed-form gradient (central-difference Hessian)."""
+
+    def grad(x):
+        return _closed_form(est, theta.with_values(x))[1]
+
+    x = np.array(theta.values)
+    for _ in range(steps):
+        hess = np.column_stack([(grad(x + e) - grad(x - e)) / 2e-5 for e in 1e-5 * np.eye(x.size)])
+        x = x - np.linalg.solve(0.5 * (hess + hess.T), grad(x))
+    return theta.with_values(x), np.abs(grad(x)).max()
+
+
+@pytest.mark.parametrize(
+    "molecule,distance", [("h3p", 3.2), ("lih", 4.5), ("h4", 2.6), ("h4", 4.6)]
+)
+def test_optimize_fixes_the_e1_e2_split(refs, molecule, distance):
+    # e1 and e2 are not stationary at the optimum, so they are only as good
+    # as theta; the CLI prints both to 1e-10
+    mi, _ = load_point(refs, molecule, distance)
+    est = Estimator(mi)
+    theta, bd = est.optimize()
+    theta_ref, g_ref = _newton_polish(est, theta)
+    assert g_ref <= 1e-12
+    ref = est.mp2_energy(theta_ref)
+    assert abs(bd.e1 - ref.e1) <= 1e-9
+    assert abs(bd.e2 - ref.e2) <= 1e-9
 
 
 def test_resource_summary_smallest_case(refs):
