@@ -259,21 +259,20 @@ def orbital_energies(si: SpinIntegrals, n_electrons: int) -> np.ndarray:
     return eps
 
 
-def build_perturbation(
-    si: SpinIntegrals, eps: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-body T(theta) = h1s - U diag(eps) U^T with U = exp(theta), plus the
-    (theta-independent) two-body tensor.  theta is the expanded antisymmetric
-    spin-orbital matrix; U comes from `expm_antisymmetric`, so theta = 0
-    gives U = I exactly."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (si.n_spin, si.n_spin):
-        raise ValueError("theta matrix shape mismatch")
-    if np.abs(theta + theta.T).max() > 1e-10:
-        raise ValueError("theta matrix must be antisymmetric")
-    u = expm_antisymmetric(theta)
-    t = si.h1s - u @ np.diag(eps) @ u.T
-    return t, si.eri_spatial
+def build_perturbation(h1: np.ndarray, eps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The spatial one-body perturbation T = h1 - u diag(eps) u^T.
+
+    h1 and u are M x M spatial matrices and eps holds the M spatial orbital
+    energies; u is the orbital rotation exp(kappa) that both spin channels
+    share, so the spin-orbital T is kron(T, I_2).
+    """
+    u = np.asarray(u, dtype=float)
+    m = h1.shape[0]
+    if u.shape != (m, m) or np.shape(eps) != (m,):
+        raise ValueError(f"u must be {m} x {m} and eps of length {m}")
+    if np.abs(u.T @ u - np.eye(m)).max() > 1e-10:
+        raise ValueError("u must be orthogonal")
+    return h1 - u @ np.diag(eps) @ u.T
 
 
 def expm_antisymmetric(kappa: np.ndarray) -> np.ndarray:

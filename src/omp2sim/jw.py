@@ -173,14 +173,6 @@ def hamming_weights(n_qubits: int) -> np.ndarray:
     return occupations(n_qubits).sum(axis=1)
 
 
-def apply_number_postselection_projector(mat: np.ndarray, n_electrons: int) -> np.ndarray:
-    """P M P with P projecting onto Hamming-weight-n_electrons bitstrings."""
-    dim = mat.shape[0]
-    n_qubits = dim.bit_length() - 1
-    keep = (hamming_weights(n_qubits) == n_electrons).astype(float)
-    return mat * np.outer(keep, keep)
-
-
 def hamiltonian(si, e_core: float = 0.0) -> QubitOperator:
     """JW image of h1s + (1/2) h_pqrs a+_p a+_q a_r a_s (+ e_core as identity)."""
     n = si.n_spin

@@ -22,8 +22,6 @@ import numpy as np
 
 from .jw import occupations
 
-SPIN_BLOCK_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class MeasurementGroup:
@@ -49,18 +47,6 @@ class FactorizedPerturbation:
     groups: tuple[MeasurementGroup, ...]
     truncation_tol: float
     reconstruction_error: float
-
-
-def _spatial_block(mat_spin: np.ndarray) -> np.ndarray:
-    # interleaved spin lift means the alpha and beta blocks are the
-    # even/even and odd/odd strides
-    alpha = mat_spin[0::2, 0::2]
-    beta = mat_spin[1::2, 1::2]
-    if np.abs(alpha - beta).max() > SPIN_BLOCK_TOL:
-        raise ValueError("one-body matrix has unequal spin blocks")
-    if np.abs(mat_spin[0::2, 1::2]).max() > SPIN_BLOCK_TOL:
-        raise ValueError("one-body matrix couples spins")
-    return 0.5 * (alpha + beta)
 
 
 def _det_plus_one(o: np.ndarray) -> np.ndarray:
@@ -115,23 +101,24 @@ def two_body_groups(eri: np.ndarray, tol: float) -> tuple[MeasurementGroup, ...]
     return tuple(groups)
 
 
-def one_body_group(t_spin: np.ndarray, eri: np.ndarray) -> MeasurementGroup:
-    """Group 0: T plus the reordering correction -1/2 sum_r (pr|rq), diagonalized."""
-    t_spatial = _spatial_block(t_spin)
+def one_body_group(t: np.ndarray, eri: np.ndarray) -> MeasurementGroup:
+    """Group 0: the spatial one-body T plus the reordering correction
+    -1/2 sum_r (pr|rq), diagonalized; both spin channels share its rotation."""
     correction = -0.5 * np.einsum("prrq->pq", eri)
-    d, o = np.linalg.eigh(t_spatial + correction)
+    d, o = np.linalg.eigh(t + correction)
     o = _det_plus_one(o)
-    m = t_spatial.shape[0]
+    m = t.shape[0]
     return MeasurementGroup(
         rotation=o, linear=spin_lift(d), quadratic=np.zeros((2 * m, 2 * m)), label=0
     )
 
 
-def factorize(t_spin: np.ndarray, eri: np.ndarray, tol: float) -> FactorizedPerturbation:
-    t_spin = np.asarray(t_spin, dtype=float)
-    if np.abs(t_spin - t_spin.T).max() > 1e-10:
+def factorize(t: np.ndarray, eri: np.ndarray, tol: float) -> FactorizedPerturbation:
+    """Every group of the spatial one-body T and the two-body eri."""
+    t = np.asarray(t, dtype=float)
+    if np.abs(t - t.T).max() > 1e-10:
         raise ValueError("one-body matrix not symmetric")
-    groups = (one_body_group(t_spin, eri),) + two_body_groups(eri, tol)
+    groups = (one_body_group(t, eri),) + two_body_groups(eri, tol)
     m = eri.shape[0]
     super_a = eri.reshape(m * m, m * m)
     w = np.linalg.eigvalsh(super_a)
@@ -140,16 +127,6 @@ def factorize(t_spin: np.ndarray, eri: np.ndarray, tol: float) -> FactorizedPert
     return FactorizedPerturbation(
         groups=groups, truncation_tol=tol, reconstruction_error=err
     )
-
-
-def group_expectation_coefficients(g: MeasurementGroup):
-    """b -> sum_p d_p b_p + sum_pq d_pq b_p b_q over occupation arrays."""
-
-    def coeff(occ: np.ndarray) -> float:
-        occ = np.asarray(occ, dtype=float)
-        return float(g.linear @ occ + occ @ g.quadratic @ occ)
-
-    return coeff
 
 
 def occupation_coefficients(g: MeasurementGroup, occ: np.ndarray) -> np.ndarray:

@@ -14,11 +14,16 @@ one measurement rotation.  The orbital rotation carries the variational
 parameters; everything before and after it is fixed per run, which is
 what keeps the per-evaluation work linear in circuits.
 
+theta enters as one spatial rotation u = exp(kappa), computed once per
+evaluation; both spin channels rotate by it, kron(u, I_2), and group 0 is
+diagonalized from the spatial perturbation T = h1 - u diag(eps) u^T.
 Exact and noiseless numbers come from the exact action of the compiled
 rotations on the n_e-electron sector (`simulator.apply_orbital_rotation`,
 pinned to the gate kernel on the compiled circuits by the test suite),
-so those paths compile no circuit.  The gates themselves are run only on
-the noisy path, and they back the depth and resource accounting.
+so those paths compile no circuit; noiseless shots are drawn over the
+sector rows, where all of their outcomes lie.  The gates themselves are
+run only on the noisy path, which alone holds 2^N amplitudes, counts and
+coefficients, and they back the depth and resource accounting.
 
 Exact mode minimizes with the package's own L-BFGS (`_lbfgs`).  Its
 gradient is the analytic OMP2 orbital gradient of the operator the circuits
@@ -128,10 +133,15 @@ class ThetaParams:
         return replace(self, values=tuple(float(v) for v in values))
 
     def to_matrix(self) -> np.ndarray:
-        mat = np.zeros((self.n_spin, self.n_spin))
+        """The M x M antisymmetric generator kappa over spatial orbitals.
+
+        Both spin channels rotate by u = exp(kappa), the spin-orbital
+        rotation kron(u, I_2).
+        """
+        m = self.n_spin // 2
+        mat = np.zeros((m, m))
         for (p, q), v in zip(self.pairs, self.values):
-            mat[p - 1, q - 1] = v
-            mat[p, q] = v  # the paired spin channel
+            mat[(p - 1) // 2, (q - 1) // 2] = v
         return mat - mat.T
 
 
@@ -280,88 +290,86 @@ class Estimator:
 
     # -- measurement plumbing ------------------------------------------------
 
-    def _group0(self, theta_mat: np.ndarray):
-        t_spin, _ = build_perturbation(self.si, self.eps, theta_mat)
-        return one_body_group(t_spin, self.si.eri_spatial)
+    def _group0(self, u: np.ndarray):
+        t = build_perturbation(self.mi.h1, self.eps[0::2], u)
+        return one_body_group(t, self.mi.eri)
 
-    def _groups_at(self, theta_mat: np.ndarray):
+    def _groups_at(self, u: np.ndarray):
         """Every group's measurement circuit, and group 0's linear spin vector."""
-        g0 = self._group0(theta_mat)
+        g0 = self._group0(u)
         meas = tuple(
             compile_orbital_rotation(np.kron(g.rotation, np.eye(2)).T)
             for g in (g0, *self._static_groups)
         )
         return meas, g0.linear
 
-    def _sector_groups(self, theta_mat: np.ndarray):
+    def _sector_groups(self, u: np.ndarray):
         """Yield (coeff, phi) per group: sector coefficients and measured columns."""
-        g0 = self._group0(theta_mat)
+        g0 = self._group0(u)
         coeffs = (self._sector_occ @ g0.linear,) + self._sector_coeffs
-        psi = apply_orbital_rotation(
-            expm_antisymmetric(theta_mat[0::2, 0::2]), self._base, self._sector
-        )
+        psi = apply_orbital_rotation(u, self._base, self._sector)
         for g, coeff in zip((g0, *self._static_groups), coeffs):
             # the measurement circuit is compiled from kron(rotation, I_2).T
             yield coeff, apply_orbital_rotation(g.rotation.T, psi, self._sector)
 
-    def _column_energies_exact(self, theta_mat: np.ndarray):
+    def _column_energies_exact(self, u: np.ndarray):
         e_cols = np.zeros(self._base.shape[1])
-        for coeff, phi in self._sector_groups(theta_mat):
+        for coeff, phi in self._sector_groups(u):
             # einsum sums each column in row order without BLAS, so the
             # rounding does not depend on the BLAS build or its threads
             e_cols += np.einsum("i,ij->j", coeff, np.abs(phi) ** 2)
         return e_cols, np.zeros_like(e_cols), None
 
-    def _column_energies_shots(self, theta_mat: np.ndarray):
+    def _column_energies_shots(self, u: np.ndarray):
+        cfg = self.cfg
         n_cols = self._base.shape[1]
         e_cols = np.zeros(n_cols)
         var_cols = np.zeros(n_cols)
         kept_fractions = []
-        for l, (coeff, column_counts) in enumerate(self._shot_counts(theta_mat)):
+        for l, (coeff, column_counts) in enumerate(self._shot_counts(u)):
             for col, counts in enumerate(column_counts):
-                if self.cfg.postselect:
-                    kept = postselect(counts, self.n_electrons)
-                    kept_fractions.append(int(kept.sum()) / int(counts.sum()))
-                    if not kept.any():
+                if cfg.postselect:
+                    kept = int(counts.sum())
+                    kept_fractions.append(kept / cfg.shots)
+                    if not kept:
                         raise RejectedShotsError(
-                            f"postselection rejected all {int(counts.sum())} shots of circuit "
+                            f"postselection rejected all {cfg.shots} shots of circuit "
                             f"column {col} in measurement group {l}"
                         )
-                    counts = kept
                 e, v = expectation_with_variance(counts, coeff)
                 e_cols[col] += e
                 var_cols[col] += v
         kept_mean = float(np.mean(kept_fractions)) if kept_fractions else None
         return e_cols, var_cols, kept_mean
 
-    def _shot_counts(self, theta_mat: np.ndarray):
-        """Yield, per group, its full-space coefficients and one count array per column."""
+    def _shot_counts(self, u: np.ndarray):
+        """Yield, per group, its coefficients and one count array per column.
+
+        Noiseless counts never leave the sector, so they and the coefficients
+        are indexed by sector row; noisy ones by basis state.
+        """
         cfg = self.cfg
         n_cols = self._base.shape[1]
         if cfg.noise is not None:
-            meas, linear0 = self._groups_at(theta_mat)
+            meas, linear0 = self._groups_at(u)
             coeff0 = occupations(self.n_qubits) @ linear0
-            u_gates = compile_orbital_rotation(expm_antisymmetric(theta_mat)).gates
+            u_gates = compile_orbital_rotation(np.kron(u, np.eye(2))).gates
             for l, (meas_c, coeff) in enumerate(zip(meas, (coeff0,) + self._static_coeffs)):
                 yield coeff, (
                     self._noisy_shots(col, l, u_gates + meas_c.gates) for col in range(n_cols)
                 )
             return
-        states = self._sector.states
-        dim = 1 << self.n_qubits
-        for l, (coeff, phi) in enumerate(self._sector_groups(theta_mat)):
-            # noiseless counts stay in the sector, so zeros elsewhere are never read
-            yield _scatter(coeff, states, dim), (
-                sample(
-                    _scatter(phi[:, col], states, dim),
-                    cfg.shots,
-                    rng=rng_stream(cfg.seed, _STREAM_SAMPLE, col, l),
-                )
+        for l, (coeff, phi) in enumerate(self._sector_groups(u)):
+            probs = phi**2
+            probs /= probs.sum(axis=0)
+            yield coeff, (
+                rng_stream(cfg.seed, _STREAM_SAMPLE, col, l).multinomial(cfg.shots, probs[:, col])
                 for col in range(n_cols)
             )
 
     def _noisy_shots(self, col: int, l: int, suffix: tuple) -> np.ndarray:
-        """cfg.shots split over trajectories, each run and sampled on its own stream."""
+        """cfg.shots split over trajectories, each run and sampled on its own
+        stream, with the counts of another electron number zeroed if postselecting."""
         cfg = self.cfg
         full = Circuit(self.n_qubits, self._column_gates[col] + suffix)
         per = np.full(cfg.trajectories, cfg.shots // cfg.trajectories)
@@ -371,7 +379,7 @@ class Estimator:
             rng = rng_stream(cfg.seed, _STREAM_TRAJECTORY, col, l, t)
             state = run(full, noise=cfg.noise, rng=rng)
             counts += sample(state, int(per[t]), noise=cfg.noise, rng=rng)
-        return counts
+        return postselect(counts, self.n_electrons) if cfg.postselect else counts
 
     def _assemble(self, e_cols, var_cols, kept_mean) -> EnergyBreakdown:
         e1 = float(e_cols[0])
@@ -406,10 +414,10 @@ class Estimator:
     def mp2_energy(self, theta: ThetaParams) -> EnergyBreakdown:
         """E0 + E1 + E2 (electronic part; add mi.e_core for the total energy)."""
         self.n_evaluations += 1
-        mat = theta.to_matrix()
+        u = expm_antisymmetric(theta.to_matrix())
         if self.cfg.mode == "exact":
-            return self._assemble(*self._column_energies_exact(mat))
-        return self._assemble(*self._column_energies_shots(mat))
+            return self._assemble(*self._column_energies_exact(u))
+        return self._assemble(*self._column_energies_shots(u))
 
     def optimize(self, maxiter: int = 200) -> tuple[ThetaParams, EnergyBreakdown]:
         """Minimize the total electronic energy over the rotation angles."""
@@ -474,10 +482,10 @@ class Estimator:
 
     def measurement_circuits(self, theta: ThetaParams) -> tuple[Circuit, ...]:
         """The measurement rotation of every group at theta, group 0 first."""
-        return self._groups_at(theta.to_matrix())[0]
+        return self._groups_at(expm_antisymmetric(theta.to_matrix()))[0]
 
     def resource_summary(self) -> ResourceSummary:
-        meas, _ = self._groups_at(np.zeros((self.n_qubits, self.n_qubits)))
+        meas, _ = self._groups_at(np.eye(self.n_qubits // 2))
         u_circ = compile_orbital_rotation(np.eye(self.n_qubits))
         ref_depth = 0
         ref_cnots = 0
@@ -534,16 +542,10 @@ def _excited_columns(sector, doubles, omegas) -> np.ndarray:
     return cols
 
 
-def _scatter(values: np.ndarray, rows: np.ndarray, dim: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=values.dtype)
-    v[rows] = values
-    return v
-
-
 def _omp2_energy_and_gradient(h1, eri, eps, theta: ThetaParams) -> tuple[float, np.ndarray]:
     """The exact-mode energy in closed form, and its gradient in theta.
 
-    With U = exp(kappa), kappa the spatial block of theta.to_matrix(), the
+    With U = exp(kappa), kappa = theta.to_matrix(), the
     energy is the Hartree-Fock energy of the integrals rotated by U plus
     sum_ijab (ia|jb)(2(ia|jb) - (ib|ja)) / Delta_ijab over the rotated
     integrals, with the frozen denominators Delta of the spatial orbital
@@ -553,7 +555,7 @@ def _omp2_energy_and_gradient(h1, eri, eps, theta: ThetaParams) -> tuple[float, 
     pulled back to kappa through the adjoint Frechet derivative of exp.
     """
     n_occ = theta.n_electrons // 2
-    kappa = theta.to_matrix()[0::2, 0::2]
+    kappa = theta.to_matrix()
     u = expm_antisymmetric(kappa)
     occ, virt = u[:, :n_occ], u[:, n_occ:]
 

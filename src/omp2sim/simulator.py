@@ -12,6 +12,8 @@ beta-string amplitudes, the approach of the Fermionic Quantum Emulator
 stays real: float64 in, float64 out.
 `apply_circuit` runs gates on all 2^N complex amplitudes; noisy circuits
 need it, because a Pauli error leaves the sector and Y is not real.
+Noiseless shots stay in the sector, so the estimator draws them over the
+sector rows itself; `run`, `sample` and `postselect` serve the noisy path.
 
 Noise is a stochastic Pauli trajectory model: after each gate, with
 probability p1 (one-qubit) or p2 (two-qubit), a uniformly random
@@ -24,9 +26,9 @@ States and shots are plain arrays: `run` returns the normalized 2^N
 amplitudes, `sample` returns multinomial shot counts indexed like those
 amplitudes, and `postselect` returns the counts with every outcome of
 another electron number zeroed, so the kept fraction is kept shots over
-all shots.  Every stochastic routine draws from a generator derived from
-(seed, stream key) so counts are bit-reproducible regardless of
-execution order.
+all shots.  Every stochastic routine takes its generator or seed from the
+caller, and every generator derives from (seed, stream key), so counts
+are bit-reproducible regardless of execution order.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def default_seed() -> int:
+    """The CLI's seed when --seed is not given: OMP2SIM_SEED, else 1."""
     text = os.environ.get(SEED_ENV_VAR, "1")
     if not text.strip().isdecimal():
         raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {text!r}")
@@ -333,7 +336,8 @@ def sample(
     amplitudes: np.ndarray,
     shots: int,
     noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Shot counts per basis state, indexed like amplitudes (one vector of 2^N)."""
     if shots < 1:
@@ -345,8 +349,6 @@ def sample(
     probs /= probs.sum()
     if noise is not None and noise.p_readout > 0.0:
         probs = _readout_distribution(probs, n_qubits, noise.p_readout)
-    if rng is None:
-        rng = rng_stream(default_seed())
     return rng.multinomial(shots, probs)
 
 
@@ -380,7 +382,8 @@ def trajectory_fidelity(
     noise: NoiseModel,
     n_traj: int,
     postselect_n: int | None = None,
-    seed: int | None = None,
+    *,
+    seed: int,
 ) -> FidelityEstimate:
     """Mean overlap of noisy trajectories of c with the ideal amplitudes.
 
@@ -389,7 +392,6 @@ def trajectory_fidelity(
     """
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
-    base_seed = default_seed() if seed is None else seed
     raw = np.empty(n_traj)
     if postselect_n is not None:
         mask = hamming_weights(c.n_qubits) == postselect_n
@@ -400,7 +402,7 @@ def trajectory_fidelity(
         ps = np.empty(n_traj)
         kept = np.empty(n_traj)
     for t in range(n_traj):
-        state = run(c, noise, rng_stream(base_seed, 0xF1D, t))
+        state = run(c, noise, rng_stream(seed, 0xF1D, t))
         raw[t] = abs(np.vdot(ideal, state)) ** 2
         if postselect_n is not None:
             proj = state * mask

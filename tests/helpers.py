@@ -67,5 +67,15 @@ def dense_group_operator(g, n: int) -> np.ndarray:
     return op
 
 
+def group_expectation_coefficients(g):
+    """b -> sum_p d_p b_p + sum_pq d_pq b_p b_q over one occupation array."""
+
+    def coeff(occ: np.ndarray) -> float:
+        occ = np.asarray(occ, dtype=float)
+        return float(g.linear @ occ + occ @ g.quadratic @ occ)
+
+    return coeff
+
+
 def operator_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))

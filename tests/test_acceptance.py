@@ -132,11 +132,11 @@ def test_criterion_3_factorization_fidelity(refs):
         mi, _ = load_point(refs, mol, midpoints[mol])
         si = spin_orbitalize(mi)
         eps = orbital_energies(si, mi.n_electrons)
-        t_spin, _ = build_perturbation(si, eps, np.zeros((si.n_spin, si.n_spin)))
-        fp = factorize(t_spin, si.eri_spatial, 1e-12)
+        t = build_perturbation(mi.h1, eps[0::2], np.eye(mi.n_spatial))
+        fp = factorize(t, mi.eri, 1e-12)
         counts[mol] = len(fp.groups)
         rebuilt = sum(dense_group_operator(g, si.n_spin) for g in fp.groups)
-        err = operator_norm(rebuilt - dense_perturbation(t_spin, si))
+        err = operator_norm(rebuilt - dense_perturbation(np.kron(t, np.eye(2)), si))
         worst = max(worst, err, fp.reconstruction_error)
     dt = time.time() - t0
     ok = counts == want_groups and worst <= 1e-8

@@ -182,35 +182,30 @@ def test_active_space_validation():
 
 def test_build_perturbation_at_zero():
     mi = parse_fcidump(fixture_path("h2_1.4.fcidump"))
-    si = spin_orbitalize(mi)
-    eps = orbital_energies(si, 2)
-    t, eri = build_perturbation(si, eps, np.zeros((4, 4)))
-    assert np.allclose(t, si.h1s - np.diag(eps))
-    assert eri is si.eri_spatial
+    eps = orbital_energies(spin_orbitalize(mi), 2)[0::2]
+    t = build_perturbation(mi.h1, eps, np.eye(2))
+    assert np.array_equal(t, mi.h1 - np.diag(eps))
 
 
-def test_build_perturbation_rejects_symmetric_theta():
+def test_build_perturbation_rejects_a_bad_rotation():
     mi = parse_fcidump(fixture_path("h2_1.4.fcidump"))
-    si = spin_orbitalize(mi)
-    eps = orbital_energies(si, 2)
-    bad = np.ones((4, 4))
-    with pytest.raises(ValueError):
-        build_perturbation(si, eps, bad)
+    eps = orbital_energies(spin_orbitalize(mi), 2)[0::2]
+    for u, e in ((np.ones((2, 2)), eps), (np.eye(4), eps), (np.eye(2), np.ones(4))):
+        with pytest.raises(ValueError):
+            build_perturbation(mi.h1, e, u)
 
 
 @settings(max_examples=25)
 @given(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
 def test_perturbation_trace_invariant(a, b):
-    # U diag(eps) U^T is a similarity transform, so the trace of T is fixed
-    mi = parse_fcidump(fixture_path("h2_1.4.fcidump"))
-    si = spin_orbitalize(mi)
-    eps = orbital_energies(si, 2)
-    theta = np.zeros((4, 4))
-    theta[0, 2] = theta[1, 3] = a
-    theta[0, 3] = b
-    theta = theta - theta.T
-    t, _ = build_perturbation(si, eps, theta)
-    t0, _ = build_perturbation(si, eps, np.zeros((4, 4)))
+    # u diag(eps) u^T is a similarity transform, so the trace of T is fixed
+    mi = parse_fcidump(fixture_path("h3p_2.4.fcidump"))
+    eps = orbital_energies(spin_orbitalize(mi), 2)[0::2]
+    kappa = np.zeros((3, 3))
+    kappa[0, 1] = a
+    kappa[0, 2] = b
+    t = build_perturbation(mi.h1, eps, expm_antisymmetric(kappa - kappa.T))
+    t0 = build_perturbation(mi.h1, eps, np.eye(3))
     assert abs(np.trace(t) - np.trace(t0)) < 1e-10
 
 

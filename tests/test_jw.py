@@ -8,7 +8,6 @@ from helpers import ladder_ops
 from omp2sim.jw import (
     FermionTerm,
     QubitOperator,
-    apply_number_postselection_projector,
     hamiltonian,
     hamming_weights,
     jw_map,
@@ -92,16 +91,6 @@ def test_hamming_weights():
     assert w[0b1010] == 2
     assert w[0b1111] == 4
     assert w.sum() == 4 * (1 << 3)
-
-
-def test_postselection_projector():
-    n = 3
-    mat = np.ones((8, 8), dtype=complex)
-    proj = apply_number_postselection_projector(mat, 1)
-    keep = hamming_weights(n) == 1
-    assert np.all(proj[~keep, :] == 0)
-    assert np.all(proj[:, ~keep] == 0)
-    assert np.all(proj[np.ix_(keep, keep)] == 1)
 
 
 @settings(deadline=None)

@@ -4,12 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_point
-from helpers import dense_group_operator, dense_perturbation, operator_norm
-from omp2sim.chem import build_perturbation, orbital_energies, spin_orbitalize
+from helpers import (
+    dense_group_operator,
+    dense_perturbation,
+    group_expectation_coefficients,
+    operator_norm,
+)
+from omp2sim.chem import (
+    build_perturbation,
+    expm_antisymmetric,
+    orbital_energies,
+    spin_orbitalize,
+)
 from omp2sim.lowrank import (
     coefficient_vector,
     factorize,
-    group_expectation_coefficients,
     one_body_group,
     spin_lift,
     two_body_groups,
@@ -23,8 +32,8 @@ def _factorized(refs, molecule):
     mi, _ = load_point(refs, molecule, MIDPOINTS[molecule])
     si = spin_orbitalize(mi)
     eps = orbital_energies(si, mi.n_electrons)
-    t, eri = build_perturbation(si, eps, np.zeros((si.n_spin, si.n_spin)))
-    return si, t, eri, factorize(t, eri, 1e-12)
+    t = build_perturbation(mi.h1, eps[0::2], np.eye(mi.n_spatial))
+    return si, t, mi.eri, factorize(t, mi.eri, 1e-12)
 
 
 @pytest.mark.parametrize("molecule", sorted(EXPECTED_GROUPS))
@@ -47,7 +56,7 @@ def test_rotations_are_special_orthogonal(refs, molecule):
 @pytest.mark.parametrize("molecule", sorted(EXPECTED_GROUPS))
 def test_dense_operator_rebuild(refs, molecule):
     si, t, eri, fp = _factorized(refs, molecule)
-    direct = dense_perturbation(t, si)
+    direct = dense_perturbation(np.kron(t, np.eye(2)), si)
     rebuilt = sum(dense_group_operator(g, si.n_spin) for g in fp.groups)
     assert operator_norm(rebuilt - direct) < 1e-8
     assert fp.reconstruction_error <= 1e-8
@@ -56,14 +65,12 @@ def test_dense_operator_rebuild(refs, molecule):
 def test_two_body_groups_ignore_theta(refs):
     mi, _ = load_point(refs, "h2", 1.4)
     si = spin_orbitalize(mi)
-    eps = orbital_energies(si, 2)
-    theta = np.zeros((4, 4))
-    theta[0, 2] = theta[1, 3] = 0.17
-    theta -= theta.T
-    t0, eri = build_perturbation(si, eps, np.zeros((4, 4)))
-    t1, _ = build_perturbation(si, eps, theta)
-    fp0 = factorize(t0, eri, 1e-12)
-    fp1 = factorize(t1, eri, 1e-12)
+    eps = orbital_energies(si, 2)[0::2]
+    u = expm_antisymmetric(np.array([[0.0, 0.17], [-0.17, 0.0]]))
+    t0 = build_perturbation(mi.h1, eps, np.eye(2))
+    t1 = build_perturbation(mi.h1, eps, u)
+    fp0 = factorize(t0, mi.eri, 1e-12)
+    fp1 = factorize(t1, mi.eri, 1e-12)
     assert len(fp1.groups) == len(fp0.groups)
     for g0, g1 in zip(fp0.groups[1:], fp1.groups[1:]):
         assert g1.label == g0.label
@@ -71,7 +78,7 @@ def test_two_body_groups_ignore_theta(refs):
             assert np.array_equal(getattr(g1, name), getattr(g0, name))
     assert not np.allclose(fp1.groups[0].linear, fp0.groups[0].linear)
     rebuilt = sum(dense_group_operator(g, 4) for g in fp1.groups)
-    assert operator_norm(rebuilt - dense_perturbation(t1, si)) < 1e-8
+    assert operator_norm(rebuilt - dense_perturbation(np.kron(t1, np.eye(2)), si)) < 1e-8
 
 
 def test_truncation_records_dropped_weight(refs):
@@ -81,7 +88,7 @@ def test_truncation_records_dropped_weight(refs):
     loose = factorize(t, eri, abs(w)[np.argsort(np.abs(w))][-2] + 1e-9)
     assert len(loose.groups) == 2  # one-body plus the single surviving eigenpair
     assert loose.reconstruction_error > 1e-8
-    direct = dense_perturbation(t, si)
+    direct = dense_perturbation(np.kron(t, np.eye(2)), si)
     rebuilt = sum(dense_group_operator(g, si.n_spin) for g in loose.groups)
     assert operator_norm(rebuilt - direct) > 1e-8
 
@@ -90,7 +97,7 @@ def test_one_body_group_diagonalizes(refs):
     si, t, eri, _ = _factorized(refs, "h3p")
     g0 = one_body_group(t, eri)
     corr = -0.5 * np.einsum("prrq->pq", eri)
-    spatial = t[0::2, 0::2] + corr
+    spatial = t + corr
     back = g0.rotation @ np.diag(g0.linear[0::2]) @ g0.rotation.T
     assert np.abs(back - spatial).max() < 1e-10
     assert np.abs(g0.quadratic).max() == 0.0

@@ -10,7 +10,7 @@ from conftest import load_point
 from omp2sim.chem import MolecularIntegrals, build_perturbation, parse_fcidump
 from helpers import dense_perturbation
 from omp2sim.circuits import Circuit, compile_orbital_rotation, double_excitation, prep_reference
-from omp2sim import omp2
+from omp2sim import omp2, simulator
 from omp2sim.omp2 import (
     EnergyBreakdown,
     Estimator,
@@ -56,10 +56,10 @@ def test_theta_matrix_antisymmetric(n_occ_pairs, n_virt_pairs, data):
     )
     theta = ThetaParams(n_spin, n_electrons, values)
     mat = theta.to_matrix()
-    assert np.allclose(mat, -mat.T)
+    assert mat.shape == (n_spin // 2, n_spin // 2)
+    assert np.array_equal(mat, -mat.T)
     for (p, q), v in zip(theta.pairs, values):
-        assert mat[p - 1, q - 1] == pytest.approx(v)
-        assert mat[p, q] == pytest.approx(v)
+        assert mat[(p - 1) // 2, (q - 1) // 2] == pytest.approx(v)
 
 
 def test_theta_zeros_and_update():
@@ -149,11 +149,11 @@ def test_residual_matches_dense_matrix_element(refs, seed):
     bd = est.mp2_energy(theta)
 
     n = est.n_qubits
-    theta_mat = theta.to_matrix()
-    t_spin, _ = build_perturbation(est.si, est.eps, theta_mat)
-    v_dense = dense_perturbation(t_spin, est.si)
+    u = expm(theta.to_matrix())
+    t = build_perturbation(mi.h1, est.eps[0::2], u)
+    v_dense = dense_perturbation(np.kron(t, np.eye(2)), est.si)
     prep = prep_reference(n, mi.n_electrons)
-    u_circ = compile_orbital_rotation(expm(theta_mat))
+    u_circ = compile_orbital_rotation(np.kron(u, np.eye(2)))
     base = circuit_unitary(prep)[:, 0]
     rotated = circuit_unitary(u_circ)
     ref = rotated @ base
@@ -223,6 +223,18 @@ def test_closed_form_with_every_double_skipped():
     energy, grad = _closed_form(est, theta)
     assert abs(energy - est.mp2_energy(theta).total) <= 1e-12
     assert np.isfinite(grad).all()
+
+
+def test_large_angles_match_the_closed_form():
+    # angles of order 1e5 rad on full-space LiH: both spin channels must
+    # rotate by the one spatial u however much rounding exp(kappa) carries
+    est = Estimator(parse_fcidump(fixture_path("lih_3.1.fcidump")))
+    theta0 = ThetaParams.zeros(est.n_qubits, est.n_electrons)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        theta = theta0.with_values(rng.normal(size=len(theta0.values)) * 1e5)
+        energy, _ = _closed_form(est, theta)
+        assert abs(est.mp2_energy(theta).total - energy) <= 1e-10
 
 
 @pytest.mark.parametrize("molecule,distance", [("h3p", 2.4), ("h4", 2.6)])
@@ -481,11 +493,13 @@ def test_double_excitation_sign_on_the_reference(omega):
 
 
 def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
+    # exact and noiseless shots mode, with and without postselection
     def full_space(*args, **kwargs):
-        raise AssertionError("exact mode must not build full-space states or coefficients")
+        raise AssertionError("noiseless modes must not build 2^N states, counts or coefficients")
 
-    monkeypatch.setattr(omp2, "run", full_space)
-    monkeypatch.setattr(omp2, "coefficient_vector", full_space)
+    for name in ("run", "coefficient_vector", "sample", "postselect"):
+        monkeypatch.setattr(omp2, name, full_space)
+    monkeypatch.setattr(simulator, "hamming_weights", full_space)
     occupations = omp2.occupations
 
     def sector_occupations(n_qubits, states=None):
@@ -507,11 +521,29 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
         return apply_orbital_rotation(u, amplitudes, sector)
 
     monkeypatch.setattr(omp2, "apply_orbital_rotation", sector_apply)
+    rotations = []
+    expm_antisymmetric = omp2.expm_antisymmetric
 
-    est = Estimator(parse_fcidump(fixture_path("lih_3.1.fcidump")))
-    rng = np.random.default_rng(3)
-    est.mp2_energy(_random_theta(est, rng, scale=0.2))
-    assert len(batches) == 1 + est.n_groups
+    def count_expm(kappa):
+        rotations.append(kappa.shape)
+        return expm_antisymmetric(kappa)
+
+    monkeypatch.setattr(omp2, "expm_antisymmetric", count_expm)
+
+    mi = parse_fcidump(fixture_path("lih_3.1.fcidump"))
+    configs = [
+        EstimatorConfig(),
+        EstimatorConfig(mode="shots", shots=200),
+        EstimatorConfig(mode="shots", shots=200, postselect=True),
+    ]
+    for cfg in configs:
+        est = Estimator(mi, cfg)
+        batches.clear()
+        rotations.clear()
+        bd = est.mp2_energy(_random_theta(est, np.random.default_rng(3), scale=0.2))
+        assert len(batches) == 1 + est.n_groups
+        assert rotations == [(6, 6)]  # one spatial rotation per evaluation
+        assert bd.diagnostics["kept_fraction_mean"] == (1.0 if cfg.postselect else None)
     mi, pt = load_point(refs, "h4", 2.6)
     _, bd = Estimator(mi).optimize()
     assert bd.total + mi.e_core == pytest.approx(pt.e_omp2, abs=1e-6)

@@ -158,6 +158,8 @@ def test_sample_rejects_bad_input():
     for bad in (amps[:3], amps.reshape(2, 2), np.zeros(0), np.stack([amps, amps])):
         with pytest.raises(ValueError, match="2\\^N"):
             sample(bad, 10, rng=rng_stream(1))
+    with pytest.raises(TypeError, match="rng"):
+        sample(amps, 10)  # no fallback seed: the caller names the stream
 
 
 def test_sample_is_deterministic_per_stream():
