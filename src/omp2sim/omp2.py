@@ -42,6 +42,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -265,28 +266,27 @@ class Estimator:
         # their numbers come from the exact action of the compiled orbital
         # rotations (apply_orbital_rotation, tested against the gates), so no
         # circuit is compiled for them; the noisy path runs the gates and
-        # keeps full-space coefficients, since its counts leave the sector
+        # takes full-space coefficients, since its counts leave the sector
         self._sector = number_sector(self.n_qubits, self.n_electrons)
         self._sector_occ = occupations(self.n_qubits, self._sector.states)
         self._sector_coeffs = tuple(
             occupation_coefficients(g, self._sector_occ) for g in self._static_groups
         )
-        if self.cfg.noise is not None:
-            self._static_coeffs = tuple(
-                coefficient_vector(g, self.n_qubits) for g in self._static_groups
-            )
 
         # column 0 is the bare reference; then a quarter and a half turn per
-        # double, written straight into the sector rows; the gates that
-        # prepare them serve the noisy path and the depth accounting
+        # double, written straight into the sector rows
+        self._base = _excited_columns(self._sector, self.doubles, _OMEGAS)
+        self.n_evaluations = 0
+
+    @cached_property
+    def _column_gates(self) -> list[tuple]:
+        """The gates that prepare each column: the noisy path and the depth accounting."""
         prep = prep_reference(self.n_qubits, self.n_electrons)
-        self._column_gates = [prep.gates] + [
+        return [prep.gates] + [
             prep.gates + double_excitation(d.i, d.j, d.a, d.b, omega)
             for d in self.doubles
             for omega in _OMEGAS
         ]
-        self._base = _excited_columns(self._sector, self.doubles, _OMEGAS)
-        self.n_evaluations = 0
 
     # -- measurement plumbing ------------------------------------------------
 
@@ -295,13 +295,11 @@ class Estimator:
         return one_body_group(t, self.mi.eri)
 
     def _groups_at(self, u: np.ndarray):
-        """Every group's measurement circuit, and group 0's linear spin vector."""
-        g0 = self._group0(u)
-        meas = tuple(
-            compile_orbital_rotation(np.kron(g.rotation, np.eye(2)).T)
-            for g in (g0, *self._static_groups)
+        """Every group at u, group 0 first, paired with its measurement circuit."""
+        return tuple(
+            (g, compile_orbital_rotation(np.kron(g.rotation, np.eye(2)).T))
+            for g in (self._group0(u), *self._static_groups)
         )
-        return meas, g0.linear
 
     def _sector_groups(self, u: np.ndarray):
         """Yield (coeff, phi) per group: sector coefficients and measured columns."""
@@ -351,11 +349,9 @@ class Estimator:
         cfg = self.cfg
         n_cols = self._base.shape[1]
         if cfg.noise is not None:
-            meas, linear0 = self._groups_at(u)
-            coeff0 = occupations(self.n_qubits) @ linear0
             u_gates = compile_orbital_rotation(np.kron(u, np.eye(2))).gates
-            for l, (meas_c, coeff) in enumerate(zip(meas, (coeff0,) + self._static_coeffs)):
-                yield coeff, (
+            for l, (g, meas_c) in enumerate(self._groups_at(u)):
+                yield coefficient_vector(g, self.n_qubits), (
                     self._noisy_shots(col, l, u_gates + meas_c.gates) for col in range(n_cols)
                 )
             return
@@ -482,10 +478,10 @@ class Estimator:
 
     def measurement_circuits(self, theta: ThetaParams) -> tuple[Circuit, ...]:
         """The measurement rotation of every group at theta, group 0 first."""
-        return self._groups_at(expm_antisymmetric(theta.to_matrix()))[0]
+        return tuple(meas for _, meas in self._groups_at(expm_antisymmetric(theta.to_matrix())))
 
     def resource_summary(self) -> ResourceSummary:
-        meas, _ = self._groups_at(np.eye(self.n_qubits // 2))
+        meas = [m for _, m in self._groups_at(np.eye(self.n_qubits // 2))]
         u_circ = compile_orbital_rotation(np.eye(self.n_qubits))
         ref_depth = 0
         ref_cnots = 0

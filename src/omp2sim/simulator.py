@@ -15,6 +15,11 @@ need it, because a Pauli error leaves the sector and Y is not real.
 Noiseless shots stay in the sector, so the estimator draws them over the
 sector rows itself; `run`, `sample` and `postselect` serve the noisy path.
 
+One kernel does the full-space work: every gate, Pauli error and readout
+flip is one 2x2 matrix on its target qubit under its controls (X for X
+and CNOT, Z on CZ's second qubit, [[c, -s], [s, c]] for RY and MULTI_CRY,
+[[1 - p, p], [p, 1 - p]] for a readout flip on each qubit).
+
 Noise is a stochastic Pauli trajectory model: after each gate, with
 probability p1 (one-qubit) or p2 (two-qubit), a uniformly random
 non-identity Pauli acts on the gate's qubits; measurement flips each
@@ -47,9 +52,6 @@ from .circuits import Circuit, Gate, lower_circuit
 from .jw import hamming_weights
 
 SEED_ENV_VAR = "OMP2SIM_SEED"
-
-_PAULIS_1Q = ("X", "Y", "Z")
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -86,74 +88,50 @@ def default_seed() -> int:
 
 
 # ---------------------------------------------------------------------------
-# gate application on a (2,)*n (+ batch axes) tensor, in place
+# the gate kernel: one 2x2 matrix on a target qubit where every control is 1
+
+# matrices are ((m00, m01), (m10, m11)) tuples of Python numbers
+_X = ((0.0, 1.0), (1.0, 0.0))
+_Z = ((1.0, 0.0), (0.0, -1.0))
+_PAULIS = (_X, ((0.0, -1j), (1j, 0.0)), _Z)  # X, Y, Z
+_H = tuple(tuple(m / math.sqrt(2.0) for m in row) for row in ((1.0, 1.0), (1.0, -1.0)))
+_FIXED_MATRICES = {"X": _X, "CNOT": _X, "CZ": _Z, "H": _H}
 
 
-def _apply_1q(tensor, q, mat):
-    t = np.moveaxis(tensor, q - 1, 0)
-    a0 = t[0].copy()
-    a1 = t[1].copy()
-    t[0] = mat[0, 0] * a0 + mat[0, 1] * a1
-    t[1] = mat[1, 0] * a0 + mat[1, 1] * a1
+def _apply_controlled(tensor, controls, target, mat):
+    """tensor <- mat on qubit target where every qubit in controls is 1, in place.
 
-
-def _apply_pauli(tensor, q, letter):
-    t = np.moveaxis(tensor, q - 1, 0)
-    if letter == "X":
-        tmp = t[0].copy()
-        t[0] = t[1]
-        t[1] = tmp
-    elif letter == "Y":
-        tmp = t[0].copy()
-        t[0] = -1j * t[1]
-        t[1] = 1j * tmp
+    tensor has shape (2,)*N + batch, qubit q on axis q - 1; the two target
+    halves are basic-index views, so nothing is transposed.  Diagonal and
+    anti-diagonal matrices skip their zero terms.
+    """
+    index = [slice(None)] * max((target, *controls)) + [Ellipsis]  # Ellipsis keeps 0-d views
+    for q in controls:
+        index[q - 1] = 1
+    index[target - 1] = 0
+    a0 = tensor[tuple(index)]
+    index[target - 1] = 1
+    a1 = tensor[tuple(index)]
+    (m00, m01), (m10, m11) = mat
+    if m01 == 0 == m10:
+        a0 *= m00
+        a1 *= m11
+    elif m00 == 0 == m11:
+        a0[...], a1[...] = m01 * a1, m10 * a0
     else:
-        t[1] = -t[1]
+        a0[...], a1[...] = m00 * a0 + m01 * a1, m10 * a0 + m11 * a1
 
 
-def _ry_matrix(angle):
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]])
-
-
-_H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-
-
-def _apply_gate(tensor, g: Gate):
-    kind = g.kind
-    if kind == "X":
-        _apply_pauli(tensor, g.qubits[0], "X")
-    elif kind == "H":
-        _apply_1q(tensor, g.qubits[0], _H_MATRIX)
-    elif kind == "RY":
-        _apply_1q(tensor, g.qubits[0], _ry_matrix(g.angle))
-    elif kind == "RZ":
-        half = g.angle / 2.0
-        t = np.moveaxis(tensor, g.qubits[0] - 1, 0)
-        t[0] = t[0] * complex(math.cos(half), -math.sin(half))
-        t[1] = t[1] * complex(math.cos(half), math.sin(half))
-    elif kind == "CNOT":
-        c, tq = g.qubits
-        t = np.moveaxis(tensor, (c - 1, tq - 1), (0, 1))
-        tmp = t[1, 0].copy()
-        t[1, 0] = t[1, 1]
-        t[1, 1] = tmp
-    elif kind == "CZ":
-        a, b = g.qubits
-        t = np.moveaxis(tensor, (a - 1, b - 1), (0, 1))
-        t[1, 1] = -t[1, 1]
-    elif kind == "MULTI_CRY":
-        controls, target = g.controls, g.target
-        axes = tuple(q - 1 for q in (*controls, target))
-        t = np.moveaxis(tensor, axes, range(len(axes)))
-        sub = t[(1,) * len(controls)]
-        c, s = math.cos(g.angle / 2.0), math.sin(g.angle / 2.0)
-        a0 = sub[0].copy()
-        a1 = sub[1].copy()
-        sub[0] = c * a0 - s * a1
-        sub[1] = s * a0 + c * a1
-    else:
-        raise ValueError(f"unknown gate kind {kind}")
+def _gate_matrix(g: Gate):
+    """The 2x2 matrix a gate applies to its last qubit, controlled by the others."""
+    if g.kind in _FIXED_MATRICES:
+        return _FIXED_MATRICES[g.kind]
+    if g.kind not in ("RY", "MULTI_CRY", "RZ"):
+        raise ValueError(f"unknown gate kind {g.kind}")
+    c, s = math.cos(g.angle / 2.0), math.sin(g.angle / 2.0)
+    if g.kind == "RZ":
+        return ((complex(c, -s), 0.0), (0.0, complex(c, s)))
+    return ((c, -s), (s, c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,26 +266,25 @@ def apply_circuit(
 
     With noise, one stochastic Pauli trajectory is produced (rng required).
     """
+    if noise is not None and rng is None:
+        raise ValueError("noisy execution needs an rng")
     batch = amplitudes.shape[1:]
     work = amplitudes.astype(complex).reshape((2,) * c.n_qubits + batch)
-    if noise is None:
-        for g in c.gates:
-            _apply_gate(work, g)
-    else:
-        if rng is None:
-            raise ValueError("noisy execution needs an rng")
-        for g in lower_circuit(c).gates:
-            _apply_gate(work, g)
-            p = noise.p1 if len(g.qubits) == 1 else noise.p2
-            if p > 0.0 and rng.random() < p:
-                if len(g.qubits) == 1:
-                    _apply_pauli(work, g.qubits[0], _PAULIS_1Q[rng.integers(3)])
-                else:
-                    pick = int(rng.integers(15)) + 1  # 1..15 over (P_a, P_b) != (I, I)
-                    pa, pb = divmod(pick, 4)
-                    for q, letter_idx in zip(g.qubits, (pa, pb)):
-                        if letter_idx:
-                            _apply_pauli(work, q, _PAULIS_1Q[letter_idx - 1])
+    gates = c.gates if noise is None else lower_circuit(c).gates
+    for g in gates:
+        _apply_controlled(work, g.qubits[:-1], g.qubits[-1], _gate_matrix(g))
+        if noise is None:
+            continue
+        p = noise.p1 if len(g.qubits) == 1 else noise.p2
+        if p > 0.0 and rng.random() < p:
+            # letter 0 is the identity, 1..3 are X, Y, Z
+            if len(g.qubits) == 1:
+                letters = (int(rng.integers(3)) + 1,)
+            else:
+                letters = divmod(int(rng.integers(15)) + 1, 4)  # (P_a, P_b) != (I, I)
+            for q, letter in zip(g.qubits, letters):
+                if letter:
+                    _apply_controlled(work, (), q, _PAULIS[letter - 1])
     return work.reshape((-1,) + batch)
 
 
@@ -325,10 +302,10 @@ def run(
 
 
 def _readout_distribution(probs: np.ndarray, n_qubits: int, p_flip: float) -> np.ndarray:
-    flip = np.array([[1.0 - p_flip, p_flip], [p_flip, 1.0 - p_flip]])
-    t = probs.reshape((2,) * n_qubits)
-    for q in range(n_qubits):
-        t = np.moveaxis(np.tensordot(flip, t, axes=([1], [q])), 0, q)
+    flip = ((1.0 - p_flip, p_flip), (p_flip, 1.0 - p_flip))
+    t = np.array(probs, dtype=float).reshape((2,) * n_qubits)
+    for q in range(1, n_qubits + 1):
+        _apply_controlled(t, (), q, flip)
     return t.reshape(-1)
 
 

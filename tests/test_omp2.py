@@ -512,6 +512,7 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
         raise AssertionError("exact mode must not compile circuits")
 
     monkeypatch.setattr(omp2, "compile_orbital_rotation", no_compile)
+    monkeypatch.setattr(omp2, "double_excitation", no_compile)
     batches = []
 
     def sector_apply(u, amplitudes, sector):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,15 +12,17 @@ from omp2sim.circuits import (
     compile_orbital_rotation,
     cz,
     h,
+    lower_circuit,
     multi_cry,
     ry,
     rz,
     x,
 )
 from omp2sim.jw import hamming_weights, occupations
-from omp2sim.oracle import circuit_unitary
+from omp2sim.oracle import circuit_unitary, phase_distance
 from omp2sim.simulator import (
     NoiseModel,
+    _readout_distribution,
     apply_circuit,
     apply_orbital_rotation,
     default_seed,
@@ -179,6 +183,18 @@ def test_full_readout_flip():
     assert counts.tolist() == [0] * 7 + [100]
 
 
+@pytest.mark.parametrize("p_flip", [0.0, 0.13, 0.5])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_readout_channel_matches_kron_reference(n, p_flip):
+    probs = np.random.default_rng(n).random(1 << n)
+    probs /= probs.sum()
+    given_probs = probs.copy()
+    flip = np.array([[1.0 - p_flip, p_flip], [p_flip, 1.0 - p_flip]])
+    expected = reduce(np.kron, [flip] * n) @ probs
+    assert np.abs(_readout_distribution(probs, n, p_flip) - expected).max() < 1e-15
+    assert np.array_equal(probs, given_probs)
+
+
 def test_postselect_filters_by_weight():
     counts = np.zeros(16, dtype=np.int64)
     counts[[0b1100, 0b1000, 0b1110]] = (60, 25, 15)
@@ -219,6 +235,46 @@ def test_noise_trajectories_deterministic():
     assert np.array_equal(s1, s2)
     others = [run(c, noise=noise, rng=rng_stream(4, k)) for k in range(1, 20)]
     assert any(not np.array_equal(s1, a) for a in others)
+
+
+_DENSE_PAULIS = (
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0.0, -1j], [1j, 0.0]]),
+    np.diag([1.0, -1.0]),
+)
+
+
+def _dense_pauli(n, q, letter):
+    """Pauli letter (0, 1, 2 = X, Y, Z) on qubit q of n; qubit 1 is the leftmost factor."""
+    factors = [np.eye(2)] * n
+    factors[q - 1] = _DENSE_PAULIS[letter]
+    return reduce(np.kron, factors)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@pytest.mark.parametrize("key", range(4))
+def test_pauli_errors_match_dense_reference(p, key):
+    # replay the trajectory's draws on a second stream of the same key: one
+    # random() per lowered gate and, on a hit, the Pauli on its qubits
+    n = 4
+    c = Circuit(
+        n,
+        (x(1), h(2), cnot(1, 3), cz(2, 4), multi_cry((1, 3), 4, 0.7), ry(2, 0.3), rz(3, 0.4)),
+    )
+    noise = NoiseModel(p1=p, p2=p, p_readout=0.0)
+    draws = rng_stream(11, key)
+    expected = np.zeros(1 << n, dtype=complex)
+    expected[0] = 1.0
+    for g in lower_circuit(c).gates:
+        expected = circuit_unitary(Circuit(n, (g,))) @ expected
+        if draws.random() < p:
+            if len(g.qubits) == 1:
+                expected = _dense_pauli(n, g.qubits[0], int(draws.integers(3))) @ expected
+                continue
+            for q, letter in zip(g.qubits, divmod(int(draws.integers(15)) + 1, 4)):
+                if letter:
+                    expected = _dense_pauli(n, q, letter - 1) @ expected
+    assert phase_distance(expected, run(c, noise, rng_stream(11, key))) < 1e-12
 
 
 def test_noisy_run_requires_rng():
