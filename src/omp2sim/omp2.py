@@ -62,7 +62,6 @@ from .circuits import (
     double_excitation,
     prep_reference,
 )
-from .jw import occupations
 from .lowrank import (
     coefficient_vector,
     occupation_coefficients,
@@ -268,9 +267,8 @@ class Estimator:
         # circuit is compiled for them; the noisy path runs the gates and
         # takes full-space coefficients, since its counts leave the sector
         self._sector = number_sector(self.n_qubits, self.n_electrons)
-        self._sector_occ = occupations(self.n_qubits, self._sector.states)
         self._sector_coeffs = tuple(
-            occupation_coefficients(g, self._sector_occ) for g in self._static_groups
+            occupation_coefficients(g, self._sector.occupations) for g in self._static_groups
         )
 
         # column 0 is the bare reference; then a quarter and a half turn per
@@ -304,7 +302,7 @@ class Estimator:
     def _sector_groups(self, u: np.ndarray):
         """Yield (coeff, phi) per group: sector coefficients and measured columns."""
         g0 = self._group0(u)
-        coeffs = (self._sector_occ @ g0.linear,) + self._sector_coeffs
+        coeffs = (self._sector.occupations @ g0.linear,) + self._sector_coeffs
         psi = apply_orbital_rotation(u, self._base, self._sector)
         for g, coeff in zip((g0, *self._static_groups), coeffs):
             # the measurement circuit is compiled from kron(rotation, I_2).T

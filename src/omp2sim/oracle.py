@@ -1,8 +1,9 @@
 """Independent classical references for validating the circuit pipeline.
 
-Everything here is computed without the statevector simulator or the
-measurement-group machinery: exact diagonalization from the fermionic
-Hamiltonian, the closed-form second-order correlation energy, a dense
+Everything here is computed without the statevector simulator, the
+low-rank groups or the estimator, and with its own enumeration of basis
+states: full CI on the fixed-number sector, built term by term from the
+integrals, the closed-form second-order correlation energy, a dense
 gate-by-gate circuit unitary, and the packaged reference energy tables.
 """
 
@@ -11,12 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import product
 
 import numpy as np
 
 from .chem import ActiveSpaceSpec, SpinIntegrals
 from .circuits import Circuit, Gate
-from .jw import hamiltonian
 
 MAX_DENSE_CIRCUIT_QUBITS = 8
 _ORDERING_SLACK = 1e-10
@@ -113,48 +114,63 @@ def fixture_path(fcidump_name: str):
 # exact diagonalization
 
 
-def _number_block(op, n_qubits: int, n_electrons: int) -> np.ndarray:
-    """Hamiltonian restricted to the fixed particle-number subspace."""
-    dim = 1 << n_qubits
-    idx = np.arange(dim)
-    weights = np.zeros(dim, dtype=np.int64)
-    for q in range(n_qubits):
+def _number_block(si: SpinIntegrals, n_electrons: int) -> np.ndarray:
+    """Hamiltonian on the basis states with n_electrons set bits, straight
+    from the integrals (determinant CI: Knowles and Handy, Chem. Phys. Lett.
+    111, 315 (1984)).
+
+    Every nonzero term h1s[p, q] a+_p a_q and (1/2) h_pqrs a+_p a+_q a_r a_s
+    acts on all those states at once; the ladder operator on qubit p flips
+    bit 2^(N-p) and carries the sign (-1)^(occupied qubits 1 .. p-1), the
+    convention of module jw.  Rows and columns follow the sorted states.
+    """
+    n = si.n_spin
+    idx = np.arange(1 << n)
+    weights = np.zeros(idx.size, dtype=np.int64)
+    for q in range(n):
         weights += (idx >> q) & 1
-    block = np.where(weights == n_electrons)[0]
-    pos = -np.ones(dim, dtype=np.int64)
-    pos[block] = np.arange(block.size)
-    mat = np.zeros((block.size, block.size), dtype=complex)
-    for ps in op.pauli_strings():
-        flip = 0
-        zmask = 0
-        n_y = 0
-        for q, pauli in enumerate(ps.letters, start=1):
-            bit = 1 << (n_qubits - q)
-            if pauli in ("X", "Y"):
-                flip |= bit
-            if pauli in ("Z", "Y"):
-                zmask |= bit
-            if pauli == "Y":
-                n_y += 1
-        rows = block ^ flip
-        keep = pos[rows] >= 0
-        cols_k = block[keep]
-        rows_k = rows[keep]
-        par = np.zeros(cols_k.size, dtype=np.int64)
-        masked = cols_k & zmask
-        for q in range(n_qubits):
-            par += (masked >> q) & 1
-        signs = 1.0 - 2.0 * (par % 2)
-        np.add.at(mat, (pos[rows_k], pos[cols_k]), ps.coefficient * (1j**n_y) * signs)
+    states = np.flatnonzero(weights == n_electrons)
+    pos = np.full(idx.size, -1)
+    pos[states] = np.arange(states.size)
+    mat = np.zeros((states.size, states.size))
+
+    def ladder(term, p: int, create: bool):
+        # term: (columns, basis indices, signs) of the states not yet annihilated
+        cols, x, signs = term
+        bit = 1 << (n - p)
+        keep = ((x & bit) == 0) == create
+        x = x[keep]
+        return cols[keep], x ^ bit, signs[keep] * (1 - 2 * (weights[x >> (n - p + 1)] & 1))
+
+    def add(term, coeff: float):
+        cols, x, signs = term
+        rows = pos[x]
+        if (rows < 0).any():
+            raise ValueError("a Hamiltonian term leaves the number sector")
+        # a ladder product maps distinct states to distinct states
+        mat[rows, cols] += coeff * signs
+
+    spin = range(1, n + 1)
+    identity = (np.arange(states.size), states, np.ones(states.size))
+    for q in spin:
+        lowered = ladder(identity, q, False)
+        for p in spin:
+            if si.h1s[p - 1, q - 1]:
+                add(ladder(lowered, p, True), si.h1s[p - 1, q - 1])
+    for r, s in product(spin, spin):
+        lowered = ladder(ladder(identity, s, False), r, False)
+        for p, q in product(spin, spin):
+            v = si.v2s(p, q, r, s)
+            if v:
+                add(ladder(ladder(lowered, q, True), p, True), 0.5 * v)
     return mat
 
 
 def fci_energy(si: SpinIntegrals, e_core: float, n_electrons: int) -> float:
-    op = hamiltonian(si)
-    mat = _number_block(op, si.n_spin, n_electrons)
-    if np.abs(mat.imag).max() > 1e-10:
-        raise ValueError("number-block Hamiltonian is not real")
-    return float(np.linalg.eigvalsh(mat.real).min()) + e_core
+    mat = _number_block(si, n_electrons)
+    if np.abs(mat - mat.T).max() > 1e-10:
+        raise ValueError("number-block Hamiltonian is not symmetric")
+    return float(np.linalg.eigvalsh(mat).min()) + e_core
 
 
 def hartree_fock_energy(si: SpinIntegrals, e_core: float, n_electrons: int) -> float:
@@ -193,9 +209,10 @@ def canonical_mp2(si: SpinIntegrals, eps: np.ndarray, n_electrons: int) -> float
 
 
 def _dense_gate(g: Gate, n_qubits: int) -> np.ndarray:
+    """Real for every gate but RZ."""
     dim = 1 << n_qubits
     cols = np.arange(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
+    mat = np.zeros((dim, dim), dtype=complex if g.kind == "RZ" else float)
 
     def bit(q: int) -> int:
         return 1 << (n_qubits - q)
@@ -245,7 +262,8 @@ def _dense_gate(g: Gate, n_qubits: int) -> np.ndarray:
 def circuit_unitary(c: Circuit) -> np.ndarray:
     if c.n_qubits > MAX_DENSE_CIRCUIT_QUBITS:
         raise ValueError("dense circuit unitary capped at 8 qubits")
-    u = np.eye(1 << c.n_qubits, dtype=complex)
+    # real until the first RZ: real products are a quarter of the work
+    u = np.eye(1 << c.n_qubits)
     for g in c.gates:
         u = _dense_gate(g, c.n_qubits) @ u
     return u

@@ -49,7 +49,7 @@ from importlib import resources
 import numpy as np
 
 from .circuits import Circuit, Gate, lower_circuit
-from .jw import hamming_weights
+from .jw import hamming_weights, occupations
 
 SEED_ENV_VAR = "OMP2SIM_SEED"
 
@@ -139,7 +139,8 @@ class NumberSector:
     """Basis states of n_qubits with exactly n_electrons set bits.
 
     states holds their sorted basis indices; sector amplitudes are the
-    full-space amplitudes gathered at states.  For even n_qubits, qubit
+    full-space amplitudes gathered at states.  occupations is the 0/1
+    table jw.occupations(n_qubits, states).  For even n_qubits, qubit
     2k - 1 is spin orbital alpha_k and qubit 2k is beta_k, and the sector
     also holds the tables of apply_orbital_rotation:
 
@@ -160,6 +161,7 @@ class NumberSector:
     n_qubits: int
     n_electrons: int
     states: np.ndarray
+    occupations: np.ndarray
     subsets: tuple[np.ndarray, ...] | None = None
     spin_order: np.ndarray | None = None
     spin_signs: np.ndarray | None = None
@@ -179,9 +181,11 @@ def number_sector(n_qubits: int, n_electrons: int) -> NumberSector:
         ),
         dtype=np.intp,
     )
-    states.setflags(write=False)
+    occ = occupations(n_qubits, states)  # column p - 1 is qubit p
+    for a in (states, occ):
+        a.setflags(write=False)
     if n_qubits % 2:
-        return NumberSector(n_qubits, n_electrons, states)
+        return NumberSector(n_qubits, n_electrons, states, occ)
     n_orb = n_qubits // 2
     subsets = tuple(
         np.array(list(combinations(range(n_orb), k)), dtype=np.intp).reshape(-1, k)
@@ -192,7 +196,6 @@ def number_sector(n_qubits: int, n_electrons: int) -> NumberSector:
     rank = np.empty(1 << n_orb, dtype=np.intp)
     for rows in subsets:
         rank[(1 << rows).sum(axis=1)] = np.arange(len(rows))
-    occ = (states[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1  # column p - 1 is qubit p
     occ_a, occ_b = occ[:, 0::2], occ[:, 1::2]
     weights = 1 << np.arange(n_orb)
     spin_order = np.lexsort((rank[occ_b @ weights], rank[occ_a @ weights], occ_a.sum(axis=1)))
@@ -200,7 +203,7 @@ def number_sector(n_qubits: int, n_electrons: int) -> NumberSector:
     spin_signs = 1.0 - 2.0 * ((occ_b * later_a).sum(axis=1) % 2)
     for a in (*subsets, spin_order, spin_signs):
         a.setflags(write=False)
-    return NumberSector(n_qubits, n_electrons, states, subsets, spin_order, spin_signs)
+    return NumberSector(n_qubits, n_electrons, states, occ, subsets, spin_order, spin_signs)
 
 
 def _exterior_power(u: np.ndarray, rows: np.ndarray) -> np.ndarray:

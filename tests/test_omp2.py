@@ -500,13 +500,15 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
     for name in ("run", "coefficient_vector", "sample", "postselect"):
         monkeypatch.setattr(omp2, name, full_space)
     monkeypatch.setattr(simulator, "hamming_weights", full_space)
-    occupations = omp2.occupations
+    occupations = simulator.occupations
 
     def sector_occupations(n_qubits, states=None):
         assert states is not None, "exact mode must not tabulate all 2^N occupations"
         return occupations(n_qubits, states)
 
-    monkeypatch.setattr(omp2, "occupations", sector_occupations)
+    # the estimator reads the occupation table of the cached sector
+    monkeypatch.setattr(simulator, "occupations", sector_occupations)
+    simulator.number_sector.cache_clear()
 
     def no_compile(*args, **kwargs):
         raise AssertionError("exact mode must not compile circuits")

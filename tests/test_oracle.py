@@ -6,8 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import load_point
+from helpers import dense_perturbation
+from omp2sim import oracle
 from omp2sim.chem import orbital_energies, spin_orbitalize
 from omp2sim.circuits import Circuit, cnot, cz, h, multi_cry, rz, x
+from omp2sim.jw import hamming_weights
 from omp2sim.oracle import (
     ReferenceValues,
     canonical_mp2,
@@ -84,6 +87,19 @@ def test_fci_matches_reference_midpoints(refs, molecule, distance):
     mi, pt = load_point(refs, molecule, distance)
     si = spin_orbitalize(mi)
     assert fci_energy(si, mi.e_core, mi.n_electrons) == pytest.approx(pt.e_fci, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "molecule,distance", [("h2", 1.4), ("h3p", 2.4), ("lih", 3.1), ("h4", 1.8)]
+)
+def test_number_block_matches_dense_reference(refs, molecule, distance):
+    mi, _ = load_point(refs, molecule, distance)
+    si = spin_orbitalize(mi)
+    block = oracle._number_block(si, mi.n_electrons)
+    states = np.flatnonzero(hamming_weights(si.n_spin) == mi.n_electrons)
+    dense = dense_perturbation(si.h1s, si)[np.ix_(states, states)]
+    assert np.abs(block - dense).max() < 1e-12
+    assert np.abs(block - block.T).max() < 1e-12
 
 
 def test_unitary_hand_checks():

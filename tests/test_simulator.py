@@ -126,9 +126,11 @@ def test_sector_kernel_keeps_real_amplitudes_real(n, data):
 @pytest.mark.parametrize("n", [1, 4, 7, 10])
 def test_number_sector_holds_every_state_of_its_weight(n):
     for n_electrons in range(n + 2):
-        states = number_sector(n, n_electrons).states
+        sector = number_sector(n, n_electrons)
+        states = sector.states
         assert np.array_equal(states, np.flatnonzero(hamming_weights(n) == n_electrons))
-        assert np.array_equal(occupations(n, states), occupations(n)[states])
+        assert np.array_equal(sector.occupations, occupations(n)[states])
+        assert not sector.occupations.flags.writeable
 
 
 def test_orbital_rotation_rejects_bad_input():
