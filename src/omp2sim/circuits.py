@@ -202,6 +202,10 @@ def lower_multi_cry(gate: Gate) -> list[Gate]:
 
 
 def lower_circuit(c: Circuit) -> Circuit:
+    """c with every multi-controlled MULTI_CRY lowered; c itself if it has none."""
+    # only a MULTI_CRY with two or more controls has more than two operands
+    if all(len(g.qubits) <= 2 for g in c.gates):
+        return c
     gates = []
     for g in c.gates:
         gates.extend(lower_multi_cry(g))

@@ -22,7 +22,6 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -115,11 +114,7 @@ def _estimator_config(args, **fixed) -> EstimatorConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _energy_row(est: Estimator, mol, dist, ref_pt, preset: str | None, optimize=True):
-    if optimize:
-        _, bd = est.optimize()
-    else:
-        bd = est.mp2_energy(ThetaParams.zeros(est.n_qubits, est.n_electrons))
+def _energy_row(est: Estimator, bd, mol, dist, ref_pt, preset: str | None):
     cfg = est.cfg
     return {
         "molecule": mol or "unknown",
@@ -135,7 +130,7 @@ def _energy_row(est: Estimator, mol, dist, ref_pt, preset: str | None, optimize=
         "variance": bd.variance,
         "shots": cfg.shots if cfg.mode == "shots" else 0,
         "noise_preset": preset or "",
-        "postselected": cfg.postselect,
+        "postselected": bd.diagnostics.get("kept_fraction_mean") is not None,
         "kept_fraction_mean": bd.diagnostics.get("kept_fraction_mean"),
         "status": "ok" if bd.diagnostics.get("converged", True) else "no_convergence",
     }
@@ -173,7 +168,8 @@ def _write(text: str, out: str | None):
 def cmd_energy(args) -> int:
     cfg = _estimator_config(args)
     mi, mol, dist, ref_pt = _load_problem(Path(args.fixture), ReferenceValues.load())
-    row = _energy_row(Estimator(mi, cfg), mol, dist, ref_pt, args.noise)
+    est = Estimator(mi, cfg)
+    row = _energy_row(est, est.optimize()[1], mol, dist, ref_pt, args.noise)
     _write(_emit([row], args.format), args.out)
     return EXIT_OK if row["status"] == "ok" else EXIT_CONVERGENCE
 
@@ -189,10 +185,10 @@ def cmd_curve(args) -> int:
         raise FixtureProblem(f"no fixtures in {args.fixture_dir}")
     # every fixture is checked before any is optimized, so a bad file costs no work
     problems = [_load_problem(path, refs) for path in paths]
-    rows = [
-        _energy_row(Estimator(mi, cfg), mol, dist, ref_pt, args.noise)
-        for mi, mol, dist, ref_pt in problems
-    ]
+    rows = []
+    for mi, mol, dist, ref_pt in problems:
+        est = Estimator(mi, cfg)
+        rows.append(_energy_row(est, est.optimize()[1], mol, dist, ref_pt, args.noise))
     rows.sort(key=lambda r: (r["molecule"], r["distance_bohr"]))
     _write(_emit(rows, args.format), args.out)
     if any(r["status"] != "ok" for r in rows):
@@ -228,16 +224,17 @@ def cmd_resources(args) -> int:
 
 
 def cmd_noise_study(args) -> int:
-    # noise-study always runs in shots mode, whatever --mode says
-    cfg = _estimator_config(args, mode="shots", trajectories=args.trajectories)
+    # noise-study always runs in shots mode, whatever --mode says; the raw
+    # row reads the same draws as the postselected one, before the discard
+    cfg = _estimator_config(args, mode="shots", postselect=True, trajectories=args.trajectories)
     mi, mol, dist, ref_pt = _load_problem(Path(args.fixture), ReferenceValues.load())
-    rows = []
-    for ps in (False, True):
-        est = Estimator(mi, replace(cfg, postselect=ps))
-        rows.append(_energy_row(est, mol, dist, ref_pt, args.noise, optimize=False))
+    est = Estimator(mi, cfg)
+    bd = est.mp2_energy(ThetaParams.zeros(est.n_qubits, est.n_electrons))
+    rows = [
+        _energy_row(est, b, mol, dist, ref_pt, args.noise) for b in (bd.diagnostics["raw"], bd)
+    ]
     extra = None
-    # CSV has no place for the fidelity block, so only JSON computes it; its
-    # theta = 0 circuit is the same whichever row's estimator builds it
+    # CSV has no place for the fidelity block, so only JSON computes it
     if cfg.noise is not None and args.format == "json":
         extra = {"fidelity": _reference_fidelity(est)}
     _write(_emit(rows, args.format, extra=extra), args.out)
@@ -251,10 +248,8 @@ def _reference_fidelity(est: Estimator):
     u_circ = compile_orbital_rotation(np.eye(n))
     meas = est.measurement_circuits(ThetaParams.zeros(n, est.n_electrons))
     circuit = Circuit(n, prep_reference(n, est.n_electrons).gates + u_circ.gates + meas[0].gates)
-    ideal = run(circuit)
-    raw = trajectory_fidelity(ideal, circuit, cfg.noise, cfg.trajectories, seed=cfg.seed)
-    ps = trajectory_fidelity(
-        ideal, circuit, cfg.noise, cfg.trajectories, postselect_n=est.n_electrons, seed=cfg.seed
+    raw, ps = trajectory_fidelity(
+        run(circuit), circuit, cfg.noise, cfg.trajectories, est.n_electrons, seed=cfg.seed
     )
     return {
         "raw": {"fidelity": raw.fidelity, "stderr": raw.stderr},

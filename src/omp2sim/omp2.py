@@ -23,7 +23,10 @@ pinned to the gate kernel on the compiled circuits by the test suite),
 so those paths compile no circuit; noiseless shots are drawn over the
 sector rows, where all of their outcomes lie.  The gates themselves are
 run only on the noisy path, which alone holds 2^N amplitudes, counts and
-coefficients, and they back the depth and resource accounting.
+coefficients, and they back the depth and resource accounting.  Postselection
+discards outcomes of the counts already drawn: each count array is summed
+raw, then again over its kept outcomes, and the raw estimate of those same
+draws is kept in diagnostics["raw"].
 
 Exact mode minimizes with the package's own L-BFGS (`_lbfgs`).  Its
 gradient is the analytic OMP2 orbital gradient of the operator the circuits
@@ -60,6 +63,7 @@ from .circuits import (
     cnot_depth,
     compile_orbital_rotation,
     double_excitation,
+    lower_circuit,
     prep_reference,
 )
 from .lowrank import (
@@ -293,18 +297,15 @@ class Estimator:
         return one_body_group(t, self.mi.eri)
 
     def _groups_at(self, u: np.ndarray):
-        """Every group at u, group 0 first, paired with its measurement circuit."""
-        return tuple(
-            (g, compile_orbital_rotation(np.kron(g.rotation, np.eye(2)).T))
-            for g in (self._group0(u), *self._static_groups)
-        )
+        """Every group at u, group 0 first."""
+        return (self._group0(u), *self._static_groups)
 
     def _sector_groups(self, u: np.ndarray):
         """Yield (coeff, phi) per group: sector coefficients and measured columns."""
-        g0 = self._group0(u)
-        coeffs = (self._sector.occupations @ g0.linear,) + self._sector_coeffs
+        groups = self._groups_at(u)
+        coeffs = (self._sector.occupations @ groups[0].linear,) + self._sector_coeffs
         psi = apply_orbital_rotation(u, self._base, self._sector)
-        for g, coeff in zip((g0, *self._static_groups), coeffs):
+        for g, coeff in zip(groups, coeffs):
             # the measurement circuit is compiled from kron(rotation, I_2).T
             yield coeff, apply_orbital_rotation(g.rotation.T, psi, self._sector)
 
@@ -314,29 +315,33 @@ class Estimator:
             # einsum sums each column in row order without BLAS, so the
             # rounding does not depend on the BLAS build or its threads
             e_cols += np.einsum("i,ij->j", coeff, np.abs(phi) ** 2)
-        return e_cols, np.zeros_like(e_cols), None
+        return e_cols, np.zeros_like(e_cols)
 
     def _column_energies_shots(self, u: np.ndarray):
+        """(energies, variances) per column of the raw counts, and (energies,
+        variances, mean kept fraction) of the kept ones if postselecting, else
+        None: postselection discards outcomes of the same draws."""
         cfg = self.cfg
         n_cols = self._base.shape[1]
-        e_cols = np.zeros(n_cols)
-        var_cols = np.zeros(n_cols)
+        raw = np.zeros((2, n_cols))
+        kept_sums = np.zeros((2, n_cols))
         kept_fractions = []
         for l, (coeff, column_counts) in enumerate(self._shot_counts(u)):
             for col, counts in enumerate(column_counts):
-                if cfg.postselect:
-                    kept = int(counts.sum())
-                    kept_fractions.append(kept / cfg.shots)
-                    if not kept:
-                        raise RejectedShotsError(
-                            f"postselection rejected all {cfg.shots} shots of circuit "
-                            f"column {col} in measurement group {l}"
-                        )
-                e, v = expectation_with_variance(counts, coeff)
-                e_cols[col] += e
-                var_cols[col] += v
-        kept_mean = float(np.mean(kept_fractions)) if kept_fractions else None
-        return e_cols, var_cols, kept_mean
+                raw[:, col] += expectation_with_variance(counts, coeff)
+                if not cfg.postselect:
+                    continue
+                if cfg.noise is not None:  # noiseless counts never leave the sector
+                    counts = postselect(counts, self.n_electrons)
+                kept = int(counts.sum())
+                kept_fractions.append(kept / cfg.shots)
+                if not kept:
+                    raise RejectedShotsError(
+                        f"postselection rejected all {cfg.shots} shots of circuit "
+                        f"column {col} in measurement group {l}"
+                    )
+                kept_sums[:, col] += expectation_with_variance(counts, coeff)
+        return raw, ((*kept_sums, float(np.mean(kept_fractions))) if cfg.postselect else None)
 
     def _shot_counts(self, u: np.ndarray):
         """Yield, per group, its coefficients and one count array per column.
@@ -348,9 +353,10 @@ class Estimator:
         n_cols = self._base.shape[1]
         if cfg.noise is not None:
             u_gates = compile_orbital_rotation(np.kron(u, np.eye(2))).gates
-            for l, (g, meas_c) in enumerate(self._groups_at(u)):
+            for l, g in enumerate(self._groups_at(u)):
+                suffix = u_gates + _measurement_circuit(g).gates
                 yield coefficient_vector(g, self.n_qubits), (
-                    self._noisy_shots(col, l, u_gates + meas_c.gates) for col in range(n_cols)
+                    self._noisy_shots(col, l, suffix) for col in range(n_cols)
                 )
             return
         for l, (coeff, phi) in enumerate(self._sector_groups(u)):
@@ -362,10 +368,10 @@ class Estimator:
             )
 
     def _noisy_shots(self, col: int, l: int, suffix: tuple) -> np.ndarray:
-        """cfg.shots split over trajectories, each run and sampled on its own
-        stream, with the counts of another electron number zeroed if postselecting."""
+        """Raw counts: cfg.shots split over trajectories, each run and sampled on its own stream."""
         cfg = self.cfg
-        full = Circuit(self.n_qubits, self._column_gates[col] + suffix)
+        # lowered once here, so run's own lowering only scans the gates
+        full = lower_circuit(Circuit(self.n_qubits, self._column_gates[col] + suffix))
         per = np.full(cfg.trajectories, cfg.shots // cfg.trajectories)
         per[: cfg.shots % cfg.trajectories] += 1
         counts = np.zeros(1 << self.n_qubits, dtype=np.int64)
@@ -373,9 +379,9 @@ class Estimator:
             rng = rng_stream(cfg.seed, _STREAM_TRAJECTORY, col, l, t)
             state = run(full, noise=cfg.noise, rng=rng)
             counts += sample(state, int(per[t]), noise=cfg.noise, rng=rng)
-        return postselect(counts, self.n_electrons) if cfg.postselect else counts
+        return counts
 
-    def _assemble(self, e_cols, var_cols, kept_mean) -> EnergyBreakdown:
+    def _assemble(self, e_cols, var_cols, kept_mean=None) -> EnergyBreakdown:
         e1 = float(e_cols[0])
         var_e1 = float(var_cols[0])
         e2 = 0.0
@@ -406,12 +412,19 @@ class Estimator:
     # -- public interface ----------------------------------------------------
 
     def mp2_energy(self, theta: ThetaParams) -> EnergyBreakdown:
-        """E0 + E1 + E2 (electronic part; add mi.e_core for the total energy)."""
+        """E0 + E1 + E2 (electronic part; add mi.e_core for the total energy).
+
+        Postselecting, it is the kept shots' estimate; diagnostics["raw"] is all shots'.
+        """
         self.n_evaluations += 1
         u = expm_antisymmetric(theta.to_matrix())
         if self.cfg.mode == "exact":
             return self._assemble(*self._column_energies_exact(u))
-        return self._assemble(*self._column_energies_shots(u))
+        raw, kept = self._column_energies_shots(u)
+        bd = self._assemble(*(kept or raw))
+        if kept is not None:
+            bd.diagnostics["raw"] = self._assemble(*raw)
+        return bd
 
     def optimize(self, maxiter: int = 200) -> tuple[ThetaParams, EnergyBreakdown]:
         """Minimize the total electronic energy over the rotation angles."""
@@ -476,40 +489,33 @@ class Estimator:
 
     def measurement_circuits(self, theta: ThetaParams) -> tuple[Circuit, ...]:
         """The measurement rotation of every group at theta, group 0 first."""
-        return tuple(meas for _, meas in self._groups_at(expm_antisymmetric(theta.to_matrix())))
+        u = expm_antisymmetric(theta.to_matrix())
+        return tuple(_measurement_circuit(g) for g in self._groups_at(u))
 
     def resource_summary(self) -> ResourceSummary:
-        meas = [m for _, m in self._groups_at(np.eye(self.n_qubits // 2))]
-        u_circ = compile_orbital_rotation(np.eye(self.n_qubits))
-        ref_depth = 0
-        ref_cnots = 0
-        for meas_c in meas:
-            rep = cnot_depth(Circuit(self.n_qubits, self._column_gates[0] + u_circ.gates + meas_c.gates))
-            ref_depth = max(ref_depth, rep.cnot_depth)
-            ref_cnots = max(ref_cnots, rep.cnot_count)
-        res_depth = 0
-        res_cnots = 0
-        for k in range(len(self.doubles)):
-            rep = cnot_depth(
-                Circuit(
-                    self.n_qubits,
-                    self._column_gates[1 + 2 * k] + u_circ.gates + meas[0].gates,
-                )
-            )
-            res_depth = max(res_depth, rep.cnot_depth)
-            res_cnots = max(res_cnots, rep.cnot_count)
-        n_cols = 1 + 2 * len(self.doubles)
+        # every measurement circuit has the same gates, all Givens slots
+        # emitted, and only their angles differ: group 0 stands for them all
+        meas = _measurement_circuit(self._group0(np.eye(self.n_qubits // 2)))
+        suffix = compile_orbital_rotation(np.eye(self.n_qubits)).gates + meas.gates
+        ref = cnot_depth(Circuit(self.n_qubits, self._column_gates[0] + suffix))
+        # one column per double: its quarter and half turn differ only in angle
+        res = [cnot_depth(Circuit(self.n_qubits, c + suffix)) for c in self._column_gates[1::2]]
         return ResourceSummary(
             n_qubits=self.n_qubits,
             n_parameters=len(self.pairs),
             n_doubles=len(self.doubles),
             n_groups=self.n_groups,
-            circuits_per_evaluation=n_cols * self.n_groups,
-            reference_depth=ref_depth,
-            residual_depth_max=res_depth,
-            cnot_count_reference=ref_cnots,
-            cnot_count_residual_max=res_cnots,
+            circuits_per_evaluation=self._base.shape[1] * self.n_groups,
+            reference_depth=ref.cnot_depth,
+            residual_depth_max=max((r.cnot_depth for r in res), default=0),
+            cnot_count_reference=ref.cnot_count,
+            cnot_count_residual_max=max((r.cnot_count for r in res), default=0),
         )
+
+
+def _measurement_circuit(g) -> Circuit:
+    """The rotation that diagonalizes group g, compiled from kron(rotation, I_2).T."""
+    return compile_orbital_rotation(np.kron(g.rotation, np.eye(2)).T)
 
 
 def _excited_columns(sector, doubles, omegas) -> np.ndarray:

@@ -31,9 +31,11 @@ States and shots are plain arrays: `run` returns the normalized 2^N
 amplitudes, `sample` returns multinomial shot counts indexed like those
 amplitudes, and `postselect` returns the counts with every outcome of
 another electron number zeroed, so the kept fraction is kept shots over
-all shots.  Every stochastic routine takes its generator or seed from the
-caller, and every generator derives from (seed, stream key), so counts
-are bit-reproducible regardless of execution order.
+all shots.  Postselection reads what was drawn and runs nothing again:
+`trajectory_fidelity` gives the raw and the postselected fidelity of one
+set of trajectories.  Every stochastic routine takes its generator or
+seed from the caller, and every generator derives from (seed, stream
+key), so counts are bit-reproducible regardless of execution order.
 """
 
 from __future__ import annotations
@@ -361,51 +363,42 @@ def trajectory_fidelity(
     c: Circuit,
     noise: NoiseModel,
     n_traj: int,
-    postselect_n: int | None = None,
+    n_electrons: int,
     *,
     seed: int,
-) -> FidelityEstimate:
-    """Mean overlap of noisy trajectories of c with the ideal amplitudes.
+) -> tuple[FidelityEstimate, FidelityEstimate]:
+    """(raw, postselected) mean overlap of noisy trajectories of c with the
+    ideal amplitudes, both from the same trajectories.
 
-    Post-selected overlaps project both states on the electron-number
-    subspace, renormalize, and weight by the trajectory's kept norm.
+    Post-selected overlaps project both states on the n_electrons subspace,
+    renormalize, and weight by the trajectory's kept norm.
     """
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
-    raw = np.empty(n_traj)
-    if postselect_n is not None:
-        mask = hamming_weights(c.n_qubits) == postselect_n
-        ideal_p = ideal * mask
-        ideal_norm = np.linalg.norm(ideal_p)
-        if ideal_norm > 0:
-            ideal_p = ideal_p / ideal_norm
-        ps = np.empty(n_traj)
-        kept = np.empty(n_traj)
+    mask = hamming_weights(c.n_qubits) == n_electrons
+    ideal_p = ideal * mask
+    ideal_norm = np.linalg.norm(ideal_p)
+    if ideal_norm > 0:
+        ideal_p = ideal_p / ideal_norm
+    raw, ps, kept = np.empty((3, n_traj))
     for t in range(n_traj):
         state = run(c, noise, rng_stream(seed, 0xF1D, t))
         raw[t] = abs(np.vdot(ideal, state)) ** 2
-        if postselect_n is not None:
-            proj = state * mask
-            w = float(np.linalg.norm(proj) ** 2)
-            kept[t] = w
-            ps[t] = abs(np.vdot(ideal_p, proj / math.sqrt(w))) ** 2 if w > 0 else 0.0
-    if postselect_n is None:
-        return FidelityEstimate(
-            fidelity=float(raw.mean()),
-            stderr=float(raw.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0,
-            n_trajectories=n_traj,
-        )
+        proj = state * mask
+        kept[t] = w = float(np.linalg.norm(proj) ** 2)
+        ps[t] = abs(np.vdot(ideal_p, proj / math.sqrt(w))) ** 2 if w > 0 else 0.0
+    raw_estimate = FidelityEstimate(
+        fidelity=float(raw.mean()),
+        stderr=float(raw.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0,
+        n_trajectories=n_traj,
+    )
     total_kept = kept.sum()
     fid = float(np.dot(kept, ps) / total_kept) if total_kept > 0 else 0.0
-    # delta-method error of the kept-weighted mean
+    stderr = 0.0  # delta-method error of the kept-weighted mean
     if n_traj > 1 and total_kept > 0:
-        resid = ps - fid
-        stderr = float(
-            np.linalg.norm(kept * resid) / total_kept * math.sqrt(n_traj / (n_traj - 1))
-        )
-    else:
-        stderr = 0.0
-    return FidelityEstimate(
+        norm = np.linalg.norm(kept * (ps - fid))
+        stderr = float(norm / total_kept * math.sqrt(n_traj / (n_traj - 1)))
+    return raw_estimate, FidelityEstimate(
         fidelity=fid,
         stderr=stderr,
         n_trajectories=n_traj,

@@ -255,8 +255,7 @@ def test_criterion_7_noise_postselection(refs):
     results = {}
     for label, circ in (("A", set_a), ("B", deepest)):
         ideal = run(circ)
-        raw = trajectory_fidelity(ideal, circ, noise, n_traj, seed=1)
-        ps = trajectory_fidelity(ideal, circ, noise, n_traj, postselect_n=mi.n_electrons, seed=1)
+        raw, ps = trajectory_fidelity(ideal, circ, noise, n_traj, mi.n_electrons, seed=1)
         results[label] = (raw, ps)
     sided_ok = True
     for label, (raw, ps) in results.items():

@@ -110,6 +110,9 @@ def test_lower_multi_cry_equivalence():
             assert gate.kind in ("CNOT", "MULTI_CRY")
             if gate.kind == "MULTI_CRY":
                 assert len(gate.controls) == 1
+        # a circuit with nothing left to lower comes back as itself
+        assert lower_circuit(lowered) is lowered
+        assert (lowered is c) == (n_ctrl == 1)
 
 
 def test_lower_multi_cry_depth():

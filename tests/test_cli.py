@@ -327,9 +327,10 @@ def test_noise_study_does_its_work_once(tmp_path, monkeypatch):
             "--shots", "200", "--trajectories", "2")
     assert run_cli(*argv, "--out", str(tmp_path / "a.csv")) == EXIT_OK
     # CSV has no fidelity block, so no fidelity trajectories run
-    assert calls == {"parse_fcidump": 1, "Estimator": 2, "trajectory_fidelity": 0}
+    assert calls == {"parse_fcidump": 1, "Estimator": 1, "trajectory_fidelity": 0}
     assert run_cli(*argv, "--format", "json", "--out", str(tmp_path / "a.json")) == EXIT_OK
-    assert calls == {"parse_fcidump": 2, "Estimator": 4, "trajectory_fidelity": 2}
+    # one estimator gives both rows, one fidelity pass both fidelity blocks
+    assert calls == {"parse_fcidump": 2, "Estimator": 2, "trajectory_fidelity": 1}
 
 
 def test_all_shots_rejected_is_no_estimate(capsys):

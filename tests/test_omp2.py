@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from omp2sim.simulator import (
     NoiseModel,
     apply_circuit,
     apply_orbital_rotation,
+    load_noise_presets,
     number_sector,
     run,
 )
@@ -441,6 +444,36 @@ def test_noisy_postselection_discards_shots(refs):
     )
     bd = Estimator(mi, cfg).mp2_energy(ThetaParams.zeros(4, mi.n_electrons))
     assert 0.0 < bd.diagnostics["kept_fraction_mean"] < 1.0
+
+
+@pytest.mark.parametrize("noisy", [True, False])
+def test_postselection_reads_the_raw_draws(refs, noisy):
+    # the raw breakdown of a postselecting estimator is the breakdown of one
+    # that does not postselect: the same draws, before the discard
+    if noisy:
+        mi, _ = load_point(refs, "h2", 1.4)
+        noise = load_noise_presets()["ibm_lima"]
+        cfg = EstimatorConfig(mode="shots", shots=400, seed=5, noise=noise, trajectories=4)
+    else:
+        mi = parse_fcidump(fixture_path("lih_3.1.fcidump"))
+        cfg = EstimatorConfig(mode="shots", shots=400, seed=5)
+    theta = ThetaParams.zeros(2 * mi.n_spatial, mi.n_electrons)
+    plain = Estimator(mi, cfg).mp2_energy(theta)
+    bd = Estimator(mi, replace(cfg, postselect=True)).mp2_energy(theta)
+    raw = bd.diagnostics["raw"]
+    assert (raw.e0, raw.e1, raw.e2, raw.variance) == (
+        plain.e0, plain.e1, plain.e2, plain.variance
+    )
+    for key in ("residuals", "residual_variances", "var_e1"):
+        assert raw.diagnostics[key] == plain.diagnostics[key]
+    assert raw.diagnostics["kept_fraction_mean"] is None
+    assert "raw" not in plain.diagnostics
+    if noisy:
+        assert 0.0 < bd.diagnostics["kept_fraction_mean"] < 1.0
+        assert bd.e1 != raw.e1
+    else:
+        assert bd.diagnostics["kept_fraction_mean"] == 1.0
+        assert (bd.e1, bd.e2, bd.variance) == (raw.e1, raw.e2, raw.variance)
 
 
 def _gate_built_columns(est):

@@ -289,7 +289,7 @@ def test_trajectory_fidelity_noiseless_is_one():
     c = Circuit(2, (x(1), cnot(1, 2)))
     ideal = run(c)
     silent = NoiseModel(p1=0.0, p2=0.0, p_readout=0.0)
-    est = trajectory_fidelity(ideal, c, silent, 8, postselect_n=2, seed=1)
+    _, est = trajectory_fidelity(ideal, c, silent, 8, 2, seed=1)
     assert est.fidelity == 1.0
     assert est.kept_fraction_mean == 1.0
 
@@ -298,8 +298,7 @@ def test_trajectory_fidelity_postselection_helps():
     c = Circuit(4, (x(1), x(2), cnot(1, 3), cnot(2, 4), cnot(1, 2), cnot(3, 4)))
     ideal = run(c)
     noise = NoiseModel(p1=0.01, p2=0.05, p_readout=0.0)
-    raw = trajectory_fidelity(ideal, c, noise, 300, seed=3)
-    ps = trajectory_fidelity(ideal, c, noise, 300, postselect_n=2, seed=3)
+    raw, ps = trajectory_fidelity(ideal, c, noise, 300, 2, seed=3)
     assert ps.kept_fraction_mean < 1.0
     assert ps.fidelity > raw.fidelity
     assert raw.stderr > 0.0
