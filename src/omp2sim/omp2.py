@@ -75,6 +75,7 @@ from .lowrank import (
 from .simulator import (
     NoiseModel,
     apply_orbital_rotation,
+    draw_counts,
     expectation_with_variance,
     number_sector,
     postselect,
@@ -360,10 +361,10 @@ class Estimator:
                 )
             return
         for l, (coeff, phi) in enumerate(self._sector_groups(u)):
-            probs = phi**2
-            probs /= probs.sum(axis=0)
             yield coeff, (
-                rng_stream(cfg.seed, _STREAM_SAMPLE, col, l).multinomial(cfg.shots, probs[:, col])
+                draw_counts(
+                    phi[:, col] ** 2, cfg.shots, rng_stream(cfg.seed, _STREAM_SAMPLE, col, l)
+                )
                 for col in range(n_cols)
             )
 

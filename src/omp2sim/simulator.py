@@ -28,14 +28,16 @@ lowered to their CRY/CNOT network before noisy execution so error
 counts follow the depth accounting.
 
 States and shots are plain arrays: `run` returns the normalized 2^N
-amplitudes, `sample` returns multinomial shot counts indexed like those
-amplitudes, and `postselect` returns the counts with every outcome of
-another electron number zeroed, so the kept fraction is kept shots over
-all shots.  Postselection reads what was drawn and runs nothing again:
-`trajectory_fidelity` gives the raw and the postselected fidelity of one
-set of trajectories.  Every stochastic routine takes its generator or
-seed from the caller, and every generator derives from (seed, stream
-key), so counts are bit-reproducible regardless of execution order.
+amplitudes, `sample` returns shot counts indexed like those amplitudes,
+and `postselect` returns the counts with every outcome of another
+electron number zeroed, so the kept fraction is kept shots over all
+shots.  Every count array, noisy or noiseless, comes from `draw_counts`,
+one inverse-CDF lookup per shot.  Postselection reads what was drawn and
+runs nothing again: `trajectory_fidelity` gives the raw and the
+postselected fidelity of one set of trajectories.  Every stochastic
+routine takes its generator or seed from the caller, and every generator
+derives from (seed, stream key), so counts are bit-reproducible
+regardless of execution order.
 """
 
 from __future__ import annotations
@@ -328,10 +330,24 @@ def sample(
     if amplitudes.ndim != 1 or n_qubits < 0 or amplitudes.size != 1 << n_qubits:
         raise ValueError(f"need one vector of 2^N amplitudes, got shape {amplitudes.shape}")
     probs = np.abs(amplitudes) ** 2
-    probs /= probs.sum()
     if noise is not None and noise.p_readout > 0.0:
         probs = _readout_distribution(probs, n_qubits, noise.p_readout)
-    return rng.multinomial(shots, probs)
+    return draw_counts(probs, shots, rng)
+
+
+def draw_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Counts of shots draws from the distribution proportional to probs.
+
+    Each shot is one uniform number x in [0, cdf[-1]) that picks the first
+    outcome whose cumulative sum exceeds it (inverse CDF): an outcome of
+    probability zero is never drawn, and a probability that roundoff moves
+    between 0 and 1e-30 changes no other outcome's count.  The counts are
+    bincount(searchsorted(cdf, x, side="right")); with the draws sorted,
+    that is one search per outcome instead of one per shot.
+    """
+    cdf = np.cumsum(probs)
+    draws = np.sort(rng.random(shots) * cdf[-1])
+    return np.diff(np.searchsorted(draws, cdf), prepend=0)
 
 
 def postselect(counts: np.ndarray, n_electrons: int) -> np.ndarray:

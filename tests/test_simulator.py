@@ -26,6 +26,7 @@ from omp2sim.simulator import (
     apply_circuit,
     apply_orbital_rotation,
     default_seed,
+    draw_counts,
     expectation_with_variance,
     load_noise_presets,
     number_sector,
@@ -177,6 +178,33 @@ def test_sample_is_deterministic_per_stream():
     assert not np.array_equal(c1, c3)
     assert c1.sum() == 500
     assert c1.shape == (4,)
+
+
+def test_sample_never_draws_an_outcome_of_probability_zero():
+    # zeros first, last and between outcomes; the amplitudes are not normalized
+    amps = np.zeros(16)
+    amps[[1, 2, 7, 13]] = (0.5, 0.1, 0.8, 0.3)
+    shots = 200_000
+    counts = sample(amps, shots, rng=rng_stream(4))
+    assert counts.sum() == shots
+    assert np.array_equal(np.flatnonzero(counts), [1, 2, 7, 13])
+    probs = amps**2 / (amps**2).sum()
+    assert np.all(np.abs(counts / shots - probs) <= 5.0 * np.sqrt(probs / shots))
+    # the same through draw_counts, with zeros next to each other
+    probs = np.array([0.0, 0.0, 0.25, 0.0, 0.0, 0.75, 0.0])
+    counts = draw_counts(probs, 10_000, rng_stream(5))
+    assert np.array_equal(np.flatnonzero(counts), [2, 5])
+
+
+def test_a_roundoff_probability_moves_no_seeded_count():
+    # whether roundoff leaves an outcome at probability 1e-30 or exactly zero
+    # must not shift the counts of the other outcomes
+    amps = run(Circuit(3, (h(1), ry(2, 0.7), cnot(1, 3))))
+    tiny = amps.copy()
+    tiny[np.flatnonzero(amps == 0)[0]] = 1e-15
+    for key in range(20):
+        exact = sample(amps, 1000, rng=rng_stream(3, key))
+        assert np.array_equal(sample(tiny, 1000, rng=rng_stream(3, key)), exact)
 
 
 def test_full_readout_flip():
