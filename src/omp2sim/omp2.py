@@ -18,10 +18,16 @@ theta enters as one spatial rotation u = exp(kappa), computed once per
 evaluation; both spin channels rotate by it, kron(u, I_2), and group 0 is
 diagonalized from the spatial perturbation T = h1 - u diag(eps) u^T.
 Exact and noiseless numbers come from the exact action of the compiled
-rotations on the n_e-electron sector (`simulator.apply_orbital_rotation`,
+rotations on the n_e-electron sector (`simulator.rotate_determinants`,
 pinned to the gate kernel on the compiled circuits by the test suite),
-so those paths compile no circuit; noiseless shots are drawn over the
-sector rows, where all of their outcomes lie.  The gates themselves are
+so those paths compile no circuit.  Each probe column is cos(omega)
+|ref> + sin(omega) |D>, so each group rotates the reference and one
+determinant per double once, by the single matrix g^T u of U(theta)
+followed by its measurement rotation, and forms every column from R|ref>
+and R|D>: exact mode as c^2 <ref|C|ref> + s^2 <D|C|D> + 2cs <ref|C|D>
+over the group's diagonal operator C, noiseless shots from the
+probabilities (c R|ref> + s R|D>)^2 of the one column being drawn, over
+the sector rows, where all of their outcomes lie.  The gates themselves are
 run only on the noisy path, which alone holds 2^N amplitudes, counts and
 coefficients, and they back the depth and resource accounting.  Postselection
 discards outcomes of the counts already drawn: each count array is summed
@@ -74,12 +80,12 @@ from .lowrank import (
 )
 from .simulator import (
     NoiseModel,
-    apply_orbital_rotation,
     draw_counts,
     expectation_with_variance,
     number_sector,
     postselect,
     rng_stream,
+    rotate_determinants,
     run,
     sample,
 )
@@ -268,17 +274,15 @@ class Estimator:
         # exact and noiseless circuits run in the n_e sector, on float64
         # amplitudes and on coefficients evaluated at the sector's rows only:
         # their numbers come from the exact action of the compiled orbital
-        # rotations (apply_orbital_rotation, tested against the gates), so no
-        # circuit is compiled for them; the noisy path runs the gates and
-        # takes full-space coefficients, since its counts leave the sector
+        # rotations on the probe determinants (rotate_determinants, tested
+        # against the gates), so no circuit is compiled for them; the noisy
+        # path runs the gates and takes full-space coefficients, since its
+        # counts leave the sector
         self._sector = number_sector(self.n_qubits, self.n_electrons)
         self._sector_coeffs = tuple(
             occupation_coefficients(g, self._sector.occupations) for g in self._static_groups
         )
-
-        # column 0 is the bare reference; then a quarter and a half turn per
-        # double, written straight into the sector rows
-        self._base = _excited_columns(self._sector, self.doubles, _OMEGAS)
+        self._probes = _excited_columns(self._sector, self.doubles, _OMEGAS)
         self.n_evaluations = 0
 
     @cached_property
@@ -301,21 +305,28 @@ class Estimator:
         """Every group at u, group 0 first."""
         return (self._group0(u), *self._static_groups)
 
-    def _sector_groups(self, u: np.ndarray):
-        """Yield (coeff, phi) per group: sector coefficients and measured columns."""
+    def _rotated_determinants(self, u: np.ndarray):
+        """Yield (coeff, x) per group: sector coefficients and the probe
+        determinants after U(theta) and the group's measurement rotation."""
         groups = self._groups_at(u)
         coeffs = (self._sector.occupations @ groups[0].linear,) + self._sector_coeffs
-        psi = apply_orbital_rotation(u, self._base, self._sector)
         for g, coeff in zip(groups, coeffs):
-            # the measurement circuit is compiled from kron(rotation, I_2).T
-            yield coeff, apply_orbital_rotation(g.rotation.T, psi, self._sector)
+            # the measurement circuit is compiled from kron(rotation, I_2).T,
+            # and R(rotation.T) R(u) = R(rotation.T u)
+            yield coeff, rotate_determinants(g.rotation.T @ u, self._probes.dets, self._sector)
 
     def _column_energies_exact(self, u: np.ndarray):
-        e_cols = np.zeros(self._base.shape[1])
-        for coeff, phi in self._sector_groups(u):
-            # einsum sums each column in row order without BLAS, so the
+        """Per column c |ref> + s |D>: c^2 <ref|C|ref> + s^2 <D|C|D> + 2cs <ref|C|D>."""
+        diagonal = np.zeros(self._probes.dets.size)
+        cross = np.zeros(self._probes.dets.size)
+        for coeff, x in self._rotated_determinants(u):
+            # einsum sums over the rows in row order without BLAS, so the
             # rounding does not depend on the BLAS build or its threads
-            e_cols += np.einsum("i,ij->j", coeff, np.abs(phi) ** 2)
+            diagonal += np.einsum("i,ij,ij->j", coeff, x, x)
+            cross += np.einsum("i,ij->j", coeff * x[:, 0], x)
+            del x  # freed before the next group allocates its own
+        c, s, d = self._probes.cos, self._probes.sin, self._probes.det
+        e_cols = c**2 * diagonal[0] + s**2 * diagonal[d] + 2.0 * c * s * cross[d]
         return e_cols, np.zeros_like(e_cols)
 
     def _column_energies_shots(self, u: np.ndarray):
@@ -323,7 +334,7 @@ class Estimator:
         variances, mean kept fraction) of the kept ones if postselecting, else
         None: postselection discards outcomes of the same draws."""
         cfg = self.cfg
-        n_cols = self._base.shape[1]
+        n_cols = self._probes.det.size
         raw = np.zeros((2, n_cols))
         kept_sums = np.zeros((2, n_cols))
         kept_fractions = []
@@ -351,21 +362,24 @@ class Estimator:
         are indexed by sector row; noisy ones by basis state.
         """
         cfg = self.cfg
-        n_cols = self._base.shape[1]
+        p = self._probes
         if cfg.noise is not None:
             u_gates = compile_orbital_rotation(np.kron(u, np.eye(2))).gates
             for l, g in enumerate(self._groups_at(u)):
                 suffix = u_gates + _measurement_circuit(g).gates
                 yield coefficient_vector(g, self.n_qubits), (
-                    self._noisy_shots(col, l, suffix) for col in range(n_cols)
+                    self._noisy_shots(col, l, suffix) for col in range(p.det.size)
                 )
             return
-        for l, (coeff, phi) in enumerate(self._sector_groups(u)):
+        for l, (coeff, x) in enumerate(self._rotated_determinants(u)):
+            # a column's probabilities exist only while it is drawn
             yield coeff, (
                 draw_counts(
-                    phi[:, col] ** 2, cfg.shots, rng_stream(cfg.seed, _STREAM_SAMPLE, col, l)
+                    (c * x[:, 0] + s * x[:, d]) ** 2,
+                    cfg.shots,
+                    rng_stream(cfg.seed, _STREAM_SAMPLE, col, l),
                 )
-                for col in range(n_cols)
+                for col, (d, c, s) in enumerate(zip(p.det, p.cos, p.sin))
             )
 
     def _noisy_shots(self, col: int, l: int, suffix: tuple) -> np.ndarray:
@@ -506,7 +520,7 @@ class Estimator:
             n_parameters=len(self.pairs),
             n_doubles=len(self.doubles),
             n_groups=self.n_groups,
-            circuits_per_evaluation=self._base.shape[1] * self.n_groups,
+            circuits_per_evaluation=(1 + len(_OMEGAS) * len(self.doubles)) * self.n_groups,
             reference_depth=ref.cnot_depth,
             residual_depth_max=max((r.cnot_depth for r in res), default=0),
             cnot_count_reference=ref.cnot_count,
@@ -519,28 +533,35 @@ def _measurement_circuit(g) -> Circuit:
     return compile_orbital_rotation(np.kron(g.rotation, np.eye(2)).T)
 
 
-def _excited_columns(sector, doubles, omegas) -> np.ndarray:
-    """float64 sector columns: |ref>, then each double at each omega on |ref>.
+class _ProbeColumns(NamedTuple):
+    """Column k is cos[k] |dets[0]> + sin[k] |dets[det[k]]>, dets[0] the reference.
+
+    dets holds sector rows: the reference, then one determinant per double.
+    """
+
+    dets: np.ndarray
+    det: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+
+
+def _excited_columns(sector, doubles, omegas) -> _ProbeColumns:
+    """The probe columns in the sector: |ref>, then each double at each omega on |ref>.
 
     exp[omega (a+_a a+_b a_j a_i - h.c.)] |ref> = cos(omega) |ref> +
     (-1)^(i+j+1) sin(omega) |D>, with D the reference with i, j emptied and
     a, b filled; these are the values the gates produce, bit for bit.
+    Column 0 is the reference alone: cos 1 and sin 0 on dets[0].
     """
     n, n_e = sector.n_qubits, sector.n_electrons
     ref = ((1 << n_e) - 1) << (n - n_e)
-    ref_row = np.searchsorted(sector.states, ref)
-    cols = np.zeros((sector.size, 1 + len(doubles) * len(omegas)))
-    cols[ref_row, 0] = 1.0
-    col = 1
-    for d in doubles:
-        moved = sum(1 << (n - p) for p in (d.i, d.j, d.a, d.b))
-        row = np.searchsorted(sector.states, ref ^ moved)
-        sign = 1.0 if (d.i + d.j) % 2 else -1.0
-        for omega in omegas:
-            cols[ref_row, col] = math.cos(omega)
-            cols[row, col] = sign * math.sin(omega)
-            col += 1
-    return cols
+    moved = [sum(1 << (n - p) for p in (d.i, d.j, d.a, d.b)) for d in doubles]
+    dets = np.searchsorted(sector.states, [ref] + [ref ^ m for m in moved])
+    signs = [1.0 if (d.i + d.j) % 2 else -1.0 for d in doubles]
+    det = [0] + [k for k in range(1, len(dets)) for _ in omegas]
+    cos = [1.0] + [math.cos(omega) for _ in doubles for omega in omegas]
+    sin = [0.0] + [sign * math.sin(omega) for sign in signs for omega in omegas]
+    return _ProbeColumns(dets, np.array(det), np.array(cos), np.array(sin))
 
 
 def _omp2_energy_and_gradient(h1, eri, eps, theta: ThetaParams) -> tuple[float, np.ndarray]:

@@ -1,15 +1,16 @@
 """Statevector execution, shot sampling, noise, and post-selection.
 
 Exact and noiseless circuits are the reference column preparation, the
-orbital rotation U(theta) and one measurement rotation.  Both rotations
-are spin-free, kron(u, I_2), and conserve particle number, so they run in
-the fixed-number sector (`NumberSector`): only the amplitudes of basis
-states with n_electrons set bits are stored, and `apply_orbital_rotation`
-applies the exact action of the compiled Givens network as two small
-matrix products per (n_alpha, n_beta) block of alpha-string x
-beta-string amplitudes, the approach of the Fermionic Quantum Emulator
-(Rubin et al., Quantum 5, 568 (2021)).  u is real, so a real batch
-stays real: float64 in, float64 out.
+orbital rotation U(theta) and one measurement rotation.  Every probe
+column is a determinant or cos(omega) |ref> + sin(omega) |D> of two
+determinants, and both rotations are spin-free, kron(u, I_2), and
+conserve particle number, so they run in the fixed-number sector
+(`NumberSector`): only the amplitudes of basis states with n_electrons
+set bits are stored, and `rotate_determinants` gives the exact action of
+the compiled Givens network on each determinant, one outer product of
+columns of the minors of u per determinant, the determinant picture of
+the Fermionic Quantum Emulator (Rubin et al., Quantum 5, 568 (2021)).
+u is real, so the rotated determinants are float64.
 `apply_circuit` runs gates on all 2^N complex amplitudes; noisy circuits
 need it, because a Pauli error leaves the sector and Y is not real.
 Noiseless shots stay in the sector, so the estimator draws them over the
@@ -56,6 +57,7 @@ from .circuits import Circuit, Gate, lower_circuit
 from .jw import hamming_weights, occupations
 
 SEED_ENV_VAR = "OMP2SIM_SEED"
+_ROW_CHUNK = 1024  # sector rows per step of rotate_determinants
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -146,20 +148,20 @@ class NumberSector:
     full-space amplitudes gathered at states.  occupations is the 0/1
     table jw.occupations(n_qubits, states).  For even n_qubits, qubit
     2k - 1 is spin orbital alpha_k and qubit 2k is beta_k, and the sector
-    also holds the tables of apply_orbital_rotation:
+    also holds the tables of rotate_determinants:
 
       subsets[k]: every k-subset of the n_qubits / 2 spatial orbitals
-        (0-based), in itertools.combinations order; a k-electron string
-        of one spin is indexed by its row here.
-      spin_order: the sector rows sorted by (n_alpha, alpha string, beta
-        string), so the rows of each n_alpha form a contiguous block
-        that reshapes to (len(subsets[n_alpha]),
-        len(subsets[n_electrons - n_alpha])).
+        (0-based), in itertools.combinations order.  A string of one
+        spin is indexed by its row in the concatenation of subsets[0],
+        subsets[1], ..., so strings of different lengths never share an
+        index.
+      alpha_strings, beta_strings: per sector row, the index of its alpha
+        and of its beta string.
       spin_signs: +-1 per sector row, (-1)^(sum over beta electrons of
         the alpha electrons on later orbitals): the sign of moving every
         alpha creation operator ahead of every beta one.
 
-    For odd n_qubits the three are None.
+    For odd n_qubits the four are None.
     """
 
     n_qubits: int
@@ -167,7 +169,8 @@ class NumberSector:
     states: np.ndarray
     occupations: np.ndarray
     subsets: tuple[np.ndarray, ...] | None = None
-    spin_order: np.ndarray | None = None
+    alpha_strings: np.ndarray | None = None
+    beta_strings: np.ndarray | None = None
     spin_signs: np.ndarray | None = None
 
     @property
@@ -192,75 +195,79 @@ def number_sector(n_qubits: int, n_electrons: int) -> NumberSector:
         return NumberSector(n_qubits, n_electrons, states, occ)
     n_orb = n_qubits // 2
     subsets = tuple(
-        np.array(list(combinations(range(n_orb), k)), dtype=np.intp).reshape(-1, k)
-        for k in range(1, n_orb + 1)
+        np.array(list(combinations(range(n_orb), k)), dtype=np.intp, ndmin=2)
+        for k in range(n_orb + 1)
     )
-    subsets = (np.zeros((1, 0), dtype=np.intp),) + subsets
-    # rank[mask] is the row in subsets[popcount(mask)] of the orbitals set in mask
-    rank = np.empty(1 << n_orb, dtype=np.intp)
+    # index[mask] is the string index of the orbitals set in mask
+    index = np.empty(1 << n_orb, dtype=np.intp)
+    start = 0
     for rows in subsets:
-        rank[(1 << rows).sum(axis=1)] = np.arange(len(rows))
+        index[(1 << rows).sum(axis=1)] = np.arange(start, start + len(rows))
+        start += len(rows)
     occ_a, occ_b = occ[:, 0::2], occ[:, 1::2]
     weights = 1 << np.arange(n_orb)
-    spin_order = np.lexsort((rank[occ_b @ weights], rank[occ_a @ weights], occ_a.sum(axis=1)))
+    alpha_strings, beta_strings = index[occ_a @ weights], index[occ_b @ weights]
     later_a = occ_a[:, ::-1].cumsum(axis=1)[:, ::-1] - occ_a
     spin_signs = 1.0 - 2.0 * ((occ_b * later_a).sum(axis=1) % 2)
-    for a in (*subsets, spin_order, spin_signs):
+    for a in (*subsets, alpha_strings, beta_strings, spin_signs):
         a.setflags(write=False)
-    return NumberSector(n_qubits, n_electrons, states, occ, subsets, spin_order, spin_signs)
+    return NumberSector(
+        n_qubits, n_electrons, states, occ, subsets, alpha_strings, beta_strings, spin_signs
+    )
 
 
-def _exterior_power(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # Lambda^k(u)[I, J] = det u[I, J] over the k-subsets I, J listed in rows
-    if rows.shape[1] == 0:
-        return np.ones((1, 1))
-    return np.linalg.det(u[rows[:, None, :, None], rows[None, :, None, :]])
+def rotate_determinants(w: np.ndarray, rows, sector: NumberSector) -> np.ndarray:
+    """R(w)|det> for the determinant at each of the given sector rows.
 
-
-def apply_orbital_rotation(
-    u: np.ndarray, amplitudes: np.ndarray, sector: NumberSector
-) -> np.ndarray:
-    """Apply the spin-free orbital rotation kron(u, I_2) to sector amplitudes.
-
-    u is the orthogonal (N/2, N/2) spatial matrix and amplitudes has shape
-    (sector.size, ...batch), rows in sector.states order; the result
-    equals apply_circuit(compile_orbital_rotation(np.kron(u, np.eye(2))),
-    full)[sector.states] for the full-space embedding full.  With every
-    alpha creation operator moved ahead of every beta one, a state is a
-    matrix C[alpha string, beta string] per n_alpha, and the rotation
-    maps it to Lambda^n_alpha(u) C Lambda^n_beta(u)^T, Lambda^k(u) the
-    matrix of k x k minors of u: two small matrix products per block.
-    Real and integer input gives float64, complex input complex128.
+    R(w) is the spin-free orbital rotation kron(w, I_2) for the (N/2, N/2)
+    spatial matrix w; column j of the (sector.size, len(rows)) float64
+    result, rows in sector.states order, equals
+    apply_circuit(compile_orbital_rotation(np.kron(w, np.eye(2))),
+    e)[sector.states] for the basis vector e of state states[rows[j]].
+    With every alpha creation operator moved ahead of every beta one, the
+    determinant of alpha string a and beta string b goes to
+    Lambda(w)[:, a] (x) Lambda(w)[:, b], where Lambda(w) is the block
+    diagonal of the matrices Lambda^k(w) of k x k minors of w (Rubin et
+    al., Quantum 5, 568 (2021)): one outer product per determinant, read
+    at the sector's strings, with spin_signs converting the determinant
+    and each output row from and to qubit order.  Minors multiply, so
+    R(v) R(w) = R(v w) (Cauchy-Binet).
     """
-    if sector.spin_order is None:
+    if sector.spin_signs is None:
         raise ValueError("orbital rotations need an even number of qubits")
     n_orb = sector.n_qubits // 2
-    u = np.asarray(u, dtype=float)
-    if u.shape != (n_orb, n_orb):
-        raise ValueError(f"u must be {n_orb} x {n_orb}, got shape {u.shape}")
-    if amplitudes.shape[:1] != (sector.size,):
-        raise ValueError("amplitudes do not match the sector")
-    order = sector.spin_order
-    signs = sector.spin_signs[order, None]
-    n_columns = math.prod(amplitudes.shape[1:])
-    blocks = amplitudes.reshape(sector.size, n_columns)[order] * signs
-    out = np.empty_like(blocks)
+    w = np.asarray(w, dtype=float)
+    if w.shape != (n_orb, n_orb):
+        raise ValueError(f"w must be {n_orb} x {n_orb}, got shape {w.shape}")
+    rows = np.asarray(rows)
+    in_range = rows.dtype.kind in "iu" and np.all((rows >= 0) & (rows < sector.size))
+    if rows.ndim != 1 or not in_range:
+        raise ValueError(f"rows must index the {sector.size} rows of the sector")
     n_e = sector.n_electrons
-    # n_alpha and n_beta = n_e - n_alpha run over the same range
-    n_alphas = range(max(0, n_e - n_orb), min(n_e, n_orb) + 1)
-    powers = {k: _exterior_power(u, sector.subsets[k]) for k in n_alphas}
-    start = 0
-    for n_a in n_alphas:
-        lam_a, lam_b = powers[n_a], powers[n_e - n_a]
-        n_a_strings, n_b_strings = len(lam_a), len(lam_b)
-        stop = start + n_a_strings * n_b_strings
-        c = lam_a @ blocks[start:stop].reshape(n_a_strings, n_b_strings * n_columns)
-        c = lam_b @ c.reshape(n_a_strings, n_b_strings, n_columns)
-        out[start:stop] = c.reshape(stop - start, n_columns)
+    lam = np.zeros((1 << n_orb,) * 2)
+    # the minors of sizes 0 and 1: the empty string, then one per orbital
+    lam[0, 0] = 1.0
+    lam[1 : n_orb + 1, 1 : n_orb + 1] = w
+    start = n_orb + 1
+    for k, strings in enumerate(sector.subsets[2:], start=2):
+        stop = start + len(strings)
+        if n_e - n_orb <= k <= n_e:  # a string length of the sector
+            # Lambda^k(w)[I, J] = det w[I, J] over the k-subsets I, J
+            lam[start:stop, start:stop] = np.linalg.det(
+                w[strings[:, None, :, None], strings[None, :, None, :]]
+            )
         start = stop
-    result = np.empty_like(out)
-    result[order] = out * signs
-    return result.reshape(amplitudes.shape)
+    # np.take copies whole rows, several times faster here than lam[index]
+    alphas = lam[:, sector.alpha_strings[rows]] * sector.spin_signs[rows]
+    out = np.take(alphas, sector.alpha_strings, axis=0)
+    out *= sector.spin_signs[:, None]
+    betas = lam[:, sector.beta_strings[rows]]
+    # a chunk of rows at a time, so the gathered beta factors stay in cache
+    # instead of filling a second array the size of out
+    for start in range(0, sector.size, _ROW_CHUNK):
+        block = out[start : start + _ROW_CHUNK]
+        block *= np.take(betas, sector.beta_strings[start : start + _ROW_CHUNK], axis=0)
+    return out
 
 
 def apply_circuit(

@@ -391,11 +391,13 @@ est.mp2_energy(ThetaParams.zeros(est.n_qubits, est.n_electrons))
 with contextlib.redirect_stdout(io.StringIO()):
     assert omp2sim.cli.main(["curve", "--fixture-dir", {str(tmp_path)!r}, "--jobs", "1"]) == 0
     assert omp2sim.cli.main(["energy", "--fixture", {H2_FIXTURE!r}]) == 0
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(sorted(m for m in sys.modules if m.startswith("scipy") or m == "numpy.ma"))
 """
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
+    # nor does it load numpy.ma, which np.unique imports and which costs
+    # tens of milliseconds on a cold start
     assert done.stdout.strip() == "[]"
 
 

@@ -31,9 +31,9 @@ from omp2sim.oracle import (
 from omp2sim.simulator import (
     NoiseModel,
     apply_circuit,
-    apply_orbital_rotation,
     load_noise_presets,
     number_sector,
+    rotate_determinants,
     run,
 )
 
@@ -215,6 +215,40 @@ def test_closed_form_equals_circuit_energy(refs, molecule, distance, tol):
         theta = _random_theta(est, rng)
         energy, _ = _closed_form(est, theta)
         assert abs(energy - est.mp2_energy(theta).total) <= 1e-12
+
+
+def _synthetic_integrals(n_orb, n_electrons, seed):
+    """Random integrals with aufbau-ordered orbital energies; eri = sum_k L_k (x) L_k
+    with symmetric L_k has the 8-fold symmetry of real orbitals."""
+    rng = np.random.default_rng(seed)
+
+    def symmetric(scale):
+        a = rng.normal(scale=scale, size=(n_orb, n_orb))
+        return a + a.T
+
+    h1 = np.diag(np.linspace(-2.0, 1.0, n_orb)) + symmetric(0.02)
+    eri = sum(np.multiply.outer(l, l) for l in (symmetric(0.1) for _ in range(3)))
+    return MolecularIntegrals(n_orb, 0.0, h1, eri, n_electrons)
+
+
+def test_fourteen_qubits_in_bounded_memory(monkeypatch):
+    # 7 orbitals, 6 electrons: 3003 sector rows and 421 probe determinants,
+    # each rotated once per group, never a sector row per probe column
+    import tracemalloc
+
+    monkeypatch.setattr(omp2, "MAX_QUBITS", 14)
+    mi = _synthetic_integrals(7, 6, seed=5)
+    tracemalloc.start()
+    try:
+        est = Estimator(mi)
+        theta = _random_theta(est, np.random.default_rng(2), scale=0.3)
+        total = est.mp2_energy(theta).total
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_qubits == 14
+    assert abs(total - _closed_form(est, theta)[0]) <= 1e-10
+    assert peak <= 50e6, f"peak {peak / 1e6:.0f} MB"
 
 
 def test_closed_form_with_every_double_skipped():
@@ -489,6 +523,15 @@ def _gate_built_columns(est):
     return np.stack(cols, axis=1)[est._sector.states]
 
 
+def _probe_matrix(sector, probes):
+    """The sector columns cos |ref> + sin |D> of the probe table, written out."""
+    cols = np.zeros((sector.size, probes.det.size))
+    k = np.arange(probes.det.size)
+    cols[probes.dets[0], k] = probes.cos
+    cols[probes.dets[probes.det], k] += probes.sin  # column 0 adds 0.0 to its 1.0
+    return cols
+
+
 @pytest.mark.parametrize(
     "molecule,distance",
     [("h2", 1.4), ("h3p", 2.4), ("h4", 2.6), ("lih", None)],
@@ -501,9 +544,10 @@ def test_sector_columns_equal_the_gate_built_columns(refs, molecule, distance):
         mi, _ = load_point(refs, molecule, distance)
     est = Estimator(mi)
     built = _gate_built_columns(est)
-    assert est._base.dtype == np.float64
     assert np.array_equal(built.imag, np.zeros(built.shape))
-    assert np.array_equal(built.real, est._base)
+    assert np.array_equal(built.real, _probe_matrix(est._sector, est._probes))
+    # one determinant per double, after the reference
+    assert est._probes.dets.size == 1 + len(est.doubles)
 
 
 @settings(max_examples=8, deadline=None)
@@ -514,7 +558,7 @@ def test_double_excitation_sign_on_the_reference(omega):
         for n_electrons in range(2, n - 1, 2):
             sector = number_sector(n, n_electrons)
             doubles = enumerate_doubles(n, n_electrons)
-            cols = omp2._excited_columns(sector, doubles, (omega,))
+            cols = _probe_matrix(sector, omp2._excited_columns(sector, doubles, (omega,)))
             ref = run(prep_reference(n, n_electrons))
             for k, d in enumerate(doubles):
                 gates = double_excitation(d.i, d.j, d.a, d.b, omega)
@@ -550,13 +594,14 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
     monkeypatch.setattr(omp2, "double_excitation", no_compile)
     batches = []
 
-    def sector_apply(u, amplitudes, sector):
-        assert amplitudes.shape[0] == sector.size
-        assert amplitudes.dtype == np.float64
-        batches.append(amplitudes.shape)
-        return apply_orbital_rotation(u, amplitudes, sector)
+    def sector_rotate(w, rows, sector):
+        out = rotate_determinants(w, rows, sector)
+        assert out.shape == (sector.size, len(rows))
+        assert out.dtype == np.float64
+        batches.append(len(rows))
+        return out
 
-    monkeypatch.setattr(omp2, "apply_orbital_rotation", sector_apply)
+    monkeypatch.setattr(omp2, "rotate_determinants", sector_rotate)
     rotations = []
     expm_antisymmetric = omp2.expm_antisymmetric
 
@@ -577,7 +622,8 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
         batches.clear()
         rotations.clear()
         bd = est.mp2_energy(_random_theta(est, np.random.default_rng(3), scale=0.2))
-        assert len(batches) == 1 + est.n_groups
+        # each group rotates the reference and one determinant per double, once
+        assert batches == [1 + len(est.doubles)] * est.n_groups
         assert rotations == [(6, 6)]  # one spatial rotation per evaluation
         assert bd.diagnostics["kept_fraction_mean"] == (1.0 if cfg.postselect else None)
     mi, pt = load_point(refs, "h4", 2.6)

@@ -24,7 +24,6 @@ from omp2sim.simulator import (
     NoiseModel,
     _readout_distribution,
     apply_circuit,
-    apply_orbital_rotation,
     default_seed,
     draw_counts,
     expectation_with_variance,
@@ -32,6 +31,7 @@ from omp2sim.simulator import (
     number_sector,
     postselect,
     rng_stream,
+    rotate_determinants,
     run,
     sample,
     trajectory_fidelity,
@@ -90,38 +90,37 @@ def _spatial_rotations(n_orb, rng):
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from((2, 4, 6, 8, 10)), st.integers(0, 2**31 - 1))
 def test_sector_kernel_matches_full_space(n, seed):
-    # the gate kernel on the compiled circuit is the reference, on every
-    # filling; the two algorithms agree to rounding, not bit for bit
+    # the gate kernel on the compiled circuit is the reference, for every
+    # basis state of every filling; the two algorithms agree to rounding,
+    # not bit for bit
     rng = np.random.default_rng(seed)
     for u in _spatial_rotations(n // 2, rng):
         c = compile_orbital_rotation(np.kron(u, np.eye(2)))
+        full = apply_circuit(c, np.eye(1 << n))
         for n_electrons in range(n + 1):
             sector = number_sector(n, n_electrons)
-            batch = rng.normal(size=(sector.size, 3)) + 1j * rng.normal(size=(sector.size, 3))
-            full = np.zeros((1 << n, 3), dtype=complex)
-            full[sector.states] = batch
-            out = apply_orbital_rotation(u, batch, sector)
-            assert np.abs(out - apply_circuit(c, full)[sector.states]).max() < 1e-12
-            # a single column, without a batch axis
-            column = apply_orbital_rotation(u, batch[:, 0], sector)
-            assert np.abs(column - out[:, 0]).max() < 1e-12
+            rows = np.arange(sector.size)
+            out = rotate_determinants(u, rows, sector)
+            assert out.dtype == np.float64
+            assert np.abs(out - full[np.ix_(sector.states, sector.states)]).max() < 1e-12
+            # any subset of rows, in any order and with repeats
+            some = rng.integers(sector.size, size=5)
+            assert np.array_equal(rotate_determinants(u, some, sector), out[:, some])
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from((4, 6, 8)), st.data())
-def test_sector_kernel_keeps_real_amplitudes_real(n, data):
-    n_electrons = data.draw(st.sampled_from(range(0, n + 1, 2)))
+def test_sector_kernel_composes_rotations(n, data):
+    # Cauchy-Binet: the minors of g^T u are products of the minors of g^T
+    # and of u, so rotating by g^T u is rotating by u, then by g^T
+    n_electrons = data.draw(st.integers(0, n))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
-    u = special_ortho_group.rvs(n // 2, random_state=rng)
+    u, g = special_ortho_group.rvs(n // 2, size=2, random_state=rng)
     sector = number_sector(n, n_electrons)
-    real = rng.normal(size=(sector.size, 3))
-    out = apply_orbital_rotation(u, real, sector)
-    assert out.dtype == np.float64
-    assert np.abs(out - apply_orbital_rotation(u, real.astype(complex), sector)).max() < 1e-12
-    ints = rng.integers(-3, 4, size=(sector.size, 2))
-    out = apply_orbital_rotation(u, ints, sector)
-    assert out.dtype == np.float64
-    assert np.array_equal(out, apply_orbital_rotation(u, ints.astype(float), sector))
+    rows = rng.integers(sector.size, size=7)
+    then = rotate_determinants(g.T, np.arange(sector.size), sector)
+    once = rotate_determinants(g.T @ u, rows, sector)
+    assert np.abs(once - then @ rotate_determinants(u, rows, sector)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 4, 7, 10])
@@ -136,17 +135,17 @@ def test_number_sector_holds_every_state_of_its_weight(n):
 
 def test_orbital_rotation_rejects_bad_input():
     sector = number_sector(4, 2)
-    batch = np.zeros((sector.size, 1))
-    batch[0] = 1.0
-    # the spin-orbital matrix instead of the spatial one, and a non-square u
-    for u in (np.eye(4), np.eye(3), np.eye(2)[:1]):
-        with pytest.raises(ValueError, match="u must be"):
-            apply_orbital_rotation(u, batch, sector)
-    with pytest.raises(ValueError, match="sector"):
-        apply_orbital_rotation(np.eye(2), batch[1:], sector)
+    rows = np.arange(sector.size)
+    # the spin-orbital matrix instead of the spatial one, and a non-square w
+    for w in (np.eye(4), np.eye(3), np.eye(2)[:1]):
+        with pytest.raises(ValueError, match="w must be"):
+            rotate_determinants(w, rows, sector)
+    for bad in (rows + 1, rows - 1, rows[:, None], rows.astype(float), ["0"]):
+        with pytest.raises(ValueError, match="sector"):
+            rotate_determinants(np.eye(2), bad, sector)
     odd = number_sector(5, 2)
     with pytest.raises(ValueError, match="even"):
-        apply_orbital_rotation(np.eye(2), np.zeros((odd.size, 1)), odd)
+        rotate_determinants(np.eye(2), np.arange(odd.size), odd)
 
 
 def test_run_produces_normalized_state():
