@@ -1,4 +1,23 @@
-"""Linear-depth circuit estimation of orbital-optimized second-order energies."""
+"""Linear-depth circuit estimation of orbital-optimized second-order energies.
+
+Importing the package loads numpy's OpenBLAS on one thread unless the caller
+set ``OPENBLAS_NUM_THREADS``, and leaves ``os.environ`` as it found it.
+"""
+
+import os
+
+# Every evaluation is a long run of tiny BLAS/LAPACK calls (8x8 rotations,
+# eigh, batched minors), which a second OpenBLAS thread only spins around.
+# OpenBLAS reads this variable once, when numpy loads it, so it is set just
+# for that load; a numpy imported before omp2sim keeps its thread count.
+if "OPENBLAS_NUM_THREADS" in os.environ:
+    import numpy
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .chem import (
     ActiveSpaceSpec,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import warnings
@@ -263,13 +264,13 @@ def _reference_fidelity(est: Estimator):
 
 
 def _bounded(kind, low, strict=True):
-    """argparse type: kind(text), rejected unless above low (at least low if not strict)."""
+    """argparse type: kind(text), rejected unless finite and > low (>= low if not strict)."""
 
     def parse(text: str):
         value = kind(text)
-        if not (value > low if strict else value >= low):  # also rejects nan
+        if not (value > low if strict else value >= low) or value == math.inf:  # nan fails too
             bound = "above" if strict else "at least"
-            raise argparse.ArgumentTypeError(f"must be {bound} {low}, got {text}")
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound} {low}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its own messages
@@ -288,7 +289,12 @@ def _add_common(p, with_jobs=False):
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     if with_jobs:
-        p.add_argument("--jobs", type=_bounded(int, 0), default=1)
+        p.add_argument(
+            "--jobs",
+            type=_bounded(int, 0),
+            default=1,
+            help="accepted, but the rows run serially whatever its value",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,6 +350,9 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_CONVERGENCE)
     except CapacityError as exc:
         return _fail(exc, EXIT_CAPACITY)
+    except MemoryError as exc:
+        # e.g. a FCIDUMP header whose NORB asks for more integrals than fit
+        return _fail(f"out of memory: {exc}", EXIT_CAPACITY)
 
 
 def _fail(exc: Exception, code: int) -> int:

@@ -224,6 +224,9 @@ class EstimatorConfig:
             raise ValueError("postselection requires shots mode")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not 0 < self.truncation_tol < math.inf:  # also rejects nan
+            tol = self.truncation_tol
+            raise ValueError(f"truncation_tol must be finite and above 0, got {tol}")
 
 
 @dataclass(frozen=True)

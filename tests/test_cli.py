@@ -170,6 +170,16 @@ def test_capacity_exit(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_oversized_header_is_capacity_exit(tmp_path):
+    # NORB=100000 asks parse_fcidump for an 8e20-byte ERI array, which no host has
+    big, out = tmp_path / "zz_1.0.fcidump", tmp_path / "row.csv"
+    big.write_text("&FCI NORB=100000,NELEC=2,MS2=0,\n&END\n")
+    code, stdout, stderr = _run_captured(["energy", "--fixture", str(big), "--out", str(out)])
+    assert code == EXIT_CAPACITY
+    assert stdout == ""
+    _assert_clean_exit(code, stdout, stderr, out)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_integral_is_fixture_problem(tmp_path, capsys, bad):
     lines = fixture_path("h2_1.4.fcidump").read_text().splitlines()
@@ -374,12 +384,19 @@ def test_outputs_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _fresh_env(**overrides):
+    """A child's environment: this omp2sim on its path, OPENBLAS_NUM_THREADS as given."""
+    src = str(Path(omp2sim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return {**env, **overrides}
+
+
 def test_import_leaves_the_optimizer_unloaded(tmp_path):
     # exact mode runs on numpy alone: its exponentials are closed form and its
     # optimizer is in the package; only shots mode imports scipy, itself
     shutil.copyfile(H2_FIXTURE, tmp_path / "h2_1.4.fcidump")
-    src = str(Path(omp2sim.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = _fresh_env()
     code = f"""
 import contextlib, io, sys
 import omp2sim.cli
@@ -399,6 +416,55 @@ print(sorted(m for m in sys.modules if m.startswith("scipy") or m == "numpy.ma")
     # nor does it load numpy.ma, which np.unique imports and which costs
     # tens of milliseconds on a cold start
     assert done.stdout.strip() == "[]"
+
+
+_BLAS_TASKS = """
+import json, os, sys
+import omp2sim
+import numpy as np
+
+a = np.ones((500, 500))
+a @ a
+np.linalg.det(np.ones((64, 4, 4)) + np.eye(4))
+tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
+"""
+
+
+@pytest.mark.parametrize("found", [None, "2"])
+def test_import_loads_blas_on_one_thread_unless_told(found):
+    env = _fresh_env(**({} if found is None else {"OPENBLAS_NUM_THREADS": found}))
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_TASKS], env=env, capture_output=True, text=True, check=True
+    )
+    seen, tasks = json.loads(done.stdout)
+    # the caller's environment comes back as it was, a set value untouched
+    assert seen == found
+    if tasks is None:
+        pytest.skip("thread count read from /proc/self/task on Linux only")
+    # OpenBLAS starts no more threads than the process has cores
+    expected = 1 if found is None else min(2, len(os.sched_getaffinity(0)))
+    assert tasks == expected
+
+
+def test_output_does_not_depend_on_blas_threads(tmp_path):
+    for name in ("h2_1.4.fcidump", "h4_2.6.fcidump"):
+        shutil.copyfile(fixture_path(name), tmp_path / name)
+    commands = (
+        ("curve", "--fixture-dir", str(tmp_path), "--jobs", "1"),
+        ("energy", "--fixture", H2_FIXTURE, "--mode", "shots", "--shots", "5000", "--seed", "7"),
+    )
+    for argv in commands:
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-m", "omp2sim.cli", *argv],
+                env=_fresh_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                check=True,
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert len(outputs) == 1 and b"" not in outputs, argv
 
 
 def test_seed_changes_shot_noise(tmp_path):
@@ -513,8 +579,8 @@ _VALID_FLAGS = (
 )
 _INVALID_FLAGS = (
     ("--shots", "0"), ("--shots", "-3"), ("--shots", "1.5"), ("--seed", "-1"), ("--seed", "x"),
-    ("--tol", "0"), ("--tol", "-1e-9"), ("--tol", "nan"), ("--jobs", "0"), ("--jobs", "x"),
-    ("--trajectories", "0"), ("--noise", "bogus"), ("--format", "yaml"),
+    ("--tol", "0"), ("--tol", "-1e-9"), ("--tol", "nan"), ("--tol", "inf"), ("--jobs", "0"),
+    ("--jobs", "x"), ("--trajectories", "0"), ("--noise", "bogus"), ("--format", "yaml"),
 )
 # valid only in shots mode, which noise-study always runs in
 _SHOTS_ONLY = (("--postselect",), ("--noise", "ionq_harmony"))

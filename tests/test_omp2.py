@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,14 @@ def test_estimator_config_validation():
     with pytest.raises(ValueError, match="seed"):
         EstimatorConfig(mode="shots", seed=-1)
     EstimatorConfig(mode="shots", postselect=True)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_estimator_config_rejects_bad_truncation_tol(tol):
+    # an infinite tolerance drops every two-body factor and returned an energy
+    # 1.5 Ha below FCI on H2 with status ok
+    with pytest.raises(ValueError, match="truncation_tol"):
+        EstimatorConfig(truncation_tol=tol)
 
 
 def test_filled_shell_optimize_is_theta_zero():
