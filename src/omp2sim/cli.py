@@ -23,6 +23,7 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -201,20 +202,7 @@ def cmd_resources(args) -> int:
     cfg = _estimator_config(args)
     mi, mol, dist, _ = _load_problem(Path(args.fixture), ReferenceValues.load())
     summary = Estimator(mi, cfg).resource_summary()
-    doc = {
-        "schema": 1,
-        "molecule": mol or "unknown",
-        "distance_bohr": dist,
-        "n_qubits": summary.n_qubits,
-        "n_parameters": summary.n_parameters,
-        "n_doubles": summary.n_doubles,
-        "n_groups": summary.n_groups,
-        "circuits_per_evaluation": summary.circuits_per_evaluation,
-        "reference_depth": summary.reference_depth,
-        "residual_depth_max": summary.residual_depth_max,
-        "cnot_count_reference": summary.cnot_count_reference,
-        "cnot_count_residual_max": summary.cnot_count_residual_max,
-    }
+    doc = {"schema": 1, "molecule": mol or "unknown", "distance_bohr": dist, **asdict(summary)}
     if args.format == "json":
         _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     else:

@@ -6,7 +6,9 @@ M^2 x M^2 supermatrix A[(pq),(rs)] = (pq|rs), then diagonalize each kept
 eigenvector as a symmetric M x M matrix.  The operator-reordering
 remainder -1/2 sum_r (pr|rq) joins the one-body matrix, which
 diagonalizes into group 0.  Each group is measurable as plain occupation
-statistics after its rotation circuit.
+statistics after its rotation circuit: with n_p the electrons in rotated
+spatial orbital p, group 0 is sum_p linear_p n_p, and a kept eigenpair
+(w, g) with g = O diag(f) O^T gives the group w/2 (sum_p f_p n_p)^2.
 
 reconstruction_error records the supermatrix spectral norm of the
 truncated remainder (the largest dropped |eigenvalue|); the one- and
@@ -25,10 +27,18 @@ from .jw import occupations
 
 @dataclass(frozen=True)
 class MeasurementGroup:
+    """One rotated measurement, stored as its spatial rank-one factors.
+
+    On an occupation row with spatial counts n (both spin channels added)
+    in the rotated basis, the group contributes
+    n @ linear + weight / 2 * (n @ factor) ** 2.  Group 0 has factor 0 and
+    weight 0; a two-body group has linear 0.
+    """
+
     rotation: np.ndarray  # spatial M x M, orthogonal, det +1
-    linear: np.ndarray  # length N spin vector (group 0) or zeros
-    quadratic: np.ndarray  # N x N symmetric spin matrix (groups >= 1) or zeros
-    label: int
+    linear: np.ndarray  # length M: group 0's one-body eigenvalues, else zeros
+    factor: np.ndarray  # length M: a two-body group's f, else zeros
+    weight: float  # a two-body group's supermatrix eigenvalue w, else 0
 
     def __post_init__(self):
         m = self.rotation.shape[0]
@@ -36,9 +46,7 @@ class MeasurementGroup:
             raise ValueError("group rotation not orthogonal")
         if np.linalg.det(self.rotation) < 0.0:
             raise ValueError("group rotation must have det +1")
-        if np.abs(self.quadratic - self.quadratic.T).max() > 1e-12:
-            raise ValueError("quadratic coefficients not symmetric")
-        for arr in (self.rotation, self.linear, self.quadratic):
+        for arr in (self.rotation, self.linear, self.factor):
             arr.setflags(write=False)
 
 
@@ -63,10 +71,6 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def spin_lift(vec_spatial: np.ndarray) -> np.ndarray:
-    return np.repeat(vec_spatial, 2)
-
-
 def two_body_groups(eri: np.ndarray, tol: float) -> tuple[MeasurementGroup, ...]:
     """Groups l >= 1; independent of the one-body matrix, hence of theta."""
     if tol <= 0.0:
@@ -78,7 +82,6 @@ def two_body_groups(eri: np.ndarray, tol: float) -> tuple[MeasurementGroup, ...]
     w, v = np.linalg.eigh(super_a)
     order = np.argsort(-np.abs(w), kind="stable")
     groups = []
-    label = 1
     for idx in order:
         if abs(w[idx]) <= tol:
             continue
@@ -87,17 +90,9 @@ def two_body_groups(eri: np.ndarray, tol: float) -> tuple[MeasurementGroup, ...]
         g_mat = 0.5 * (g_mat + g_mat.T)
         f, o = np.linalg.eigh(g_mat)
         o = _det_plus_one(o)
-        f_spin = spin_lift(f)
-        quadratic = 0.5 * w[idx] * np.outer(f_spin, f_spin)
         groups.append(
-            MeasurementGroup(
-                rotation=o,
-                linear=np.zeros(2 * m),
-                quadratic=quadratic,
-                label=label,
-            )
+            MeasurementGroup(rotation=o, linear=np.zeros(m), factor=f, weight=float(w[idx]))
         )
-        label += 1
     return tuple(groups)
 
 
@@ -107,10 +102,7 @@ def one_body_group(t: np.ndarray, eri: np.ndarray) -> MeasurementGroup:
     correction = -0.5 * np.einsum("prrq->pq", eri)
     d, o = np.linalg.eigh(t + correction)
     o = _det_plus_one(o)
-    m = t.shape[0]
-    return MeasurementGroup(
-        rotation=o, linear=spin_lift(d), quadratic=np.zeros((2 * m, 2 * m)), label=0
-    )
+    return MeasurementGroup(rotation=o, linear=d, factor=np.zeros_like(d), weight=0.0)
 
 
 def factorize(t: np.ndarray, eri: np.ndarray, tol: float) -> FactorizedPerturbation:
@@ -130,9 +122,9 @@ def factorize(t: np.ndarray, eri: np.ndarray, tol: float) -> FactorizedPerturbat
 
 
 def occupation_coefficients(g: MeasurementGroup, occ: np.ndarray) -> np.ndarray:
-    """coeff evaluated on each row of an occupation table."""
-    occ = occ.astype(float)
-    return occ @ g.linear + np.einsum("bp,pq,bq->b", occ, g.quadratic, occ)
+    """coeff evaluated on each row of a spin-orbital occupation table."""
+    n = (occ[:, 0::2] + occ[:, 1::2]).astype(float)
+    return n @ g.linear + 0.5 * g.weight * (n @ g.factor) ** 2
 
 
 def coefficient_vector(g: MeasurementGroup, n_qubits: int) -> np.ndarray:

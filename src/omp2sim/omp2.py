@@ -273,6 +273,12 @@ class Estimator:
 
         self._static_groups = two_body_groups(self.si.eri_spatial, self.cfg.truncation_tol)
         self.n_groups = 1 + len(self._static_groups)
+        if not self._static_groups and self.si.eri_spatial.any():
+            warnings.warn(
+                f"truncation tol {self.cfg.truncation_tol:g} drops every two-body group; "
+                "the energies leave out the two-electron interaction",
+                stacklevel=2,
+            )
 
         # exact and noiseless circuits run in the n_e sector, on float64
         # amplitudes and on coefficients evaluated at the sector's rows only:
@@ -312,8 +318,8 @@ class Estimator:
         """Yield (coeff, x) per group: sector coefficients and the probe
         determinants after U(theta) and the group's measurement rotation."""
         groups = self._groups_at(u)
-        coeffs = (self._sector.occupations @ groups[0].linear,) + self._sector_coeffs
-        for g, coeff in zip(groups, coeffs):
+        group0 = occupation_coefficients(groups[0], self._sector.occupations)
+        for g, coeff in zip(groups, (group0, *self._sector_coeffs)):
             # the measurement circuit is compiled from kron(rotation, I_2).T,
             # and R(rotation.T) R(u) = R(rotation.T u)
             yield coeff, rotate_determinants(g.rotation.T @ u, self._probes.dets, self._sector)
@@ -499,9 +505,9 @@ class Estimator:
         """
         eri = np.zeros_like(self.mi.eri)
         for g in self._static_groups:
-            # quadratic = w/2 f f^T per spin channel, with g_mat = O diag(f) O^T
-            o = g.rotation
-            eri += np.einsum("ab,pa,qa,rb,sb->pqrs", 2.0 * g.quadratic[0::2, 0::2], o, o, o, o)
+            # a group adds w g_pq g_rs, with g = O diag(f) O^T its eigenvector
+            o, wff = g.rotation, g.weight * np.outer(g.factor, g.factor)
+            eri += np.einsum("ab,pa,qa,rb,sb->pqrs", wff, o, o, o, o)
         h1 = self.mi.h1 - 0.5 * np.einsum("prrq->pq", self.mi.eri - eri)
         return h1, eri
 

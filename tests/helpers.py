@@ -53,7 +53,8 @@ def dense_perturbation(t_spin: np.ndarray, si) -> np.ndarray:
 
 
 def dense_group_operator(g, n: int) -> np.ndarray:
-    """linear/quadratic number-operator content of one measurement group."""
+    """sum_p linear_p N_p + weight/2 (sum_p factor_p N_p)^2 of one measurement
+    group, with N_p the rotated spatial number operator of both spin channels."""
     low = ladder_ops(n)
     w = np.kron(g.rotation, I2)
     dim = 1 << n
@@ -61,18 +62,27 @@ def dense_group_operator(g, n: int) -> np.ndarray:
     for q in range(n):
         d_dag = sum(w[p, q] * low[p].T for p in range(n))
         rotated_n[q] = d_dag @ d_dag.T
-    op = np.einsum("q,qab->ab", g.linear, rotated_n)
-    mixed = np.einsum("qr,rab->qab", g.quadratic, rotated_n)
-    op += np.einsum("qab,qbc->ac", rotated_n, mixed)
-    return op
+    spatial_n = rotated_n[0::2] + rotated_n[1::2]
+    op = np.einsum("p,pab->ab", g.linear, spatial_n)
+    square = np.einsum("p,pab->ab", g.factor, spatial_n)
+    return op + 0.5 * g.weight * square @ square
 
 
 def group_expectation_coefficients(g):
-    """b -> sum_p d_p b_p + sum_pq d_pq b_p b_q over one occupation array."""
+    """b -> sum_i d_i b_i + sum_ij d_ij b_i b_j over one spin-orbital
+    occupation array, with d_i = linear[i // 2] and
+    d_ij = weight/2 factor[i // 2] factor[j // 2]."""
 
     def coeff(occ: np.ndarray) -> float:
-        occ = np.asarray(occ, dtype=float)
-        return float(g.linear @ occ + occ @ g.quadratic @ occ)
+        total = 0.0
+        for i, b_i in enumerate(occ):
+            if not b_i:
+                continue
+            total += g.linear[i // 2]
+            for j, b_j in enumerate(occ):
+                if b_j:
+                    total += 0.5 * g.weight * g.factor[i // 2] * g.factor[j // 2]
+        return total
 
     return coeff
 

@@ -146,12 +146,34 @@ def test_warning_is_one_stderr_line(tmp_path, capsys):
     out = tmp_path / "row.csv"
     assert run_cli("energy", "--fixture", str(bare), "--out", str(out)) == EXIT_OK
     err = capsys.readouterr().err.splitlines()
+    # zero two-electron integrals drop no group, so only the denominators warn
     assert len(err) == 1
     assert err[0].startswith("warning: degenerate excitation denominators")
     assert "cli.py" not in err[0]
     row = read_csv(out)[0]
     assert row["status"] == "ok"
     assert float(row["e_total"]) == 0.0
+
+
+def test_truncation_that_drops_every_two_body_group_warns(tmp_path):
+    # tol 10 lies above every |eigenvalue| of the H2 supermatrix
+    out = tmp_path / "row.csv"
+    code, _, stderr = _run_captured(
+        ["energy", "--fixture", H2_FIXTURE, "--tol", "10", "--out", str(out)]
+    )
+    assert code == EXIT_OK
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: truncation tol 10 drops"), stderr
+    assert read_csv(out)[0]["status"] == "ok"
+
+
+@pytest.mark.parametrize("fixture", [H2_FIXTURE, LIH_FIXTURE])
+def test_default_truncation_is_silent(tmp_path, fixture):
+    code, _, stderr = _run_captured(
+        ["energy", "--fixture", fixture, "--out", str(tmp_path / "row.csv")]
+    )
+    assert code == EXIT_OK
+    assert stderr == ""
 
 
 def test_unknown_noise_preset(tmp_path, capsys):
@@ -492,6 +514,10 @@ def test_seed_changes_shot_noise(tmp_path):
         ("noise_study_lih_lima_seed9.json",
          ("noise-study", "--fixture", LIH_FIXTURE, "--noise", "ibm_lima",
           "--shots", "4000", "--trajectories", "4", "--seed", "9", "--format", "json")),
+        # H4 is the only curve with rows of three or more electrons
+        ("curve_h4_exact.csv",
+         ("curve", "--fixture-dir", str(Path(H2_FIXTURE).parent), "--molecule", "h4",
+          "--jobs", "1")),
     ],
 )
 def test_seeded_output_matches_golden(tmp_path, golden, argv):

@@ -20,7 +20,6 @@ from omp2sim.lowrank import (
     coefficient_vector,
     factorize,
     one_body_group,
-    spin_lift,
     two_body_groups,
 )
 
@@ -40,8 +39,9 @@ def _factorized(refs, molecule):
 def test_group_counts(refs, molecule):
     _, _, _, fp = _factorized(refs, molecule)
     assert len(fp.groups) == EXPECTED_GROUPS[molecule]
-    assert fp.groups[0].label == 0
-    assert [g.label for g in fp.groups] == list(range(len(fp.groups)))
+    g0, *two_body = fp.groups
+    assert g0.weight == 0.0 and not g0.factor.any()
+    assert all(not g.linear.any() and g.weight != 0.0 for g in two_body)
 
 
 @pytest.mark.parametrize("molecule", sorted(EXPECTED_GROUPS))
@@ -73,8 +73,7 @@ def test_two_body_groups_ignore_theta(refs):
     fp1 = factorize(t1, mi.eri, 1e-12)
     assert len(fp1.groups) == len(fp0.groups)
     for g0, g1 in zip(fp0.groups[1:], fp1.groups[1:]):
-        assert g1.label == g0.label
-        for name in ("rotation", "linear", "quadratic"):
+        for name in ("rotation", "linear", "factor", "weight"):
             assert np.array_equal(getattr(g1, name), getattr(g0, name))
     assert not np.allclose(fp1.groups[0].linear, fp0.groups[0].linear)
     rebuilt = sum(dense_group_operator(g, 4) for g in fp1.groups)
@@ -98,14 +97,9 @@ def test_one_body_group_diagonalizes(refs):
     g0 = one_body_group(t, eri)
     corr = -0.5 * np.einsum("prrq->pq", eri)
     spatial = t + corr
-    back = g0.rotation @ np.diag(g0.linear[0::2]) @ g0.rotation.T
+    back = g0.rotation @ np.diag(g0.linear) @ g0.rotation.T
     assert np.abs(back - spatial).max() < 1e-10
-    assert np.abs(g0.quadratic).max() == 0.0
-
-
-def test_spin_lift_duplicates():
-    v = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(spin_lift(v), [1.0, 1.0, -2.0, -2.0, 3.0, 3.0])
+    assert g0.weight == 0.0 and not g0.factor.any()
 
 
 def test_two_body_requires_positive_tol(refs):
@@ -114,11 +108,12 @@ def test_two_body_requires_positive_tol(refs):
         two_body_groups(eri, 0.0)
 
 
+@pytest.mark.parametrize("molecule", ["h2", "h4"])
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**16 - 1))
-def test_coefficient_vector_agrees_with_callable(refs, bits):
-    _, _, _, fp = _factorized(refs, "h2")
-    n = 4
+def test_coefficient_vector_agrees_with_callable(refs, molecule, bits):
+    si, _, _, fp = _factorized(refs, molecule)
+    n = si.n_spin
     idx = bits % (1 << n)
     occ = np.array([(idx >> (n - 1 - q)) & 1 for q in range(n)])
     for g in fp.groups:
@@ -132,5 +127,5 @@ def test_quadratic_diagonal_contributes_linearly(refs):
     _, _, _, fp = _factorized(refs, "h2")
     g = fp.groups[1]
     occ = np.array([1, 0, 0, 0])
-    expected = g.quadratic[0, 0]
+    expected = 0.5 * g.weight * g.factor[0] ** 2
     assert abs(group_expectation_coefficients(g)(occ) - expected) < 1e-14
