@@ -1,23 +1,34 @@
 """Linear-depth circuit estimation of orbital-optimized second-order energies.
 
 Importing the package loads numpy's OpenBLAS on one thread unless the caller
-set ``OPENBLAS_NUM_THREADS``, and leaves ``os.environ`` as it found it.
+set ``OPENBLAS_NUM_THREADS``, and leaves ``os.environ`` as it found it; the
+scipy.optimize import of shots-mode optimization does the same for scipy's.
 """
 
+import contextlib
 import os
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Any OpenBLAS loaded in this block starts on one thread, unless the
+    caller set ``OPENBLAS_NUM_THREADS``; ``os.environ`` is restored after it."""
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 
 # Every evaluation is a long run of tiny BLAS/LAPACK calls (8x8 rotations,
 # eigh, batched minors), which a second OpenBLAS thread only spins around.
-# OpenBLAS reads this variable once, when numpy loads it, so it is set just
-# for that load; a numpy imported before omp2sim keeps its thread count.
-if "OPENBLAS_NUM_THREADS" in os.environ:
+# OpenBLAS reads the variable once, when it is loaded, so it is set just for
+# that load; a numpy imported before omp2sim keeps its thread count.
+with _one_blas_thread():
     import numpy
-else:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .chem import (
     ActiveSpaceSpec,

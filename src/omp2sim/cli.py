@@ -188,9 +188,14 @@ def cmd_curve(args) -> int:
     # every fixture is checked before any is optimized, so a bad file costs no work
     problems = [_load_problem(path, refs) for path in paths]
     rows = []
-    for mi, mol, dist, ref_pt in problems:
-        est = Estimator(mi, cfg)
-        rows.append(_energy_row(est, est.optimize()[1], mol, dist, ref_pt, args.noise))
+    for path, (mi, mol, dist, ref_pt) in zip(paths, problems):
+        # each fixture's warnings are shown once, named by its file
+        with warnings.catch_warnings(record=True) as caught:
+            est = Estimator(mi, cfg)
+            bd = est.optimize()[1]
+        for w in {str(w.message): w for w in caught}.values():
+            warnings.showwarning(f"{path.name}: {w.message}", w.category, w.filename, w.lineno)
+        rows.append(_energy_row(est, bd, mol, dist, ref_pt, args.noise))
     rows.sort(key=lambda r: (r["molecule"], r["distance_bohr"]))
     _write(_emit(rows, args.format), args.out)
     if any(r["status"] != "ok" for r in rows):

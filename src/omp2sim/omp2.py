@@ -17,27 +17,32 @@ what keeps the per-evaluation work linear in circuits.
 theta enters as one spatial rotation u = exp(kappa), computed once per
 evaluation; both spin channels rotate by it, kron(u, I_2), and group 0 is
 diagonalized from the spatial perturbation T = h1 - u diag(eps) u^T.
-Exact and noiseless numbers come from the exact action of the compiled
-rotations on the n_e-electron sector (`simulator.rotate_determinants`,
-pinned to the gate kernel on the compiled circuits by the test suite),
-so those paths compile no circuit.  Each probe column is cos(omega)
-|ref> + sin(omega) |D>, so each group rotates the reference and one
-determinant per double once, by the single matrix g^T u of U(theta)
-followed by its measurement rotation, and forms every column from R|ref>
-and R|D>: exact mode as c^2 <ref|C|ref> + s^2 <D|C|D> + 2cs <ref|C|D>
-over the group's diagonal operator C, noiseless shots from the
-probabilities (c R|ref> + s R|D>)^2 of the one column being drawn, over
-the sector rows, where all of their outcomes lie.  The gates themselves are
-run only on the noisy path, which alone holds 2^N amplitudes, counts and
-coefficients, and they back the depth and resource accounting.  Postselection
-discards outcomes of the counts already drawn: each count array is summed
-raw, then again over its kept outcomes, and the raw estimate of those same
-draws is kept in diagnostics["raw"].
+Each probe column is cos(omega) |ref> + sin(omega) |D>, and exact mode
+needs no amplitudes for it.  Measured after the rotation W = g^T u of
+U(theta) and its group's measurement circuit, a group's sum_p f_p n_p is
+the one-body operator A = sum_kv F_kv E_kv on the probe, with
+F = W^T diag(f) W (f = linear for group 0).  On a determinant of occupied
+spin orbitals o, Wick's theorem gives <A> = sum_{k in o} F_kk,
+<A^2> = <A>^2 + sum over each spin of F_kv^2 (k in o, v not) and
+<ref|A^2|D_ij^ab> = 2 (F_ia F_jb - F_ib F_ja), F zero between spins; a
+two-body group is weight / 2 A^2.  So exact mode takes c^2 <ref|C|ref> +
+s^2 <D|C|D> + 2cs <ref|C|D> for every group at once from M x M matrices.
+Noiseless shots alone rotate determinants: each group rotates the
+reference and one determinant per double once, by g^T u, in the
+n_e-electron sector (`simulator.rotate_determinants`, pinned to the gate
+kernel by the test suite, and the test reference of the Wick path), and
+draws each column from (c R|ref> + s R|D>)^2 over the sector rows.
+Neither path compiles a circuit.  The gates run only on the noisy path,
+which alone holds 2^N amplitudes, counts and coefficients, and they back
+the depth and resource accounting.  Postselection discards outcomes of the
+counts already drawn: each count array is summed raw, then again over its
+kept outcomes, and the raw estimate of those same draws is kept in
+diagnostics["raw"].
 
 Exact mode minimizes with the package's own L-BFGS (`_lbfgs`).  Its
 gradient is the analytic OMP2 orbital gradient of the operator the circuits
 measure, taken from the energy's closed form; the energy it minimizes and
-reports still comes from the circuits.  It stops on that gradient,
+reports still comes from the measured groups.  It stops on that gradient,
 max |g| <= 1e-9, not on the change in energy: the e1/e2 split is not
 stationary at the optimum, and this fixes it to about 1e-11, below the
 1e-10 the CLI prints.  With the closed-form orbital exponentials of `chem`,
@@ -72,6 +77,7 @@ from .circuits import (
     lower_circuit,
     prep_reference,
 )
+from .jw import occupations
 from .lowrank import (
     coefficient_vector,
     occupation_coefficients,
@@ -280,18 +286,15 @@ class Estimator:
                 stacklevel=2,
             )
 
-        # exact and noiseless circuits run in the n_e sector, on float64
-        # amplitudes and on coefficients evaluated at the sector's rows only:
-        # their numbers come from the exact action of the compiled orbital
-        # rotations on the probe determinants (rotate_determinants, tested
-        # against the gates), so no circuit is compiled for them; the noisy
-        # path runs the gates and takes full-space coefficients, since its
-        # counts leave the sector
-        self._sector = number_sector(self.n_qubits, self.n_electrons)
-        self._sector_coeffs = tuple(
-            occupation_coefficients(g, self._sector.occupations) for g in self._static_groups
-        )
-        self._probes = _excited_columns(self._sector, self.doubles, _OMEGAS)
+        # exact mode evaluates every group on the probe determinants by Wick's
+        # theorem, from M x M matrices; only noiseless shots need the sector
+        # (its rows, coefficients and probe rows are built on first use)
+        self._probes = _excited_columns(self.n_qubits, self.n_electrons, self.doubles, _OMEGAS)
+        self._wick = _wick_tables(self.n_qubits, self._probes, self.doubles)
+        m, groups = mi.n_spatial, self._static_groups
+        self._rotations = np.array([g.rotation for g in groups]).reshape(-1, m, m)
+        self._factors = np.array([g.factor for g in groups]).reshape(-1, m)
+        self._half_weights = np.array([0.5 * g.weight for g in groups])
         self.n_evaluations = 0
 
     @cached_property
@@ -314,6 +317,22 @@ class Estimator:
         """Every group at u, group 0 first."""
         return (self._group0(u), *self._static_groups)
 
+    @cached_property
+    def _sector(self):
+        return number_sector(self.n_qubits, self.n_electrons)
+
+    @cached_property
+    def _sector_coeffs(self) -> tuple[np.ndarray, ...]:
+        """The two-body groups' coefficients at the sector rows."""
+        return tuple(
+            occupation_coefficients(g, self._sector.occupations) for g in self._static_groups
+        )
+
+    @cached_property
+    def _probe_rows(self) -> np.ndarray:
+        """The sector rows of the probe determinants."""
+        return np.searchsorted(self._sector.states, self._probes.states)
+
     def _rotated_determinants(self, u: np.ndarray):
         """Yield (coeff, x) per group: sector coefficients and the probe
         determinants after U(theta) and the group's measurement rotation."""
@@ -322,18 +341,30 @@ class Estimator:
         for g, coeff in zip(groups, (group0, *self._sector_coeffs)):
             # the measurement circuit is compiled from kron(rotation, I_2).T,
             # and R(rotation.T) R(u) = R(rotation.T u)
-            yield coeff, rotate_determinants(g.rotation.T @ u, self._probes.dets, self._sector)
+            yield coeff, rotate_determinants(g.rotation.T @ u, self._probe_rows, self._sector)
 
     def _column_energies_exact(self, u: np.ndarray):
-        """Per column c |ref> + s |D>: c^2 <ref|C|ref> + s^2 <D|C|D> + 2cs <ref|C|D>."""
-        diagonal = np.zeros(self._probes.dets.size)
-        cross = np.zeros(self._probes.dets.size)
-        for coeff, x in self._rotated_determinants(u):
-            # einsum sums over the rows in row order without BLAS, so the
-            # rounding does not depend on the BLAS build or its threads
-            diagonal += np.einsum("i,ij,ij->j", coeff, x, x)
-            cross += np.einsum("i,ij->j", coeff * x[:, 0], x)
-            del x  # freed before the next group allocates its own
+        """Per column c |ref> + s |D>: c^2 <ref|C|ref> + s^2 <D|C|D> + 2cs <ref|C|D>,
+        every group at once by Wick's theorem on F = W^T diag(f) W, W = g^T u
+        (the module docstring gives the rules)."""
+        g0, t = self._group0(u), self._wick
+        # einsum sums without BLAS, so the rounding does not depend on the
+        # BLAS build or its threads
+        rotations = np.concatenate([g0.rotation[None], self._rotations])
+        w = np.einsum("lqp,qk->lpk", rotations, u)
+        f = np.einsum("lpk,lp,lpv->lkv", w, np.concatenate([g0.linear[None], self._factors]), w)
+        # one value per distinct spin string, summed over each determinant's two
+        alpha, beta = t.spin_strings
+        traces = np.einsum("sk,lkk->ls", t.strings, f)
+        means = traces[:, alpha] + traces[:, beta]
+        f2 = f[1:]
+        hops = np.einsum("sk,lkv,sv->ls", t.strings, f2 * f2, 1.0 - t.strings)
+        hops = hops[:, alpha] + hops[:, beta]
+        diagonal = means[0] + np.einsum("l,ld->d", self._half_weights, means[1:] ** 2 + hops)
+        i, j, a, b = t.orbitals
+        pairs = f2[:, i, a] * f2[:, j, b] * t.direct - f2[:, i, b] * f2[:, j, a] * t.exchange
+        cross = np.zeros_like(diagonal)  # <ref|C|D>, 0 on the reference itself
+        cross[1:] = 2.0 * np.einsum("l,ld->d", self._half_weights, pairs)
         c, s, d = self._probes.cos, self._probes.sin, self._probes.det
         e_cols = c**2 * diagonal[0] + s**2 * diagonal[d] + 2.0 * c * s * cross[d]
         return e_cols, np.zeros_like(e_cols)
@@ -473,8 +504,12 @@ class Estimator:
 
             res = _lbfgs(fun, jac, np.zeros(n_par), maxiter)
         else:
-            # imported here so exact runs never load scipy
-            from scipy.optimize import minimize
+            # imported here so exact runs never load scipy, and on one BLAS
+            # thread, as numpy's OpenBLAS is loaded
+            from . import _one_blas_thread
+
+            with _one_blas_thread():
+                from scipy.optimize import minimize
 
             res = minimize(
                 fun,
@@ -543,34 +578,77 @@ def _measurement_circuit(g) -> Circuit:
 
 
 class _ProbeColumns(NamedTuple):
-    """Column k is cos[k] |dets[0]> + sin[k] |dets[det[k]]>, dets[0] the reference.
+    """Column k is cos[k] |states[0]> + sin[k] |states[det[k]]>.
 
-    dets holds sector rows: the reference, then one determinant per double.
+    states holds basis indices: the reference, then one determinant per double.
     """
 
-    dets: np.ndarray
+    states: np.ndarray
     det: np.ndarray
     cos: np.ndarray
     sin: np.ndarray
 
 
-def _excited_columns(sector, doubles, omegas) -> _ProbeColumns:
-    """The probe columns in the sector: |ref>, then each double at each omega on |ref>.
+def _excited_columns(n_qubits, n_electrons, doubles, omegas) -> _ProbeColumns:
+    """The probe columns: |ref>, then each double at each omega on |ref>.
 
     exp[omega (a+_a a+_b a_j a_i - h.c.)] |ref> = cos(omega) |ref> +
     (-1)^(i+j+1) sin(omega) |D>, with D the reference with i, j emptied and
     a, b filled; these are the values the gates produce, bit for bit.
-    Column 0 is the reference alone: cos 1 and sin 0 on dets[0].
+    Column 0 is the reference alone: cos 1 and sin 0 on states[0].
     """
-    n, n_e = sector.n_qubits, sector.n_electrons
-    ref = ((1 << n_e) - 1) << (n - n_e)
+    n = n_qubits
+    ref = ((1 << n_electrons) - 1) << (n - n_electrons)
     moved = [sum(1 << (n - p) for p in (d.i, d.j, d.a, d.b)) for d in doubles]
-    dets = np.searchsorted(sector.states, [ref] + [ref ^ m for m in moved])
-    signs = [1.0 if (d.i + d.j) % 2 else -1.0 for d in doubles]
-    det = [0] + [k for k in range(1, len(dets)) for _ in omegas]
+    states = np.array([ref] + [ref ^ m for m in moved], dtype=np.intp)
+    signs = [_excitation_sign(d) for d in doubles]
+    det = [0] + [k for k in range(1, len(states)) for _ in omegas]
     cos = [1.0] + [math.cos(omega) for _ in doubles for omega in omegas]
     sin = [0.0] + [sign * math.sin(omega) for sign in signs for omega in omegas]
-    return _ProbeColumns(dets, np.array(det), np.array(cos), np.array(sin))
+    return _ProbeColumns(states, np.array(det), np.array(cos), np.array(sin))
+
+
+def _excitation_sign(d: DoubleExcitationIndex) -> float:
+    """a+_a a+_b a_j a_i |ref> = (-1)^(i+j+1) |D> in the Jordan-Wigner basis."""
+    return 1.0 if (d.i + d.j) % 2 else -1.0
+
+
+class _WickTables(NamedTuple):
+    """The probe determinants as Wick's theorem reads them.
+
+    strings[s, k] is 1 where spin string s fills spatial orbital k, over the
+    distinct alpha and beta strings of the probe determinants; determinant d
+    is alpha string spin_strings[0, d] and beta string spin_strings[1, d].
+    Per double: orbitals holds the spatial i, j, a, b, and direct and
+    exchange the Jordan-Wigner sign where spins i, a and j, b (direct) or
+    i, b and j, a (exchange) agree, else 0.
+    """
+
+    strings: np.ndarray
+    spin_strings: np.ndarray
+    orbitals: np.ndarray
+    direct: np.ndarray
+    exchange: np.ndarray
+
+
+def _wick_tables(n_qubits, probes: _ProbeColumns, doubles) -> _WickTables:
+    m = n_qubits // 2
+    # qubit 2k + 1 is spin orbital alpha_k, qubit 2k + 2 is beta_k; a spin
+    # string is numbered as the basis index of m qubits, orbital 0 first
+    occupied = occupations(n_qubits, probes.states).reshape(-1, m, 2)
+    numbers = np.einsum("dks,k->sd", occupied, 1 << np.arange(m - 1, -1, -1)).tolist()
+    index = {}
+    spin_strings = [[index.setdefault(x, len(index)) for x in row] for row in numbers]
+    spin_orbitals = np.array([(d.i, d.j, d.a, d.b) for d in doubles], dtype=np.intp).reshape(-1, 4)
+    orbital, spin = np.divmod(spin_orbitals.T - 1, 2)
+    signs = np.array([_excitation_sign(d) for d in doubles])
+    return _WickTables(
+        strings=occupations(m, np.array(list(index))).astype(float),
+        spin_strings=np.array(spin_strings),
+        orbitals=orbital,
+        direct=signs * ((spin[0] == spin[2]) & (spin[1] == spin[3])),
+        exchange=signs * ((spin[0] == spin[3]) & (spin[1] == spin[2])),
+    )
 
 
 def _omp2_energy_and_gradient(h1, eri, eps, theta: ThetaParams) -> tuple[float, np.ndarray]:

@@ -155,6 +155,22 @@ def test_warning_is_one_stderr_line(tmp_path, capsys):
     assert float(row["e_total"]) == 0.0
 
 
+def test_curve_names_the_fixture_in_each_warning(tmp_path):
+    for name in ("zz_1.0.fcidump", "zz_2.0.fcidump"):
+        (tmp_path / name).write_text("&FCI NORB=3,NELEC=2,MS2=0,\n&END\n")
+    out = tmp_path / "rows.csv"
+    code, stdout, stderr = _run_captured(
+        ["curve", "--fixture-dir", str(tmp_path), "--jobs", "1", "--out", str(out)]
+    )
+    assert code == EXIT_OK and stdout == ""
+    message = "degenerate excitation denominators; those doubles are skipped"
+    assert stderr.splitlines() == [
+        f"warning: zz_1.0.fcidump: {message}",
+        f"warning: zz_2.0.fcidump: {message}",
+    ]
+    assert [row["status"] for row in read_csv(out)] == ["ok", "ok"]
+
+
 def test_truncation_that_drops_every_two_body_group_warns(tmp_path):
     # tol 10 lies above every |eigenvalue| of the H2 supermatrix
     out = tmp_path / "row.csv"
@@ -444,12 +460,21 @@ _BLAS_TASKS = """
 import json, os, sys
 import omp2sim
 import numpy as np
+from omp2sim import Estimator, EstimatorConfig, parse_fcidump
+from omp2sim.oracle import fixture_path
+
+def tasks():
+    return len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
 
 a = np.ones((500, 500))
 a @ a
 np.linalg.det(np.ones((64, 4, 4)) + np.eye(4))
-tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
-print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
+imported = tasks()
+# shots mode imports scipy.optimize, which loads scipy's own OpenBLAS
+cfg = EstimatorConfig(mode="shots", shots=100)
+Estimator(parse_fcidump(fixture_path("h2_1.4.fcidump")), cfg).optimize(maxiter=2)
+assert "scipy.optimize" in sys.modules
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), imported, tasks()]))
 """
 
 
@@ -459,14 +484,15 @@ def test_import_loads_blas_on_one_thread_unless_told(found):
     done = subprocess.run(
         [sys.executable, "-c", _BLAS_TASKS], env=env, capture_output=True, text=True, check=True
     )
-    seen, tasks = json.loads(done.stdout)
+    seen, imported, optimized = json.loads(done.stdout)
     # the caller's environment comes back as it was, a set value untouched
     assert seen == found
-    if tasks is None:
+    if imported is None:
         pytest.skip("thread count read from /proc/self/task on Linux only")
-    # OpenBLAS starts no more threads than the process has cores
-    expected = 1 if found is None else min(2, len(os.sched_getaffinity(0)))
-    assert tasks == expected
+    # OpenBLAS starts no more threads than the process has cores; numpy's
+    # and scipy's libraries each add their workers to the main thread
+    workers = 0 if found is None else min(2, len(os.sched_getaffinity(0))) - 1
+    assert (imported, optimized) == (1 + workers, 1 + 2 * workers)
 
 
 def test_output_does_not_depend_on_blas_threads(tmp_path):
@@ -518,6 +544,9 @@ def test_seed_changes_shot_noise(tmp_path):
         ("curve_h4_exact.csv",
          ("curve", "--fixture-dir", str(Path(H2_FIXTURE).parent), "--molecule", "h4",
           "--jobs", "1")),
+        # every packaged fixture: the exact path over all molecules and spaces
+        ("curve_all_exact.csv",
+         ("curve", "--fixture-dir", str(Path(H2_FIXTURE).parent), "--jobs", "1")),
     ],
 )
 def test_seeded_output_matches_golden(tmp_path, golden, argv):

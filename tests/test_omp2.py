@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from conftest import load_point
-from omp2sim.chem import MolecularIntegrals, build_perturbation, parse_fcidump
+from omp2sim.chem import (
+    MolecularIntegrals,
+    build_perturbation,
+    freeze_active_space,
+    parse_fcidump,
+)
 from helpers import dense_perturbation
 from omp2sim.circuits import Circuit, compile_orbital_rotation, double_excitation, prep_reference
 from omp2sim import omp2, simulator
@@ -226,9 +232,9 @@ def test_closed_form_equals_circuit_energy(refs, molecule, distance, tol):
         assert abs(energy - est.mp2_energy(theta).total) <= 1e-12
 
 
-def _synthetic_integrals(n_orb, n_electrons, seed):
+def _synthetic_integrals(n_orb, n_electrons, seed, n_factors=3):
     """Random integrals with aufbau-ordered orbital energies; eri = sum_k L_k (x) L_k
-    with symmetric L_k has the 8-fold symmetry of real orbitals."""
+    over n_factors symmetric L_k has the 8-fold symmetry of real orbitals."""
     rng = np.random.default_rng(seed)
 
     def symmetric(scale):
@@ -236,7 +242,7 @@ def _synthetic_integrals(n_orb, n_electrons, seed):
         return a + a.T
 
     h1 = np.diag(np.linspace(-2.0, 1.0, n_orb)) + symmetric(0.02)
-    eri = sum(np.multiply.outer(l, l) for l in (symmetric(0.1) for _ in range(3)))
+    eri = sum(np.multiply.outer(l, l) for l in (symmetric(0.1) for _ in range(n_factors)))
     return MolecularIntegrals(n_orb, 0.0, h1, eri, n_electrons)
 
 
@@ -532,12 +538,14 @@ def _gate_built_columns(est):
     return np.stack(cols, axis=1)[est._sector.states]
 
 
-def _probe_matrix(sector, probes):
-    """The sector columns cos |ref> + sin |D> of the probe table, written out."""
+def _probe_matrix(sector, rows, probes):
+    """The sector columns cos |ref> + sin |D> of the probe table, written out
+    at the sector rows of its determinants."""
+    assert np.array_equal(sector.states[rows], probes.states)
     cols = np.zeros((sector.size, probes.det.size))
     k = np.arange(probes.det.size)
-    cols[probes.dets[0], k] = probes.cos
-    cols[probes.dets[probes.det], k] += probes.sin  # column 0 adds 0.0 to its 1.0
+    cols[rows[0], k] = probes.cos
+    cols[rows[probes.det], k] += probes.sin  # column 0 adds 0.0 to its 1.0
     return cols
 
 
@@ -554,9 +562,9 @@ def test_sector_columns_equal_the_gate_built_columns(refs, molecule, distance):
     est = Estimator(mi)
     built = _gate_built_columns(est)
     assert np.array_equal(built.imag, np.zeros(built.shape))
-    assert np.array_equal(built.real, _probe_matrix(est._sector, est._probes))
+    assert np.array_equal(built.real, _probe_matrix(est._sector, est._probe_rows, est._probes))
     # one determinant per double, after the reference
-    assert est._probes.dets.size == 1 + len(est.doubles)
+    assert est._probe_rows.size == 1 + len(est.doubles)
 
 
 @settings(max_examples=8, deadline=None)
@@ -567,7 +575,9 @@ def test_double_excitation_sign_on_the_reference(omega):
         for n_electrons in range(2, n - 1, 2):
             sector = number_sector(n, n_electrons)
             doubles = enumerate_doubles(n, n_electrons)
-            cols = _probe_matrix(sector, omp2._excited_columns(sector, doubles, (omega,)))
+            probes = omp2._excited_columns(n, n_electrons, doubles, (omega,))
+            rows = np.searchsorted(sector.states, probes.states)
+            cols = _probe_matrix(sector, rows, probes)
             ref = run(prep_reference(n, n_electrons))
             for k, d in enumerate(doubles):
                 gates = double_excitation(d.i, d.j, d.a, d.b, omega)
@@ -578,8 +588,62 @@ def test_double_excitation_sign_on_the_reference(omega):
             assert np.array_equal(ref[sector.states], cols[:, 0])
 
 
+def _rotated_column_energies(est, u):
+    """Every column's energy from the noiseless-shots path: the probe
+    determinants rotated in the sector, summed against each group's
+    coefficients."""
+    diagonal = np.zeros(est._probes.states.size)
+    cross = np.zeros_like(diagonal)
+    for coeff, x in est._rotated_determinants(u):
+        diagonal += np.einsum("i,ij,ij->j", coeff, x, x)
+        cross += np.einsum("i,ij->j", coeff * x[:, 0], x)
+    c, s, d = est._probes.cos, est._probes.sin, est._probes.det
+    return c**2 * diagonal[0] + s**2 * diagonal[d] + 2.0 * c * s * cross[d]
+
+
+def _assert_wick_matches_rotated_determinants(est, rng, n_random=2):
+    theta0 = ThetaParams.zeros(est.n_qubits, est.n_electrons)
+    thetas = [theta0] + [
+        theta0.with_values(rng.uniform(-1.0, 1.0, len(theta0.values))) for _ in range(n_random)
+    ]
+    for theta in thetas:
+        u = omp2.expm_antisymmetric(theta.to_matrix())
+        wick, variances = est._column_energies_exact(u)
+        assert not variances.any()
+        assert np.abs(wick - _rotated_column_energies(est, u)).max() <= 1e-12
+
+
+def test_wick_columns_match_the_rotated_determinants(refs):
+    # every packaged fixture in its full orbital space, and LiH also in the
+    # active space the CLI runs it in; theta = 0 and two random theta
+    rng = np.random.default_rng(23)
+    spec = refs.molecules["lih"].active_space
+    paths = sorted(Path(fixture_path("h2_1.4.fcidump")).parent.glob("*.fcidump"))
+    assert len(paths) == 69
+    for path in paths:
+        mi = parse_fcidump(path)
+        _assert_wick_matches_rotated_determinants(Estimator(mi), rng)
+        if path.name.startswith("lih"):
+            _assert_wick_matches_rotated_determinants(
+                Estimator(freeze_active_space(mi, spec)), rng
+            )
+
+
+# 28 random factors push an orbital energy out of aufbau order, which is harmless here
+@pytest.mark.filterwarnings("ignore:orbital energies are not aufbau ordered")
+def test_wick_columns_match_the_rotated_determinants_at_fourteen_qubits(monkeypatch):
+    # 7 orbitals, 6 electrons: 29 groups of 28 factors, 421 probe determinants
+    monkeypatch.setattr(omp2, "MAX_QUBITS", 14)
+    mi = _synthetic_integrals(7, 6, seed=5, n_factors=28)
+    est = Estimator(mi)
+    assert (est.n_qubits, est.n_groups) == (14, 29)
+    _assert_wick_matches_rotated_determinants(est, np.random.default_rng(4))
+
+
 def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
-    # exact and noiseless shots mode, with and without postselection
+    # exact mode builds no sector and rotates no determinant: its energies
+    # come from Wick's theorem on M x M matrices; noiseless shots, with and
+    # without postselection, rotate the probe determinants in the sector
     def full_space(*args, **kwargs):
         raise AssertionError("noiseless modes must not build 2^N states, counts or coefficients")
 
@@ -589,7 +653,7 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
     occupations = simulator.occupations
 
     def sector_occupations(n_qubits, states=None):
-        assert states is not None, "exact mode must not tabulate all 2^N occupations"
+        assert states is not None, "noiseless shots must not tabulate all 2^N occupations"
         return occupations(n_qubits, states)
 
     # the estimator reads the occupation table of the cached sector
@@ -597,7 +661,7 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
     simulator.number_sector.cache_clear()
 
     def no_compile(*args, **kwargs):
-        raise AssertionError("exact mode must not compile circuits")
+        raise AssertionError("noiseless modes must not compile circuits")
 
     monkeypatch.setattr(omp2, "compile_orbital_rotation", no_compile)
     monkeypatch.setattr(omp2, "double_excitation", no_compile)
@@ -620,6 +684,10 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
 
     monkeypatch.setattr(omp2, "expm_antisymmetric", count_expm)
 
+    def sector_calls():
+        info = simulator.number_sector.cache_info()
+        return info.hits + info.misses
+
     mi = parse_fcidump(fixture_path("lih_3.1.fcidump"))
     configs = [
         EstimatorConfig(),
@@ -631,13 +699,20 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
         batches.clear()
         rotations.clear()
         bd = est.mp2_energy(_random_theta(est, np.random.default_rng(3), scale=0.2))
-        # each group rotates the reference and one determinant per double, once
-        assert batches == [1 + len(est.doubles)] * est.n_groups
         assert rotations == [(6, 6)]  # one spatial rotation per evaluation
         assert bd.diagnostics["kept_fraction_mean"] == (1.0 if cfg.postselect else None)
+        if cfg.mode == "exact":
+            assert batches == [] and sector_calls() == 0
+        else:
+            # each group rotates the reference and one determinant per double, once
+            assert batches == [1 + len(est.doubles)] * est.n_groups
+            assert sector_calls() > 0
+    simulator.number_sector.cache_clear()
+    batches.clear()
     mi, pt = load_point(refs, "h4", 2.6)
     _, bd = Estimator(mi).optimize()
     assert bd.total + mi.e_core == pytest.approx(pt.e_omp2, abs=1e-6)
+    assert batches == [] and sector_calls() == 0
 
 
 def test_energy_breakdown_total():
