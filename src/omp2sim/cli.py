@@ -30,7 +30,14 @@ import numpy as np
 
 from .chem import freeze_active_space, parse_fcidump
 from .circuits import Circuit, compile_orbital_rotation, prep_reference
-from .omp2 import CapacityError, Estimator, EstimatorConfig, RejectedShotsError, ThetaParams
+from .omp2 import (
+    CapacityError,
+    Estimator,
+    EstimatorConfig,
+    RejectedShotsError,
+    ThetaParams,
+    check_capacity,
+)
 from .oracle import ReferenceValues
 from .simulator import default_seed, load_noise_presets, run, trajectory_fidelity
 
@@ -93,6 +100,7 @@ def _load_problem(path: Path, refs: ReferenceValues):
                 mi = freeze_active_space(mi, spec)
     except (OSError, ValueError) as exc:
         raise FixtureProblem(f"{path}: {exc}") from exc
+    check_capacity(mi)
     try:
         ref_pt = ref_mol.point_at(dist) if ref_mol is not None else None
     except KeyError:

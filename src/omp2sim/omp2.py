@@ -17,16 +17,17 @@ what keeps the per-evaluation work linear in circuits.
 theta enters as one spatial rotation u = exp(kappa), computed once per
 evaluation; both spin channels rotate by it, kron(u, I_2), and group 0 is
 diagonalized from the spatial perturbation T = h1 - u diag(eps) u^T.
-Each probe column is cos(omega) |ref> + sin(omega) |D>, and exact mode
-needs no amplitudes for it.  Measured after the rotation W = g^T u of
-U(theta) and its group's measurement circuit, a group's sum_p f_p n_p is
-the one-body operator A = sum_kv F_kv E_kv on the probe, with
-F = W^T diag(f) W (f = linear for group 0).  On a determinant of occupied
-spin orbitals o, Wick's theorem gives <A> = sum_{k in o} F_kk,
-<A^2> = <A>^2 + sum over each spin of F_kv^2 (k in o, v not) and
-<ref|A^2|D_ij^ab> = 2 (F_ia F_jb - F_ib F_ja), F zero between spins; a
-two-body group is weight / 2 A^2.  So exact mode takes c^2 <ref|C|ref> +
-s^2 <D|C|D> + 2cs <ref|C|D> for every group at once from M x M matrices.
+One table of the doubles' (i, j, a, b) drives the probe columns
+cos(omega) |ref> + sin(omega) |D>, their Wick tables and the assembly of
+E2.  Measured after the rotation W = g^T u of U(theta) and its group's
+measurement circuit, a group's sum_p f_p n_p is the one-body operator
+A = sum_kv F_kv E_kv on the probe, with F = W^T diag(f) W (f = linear for
+group 0).  On a determinant of occupied spin orbitals o, Wick's theorem
+gives <A> = sum_{k in o} F_kk, <A^2> = <A>^2 + sum over each spin of
+F_kv^2 (k in o, v not) and <ref|A^2|D_ij^ab> = 2 (F_ia F_jb - F_ib F_ja),
+F zero between spins; a two-body group is weight / 2 A^2.  So exact mode
+takes c^2 <ref|C|ref> + s^2 <D|C|D> + 2cs <ref|C|D> for every group at
+once from M x M matrices, with no amplitudes.
 Noiseless shots alone rotate determinants: each group rotates the
 reference and one determinant per double once, by g^T u, in the
 n_e-electron sector (`simulator.rotate_determinants`, pinned to the gate
@@ -53,6 +54,7 @@ estimates, since a noiseless gradient must not steer a noisy estimate.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -115,6 +117,14 @@ class CapacityError(ValueError):
     """The problem needs more qubits than the simulator holds."""
 
 
+def check_capacity(mi: MolecularIntegrals) -> int:
+    """The qubit count of mi, one per spin orbital; CapacityError past MAX_QUBITS."""
+    n_qubits = 2 * mi.n_spatial
+    if n_qubits > MAX_QUBITS:
+        raise CapacityError(f"{n_qubits} spin orbitals exceed the {MAX_QUBITS}-qubit cap")
+    return n_qubits
+
+
 class RejectedShotsError(ValueError):
     """Postselection rejected every shot of one circuit; no estimate can be formed."""
 
@@ -124,7 +134,9 @@ class ThetaParams:
     """Independent rotation angles, one per (odd occupied, odd virtual) pair.
 
     Each value is shared by the corresponding even-index pair so both spin
-    channels rotate identically.
+    channels rotate identically.  values are occupied-major, as pairs lists
+    them: the n_occ x n_virt block of kappa between the spatial occupied and
+    virtual orbitals, read row by row.
     """
 
     n_spin: int
@@ -155,10 +167,9 @@ class ThetaParams:
         Both spin channels rotate by u = exp(kappa), the spin-orbital
         rotation kron(u, I_2).
         """
-        m = self.n_spin // 2
+        m, n_occ = self.n_spin // 2, self.n_electrons // 2
         mat = np.zeros((m, m))
-        for (p, q), v in zip(self.pairs, self.values):
-            mat[(p - 1) // 2, (q - 1) // 2] = v
+        mat[:n_occ, n_occ:] = np.reshape(self.values, (n_occ, m - n_occ))
         return mat - mat.T
 
 
@@ -218,6 +229,9 @@ class EstimatorConfig:
     trajectories: int = 16
 
     def __post_init__(self):
+        for name in ("shots", "trajectories", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):  # numpy integers too
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.mode not in ("exact", "shots"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.shots < 1:
@@ -254,22 +268,18 @@ class Estimator:
     def __init__(self, mi: MolecularIntegrals, cfg: EstimatorConfig | None = None):
         self.cfg = cfg or EstimatorConfig()
         self.mi = mi
+        self.n_qubits = check_capacity(mi)
         self.si = spin_orbitalize(mi)
-        self.n_qubits = self.si.n_spin
-        if self.n_qubits > MAX_QUBITS:
-            raise CapacityError(f"{self.n_qubits} spin orbitals exceed the {MAX_QUBITS}-qubit cap")
         self.n_electrons = mi.n_electrons
         self.eps = orbital_energies(self.si, self.n_electrons)
         self.e_core = mi.e_core
         self.e0 = float(self.eps[: self.n_electrons].sum())
         self.pairs = pair_indices(self.n_qubits, self.n_electrons)
         self.doubles = enumerate_doubles(self.n_qubits, self.n_electrons)
-        self._deltas = np.array(
-            [
-                self.eps[d.i - 1] + self.eps[d.j - 1] - self.eps[d.a - 1] - self.eps[d.b - 1]
-                for d in self.doubles
-            ]
-        )
+        # the doubles table: one row of 1-based spin orbitals (i, j, a, b) per double
+        self._doubles = np.array([(d.i, d.j, d.a, d.b) for d in self.doubles], int).reshape(-1, 4)
+        e_i, e_j, e_a, e_b = self.eps[self._doubles.T - 1]
+        self._deltas = e_i + e_j - e_a - e_b
         self._skip = np.abs(self._deltas) < DEGENERACY_TOL
         if self._skip.any():
             warnings.warn(
@@ -289,8 +299,7 @@ class Estimator:
         # exact mode evaluates every group on the probe determinants by Wick's
         # theorem, from M x M matrices; only noiseless shots need the sector
         # (its rows, coefficients and probe rows are built on first use)
-        self._probes = _excited_columns(self.n_qubits, self.n_electrons, self.doubles, _OMEGAS)
-        self._wick = _wick_tables(self.n_qubits, self._probes, self.doubles)
+        self._probes = _probe_table(self.n_qubits, self.n_electrons, self._doubles, _OMEGAS)
         m, groups = mi.n_spatial, self._static_groups
         self._rotations = np.array([g.rotation for g in groups]).reshape(-1, m, m)
         self._factors = np.array([g.factor for g in groups]).reshape(-1, m)
@@ -347,7 +356,7 @@ class Estimator:
         """Per column c |ref> + s |D>: c^2 <ref|C|ref> + s^2 <D|C|D> + 2cs <ref|C|D>,
         every group at once by Wick's theorem on F = W^T diag(f) W, W = g^T u
         (the module docstring gives the rules)."""
-        g0, t = self._group0(u), self._wick
+        g0, t = self._group0(u), self._probes
         # einsum sums without BLAS, so the rounding does not depend on the
         # BLAS build or its threads
         rotations = np.concatenate([g0.rotation[None], self._rotations])
@@ -365,7 +374,7 @@ class Estimator:
         pairs = f2[:, i, a] * f2[:, j, b] * t.direct - f2[:, i, b] * f2[:, j, a] * t.exchange
         cross = np.zeros_like(diagonal)  # <ref|C|D>, 0 on the reference itself
         cross[1:] = 2.0 * np.einsum("l,ld->d", self._half_weights, pairs)
-        c, s, d = self._probes.cos, self._probes.sin, self._probes.det
+        c, s, d = t.cos, t.sin, t.det
         e_cols = c**2 * diagonal[0] + s**2 * diagonal[d] + 2.0 * c * s * cross[d]
         return e_cols, np.zeros_like(e_cols)
 
@@ -439,30 +448,25 @@ class Estimator:
     def _assemble(self, e_cols, var_cols, kept_mean=None) -> EnergyBreakdown:
         e1 = float(e_cols[0])
         var_e1 = float(var_cols[0])
-        e2 = 0.0
-        var_e2 = 0.0
-        residuals = []
-        residual_vars = []
-        for k, d in enumerate(self.doubles):
-            if self._skip[k]:
-                continue
-            r = float(e_cols[1 + 2 * k] - 0.5 * e_cols[2 + 2 * k] - 0.5 * e1)
-            var_r = float(var_cols[1 + 2 * k] + 0.25 * var_cols[2 + 2 * k] + 0.25 * var_e1)
-            delta = self._deltas[k]
-            e2 += r * r / delta
-            var_e2 += (2.0 * r / delta) ** 2 * var_r
-            residuals.append(((d.i, d.j, d.a, d.b), r))
-            residual_vars.append(((d.i, d.j, d.a, d.b), var_r))
+        keep = ~self._skip
+        quarter, half = e_cols[1:].reshape(-1, len(_OMEGAS)).T[:, keep]
+        var_quarter, var_half = var_cols[1:].reshape(-1, len(_OMEGAS)).T[:, keep]
+        r = quarter - 0.5 * half - 0.5 * e1
+        var_r = var_quarter + 0.25 * var_half + 0.25 * var_e1
+        delta = self._deltas[keep]
+        # left to right from 0.0, not pairwise as np.sum adds: seeded output keeps its digits
+        e2 = np.cumsum(np.append(0.0, r * r / delta))[-1]
+        var_e2 = np.cumsum(np.append(0.0, (2.0 * r / delta) ** 2 * var_r))[-1]
+        doubles = list(map(tuple, self._doubles[keep].tolist()))
         diagnostics = {
-            "residuals": tuple(residuals),
-            "residual_variances": tuple(residual_vars),
+            "residuals": tuple(zip(doubles, r.tolist())),
+            "residual_variances": tuple(zip(doubles, var_r.tolist())),
             "var_e1": var_e1,
             "skipped_doubles": int(self._skip.sum()),
             "kept_fraction_mean": kept_mean,
         }
-        return EnergyBreakdown(
-            e0=self.e0, e1=e1, e2=float(e2), variance=var_e1 + var_e2, diagnostics=diagnostics
-        )
+        variance = float(var_e1 + var_e2)
+        return EnergyBreakdown(self.e0, e1, float(e2), variance, diagnostics)
 
     # -- public interface ----------------------------------------------------
 
@@ -538,11 +542,10 @@ class Estimator:
         eigenpair leaves only its reordering term -1/2 sum_r (pr|rq), which
         group 0 still carries.
         """
-        eri = np.zeros_like(self.mi.eri)
-        for g in self._static_groups:
-            # a group adds w g_pq g_rs, with g = O diag(f) O^T its eigenvector
-            o, wff = g.rotation, g.weight * np.outer(g.factor, g.factor)
-            eri += np.einsum("ab,pa,qa,rb,sb->pqrs", wff, o, o, o, o)
+        # a group adds w g_pq g_rs, with g = O diag(f) O^T its eigenvector
+        o = self._rotations
+        g = np.einsum("lpa,la,lqa->lpq", o, self._factors, o)
+        eri = np.einsum("l,lpq,lrs->pqrs", 2.0 * self._half_weights, g, g)
         h1 = self.mi.h1 - 0.5 * np.einsum("prrq->pq", self.mi.eri - eri)
         return h1, eri
 
@@ -577,45 +580,11 @@ def _measurement_circuit(g) -> Circuit:
     return compile_orbital_rotation(np.kron(g.rotation, np.eye(2)).T)
 
 
-class _ProbeColumns(NamedTuple):
-    """Column k is cos[k] |states[0]> + sin[k] |states[det[k]]>.
+class _Probes(NamedTuple):
+    """The probe columns, and their determinants as Wick's theorem reads them.
 
-    states holds basis indices: the reference, then one determinant per double.
-    """
-
-    states: np.ndarray
-    det: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
-
-
-def _excited_columns(n_qubits, n_electrons, doubles, omegas) -> _ProbeColumns:
-    """The probe columns: |ref>, then each double at each omega on |ref>.
-
-    exp[omega (a+_a a+_b a_j a_i - h.c.)] |ref> = cos(omega) |ref> +
-    (-1)^(i+j+1) sin(omega) |D>, with D the reference with i, j emptied and
-    a, b filled; these are the values the gates produce, bit for bit.
-    Column 0 is the reference alone: cos 1 and sin 0 on states[0].
-    """
-    n = n_qubits
-    ref = ((1 << n_electrons) - 1) << (n - n_electrons)
-    moved = [sum(1 << (n - p) for p in (d.i, d.j, d.a, d.b)) for d in doubles]
-    states = np.array([ref] + [ref ^ m for m in moved], dtype=np.intp)
-    signs = [_excitation_sign(d) for d in doubles]
-    det = [0] + [k for k in range(1, len(states)) for _ in omegas]
-    cos = [1.0] + [math.cos(omega) for _ in doubles for omega in omegas]
-    sin = [0.0] + [sign * math.sin(omega) for sign in signs for omega in omegas]
-    return _ProbeColumns(states, np.array(det), np.array(cos), np.array(sin))
-
-
-def _excitation_sign(d: DoubleExcitationIndex) -> float:
-    """a+_a a+_b a_j a_i |ref> = (-1)^(i+j+1) |D> in the Jordan-Wigner basis."""
-    return 1.0 if (d.i + d.j) % 2 else -1.0
-
-
-class _WickTables(NamedTuple):
-    """The probe determinants as Wick's theorem reads them.
-
+    Column k is cos[k] |states[0]> + sin[k] |states[det[k]]>; states holds
+    basis indices, the reference and then one determinant per double.
     strings[s, k] is 1 where spin string s fills spatial orbital k, over the
     distinct alpha and beta strings of the probe determinants; determinant d
     is alpha string spin_strings[0, d] and beta string spin_strings[1, d].
@@ -624,6 +593,10 @@ class _WickTables(NamedTuple):
     i, b and j, a (exchange) agree, else 0.
     """
 
+    states: np.ndarray
+    det: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
     strings: np.ndarray
     spin_strings: np.ndarray
     orbitals: np.ndarray
@@ -631,23 +604,40 @@ class _WickTables(NamedTuple):
     exchange: np.ndarray
 
 
-def _wick_tables(n_qubits, probes: _ProbeColumns, doubles) -> _WickTables:
-    m = n_qubits // 2
+def _probe_table(n_qubits, n_electrons, doubles: np.ndarray, omegas) -> _Probes:
+    """The probes of the doubles table (rows of 1-based i, j, a, b): |ref>,
+    then each double at each omega on |ref>.
+
+    exp[omega (a+_a a+_b a_j a_i - h.c.)] |ref> = cos(omega) |ref> +
+    (-1)^(i+j+1) sin(omega) |D>, with D the reference with i, j emptied and
+    a, b filled; these are the values the gates produce, bit for bit.
+    Column 0 is the reference alone: cos 1 and sin 0 on states[0].
+    """
+    n, m = n_qubits, n_qubits // 2
+    ref = ((1 << n_electrons) - 1) << (n - n_electrons)
+    states = np.append(ref, ref ^ (1 << (n - doubles)).sum(axis=1))
+    sign = np.where(doubles[:, :2].sum(axis=1) % 2, 1.0, -1.0)
+    cos = np.array([math.cos(omega) for omega in omegas])
+    sin = np.array([math.sin(omega) for omega in omegas])
     # qubit 2k + 1 is spin orbital alpha_k, qubit 2k + 2 is beta_k; a spin
     # string is numbered as the basis index of m qubits, orbital 0 first
-    occupied = occupations(n_qubits, probes.states).reshape(-1, m, 2)
-    numbers = np.einsum("dks,k->sd", occupied, 1 << np.arange(m - 1, -1, -1)).tolist()
-    index = {}
-    spin_strings = [[index.setdefault(x, len(index)) for x in row] for row in numbers]
-    spin_orbitals = np.array([(d.i, d.j, d.a, d.b) for d in doubles], dtype=np.intp).reshape(-1, 4)
-    orbital, spin = np.divmod(spin_orbitals.T - 1, 2)
-    signs = np.array([_excitation_sign(d) for d in doubles])
-    return _WickTables(
-        strings=occupations(m, np.array(list(index))).astype(float),
-        spin_strings=np.array(spin_strings),
+    occupied = occupations(n, states).reshape(-1, m, 2)
+    numbers = np.einsum("dks,k->sd", occupied, 1 << np.arange(m - 1, -1, -1))
+    # the distinct strings by lookup: np.unique's sort code costs 0.3 MB resident
+    distinct = np.flatnonzero(np.bincount(numbers.ravel()))
+    index = np.empty(1 << m, dtype=np.intp)
+    index[distinct] = np.arange(distinct.size)
+    orbital, spin = np.divmod(doubles.T - 1, 2)
+    return _Probes(
+        states=states,
+        det=np.append(0, np.repeat(np.arange(1, len(states)), len(omegas))),
+        cos=np.append(1.0, np.tile(cos, len(doubles))),
+        sin=np.append(0.0, np.outer(sign, sin).ravel()),
+        strings=occupations(m, distinct).astype(float),
+        spin_strings=index[numbers],
         orbitals=orbital,
-        direct=signs * ((spin[0] == spin[2]) & (spin[1] == spin[3])),
-        exchange=signs * ((spin[0] == spin[3]) & (spin[1] == spin[2])),
+        direct=sign * ((spin[0] == spin[2]) & (spin[1] == spin[3])),
+        exchange=sign * ((spin[0] == spin[3]) & (spin[1] == spin[2])),
     )
 
 
@@ -687,7 +677,7 @@ def _omp2_energy_and_gradient(h1, eri, eps, theta: ThetaParams) -> tuple[float, 
     grad_u[:, n_occ:] = 4.0 * np.einsum("xqjb,qi,iajb->xa", half, occ, amp)
     m = expm_antisymmetric_adjoint(kappa, grad_u)
     grad = m - m.T
-    return energy, np.array([grad[(p - 1) // 2, (q - 1) // 2] for p, q in theta.pairs])
+    return energy, grad[:n_occ, n_occ:].ravel()
 
 
 class _OptimizeResult(NamedTuple):

@@ -144,13 +144,13 @@ def _gate_matrix(g: Gate):
 
 @dataclass(frozen=True, eq=False)
 class NumberSector:
-    """Basis states of n_qubits with exactly n_electrons set bits.
+    """Basis states of n_qubits (even) with exactly n_electrons set bits.
 
     states holds their sorted basis indices; sector amplitudes are the
     full-space amplitudes gathered at states.  occupations is the 0/1
-    table jw.occupations(n_qubits, states).  For even n_qubits, qubit
-    2k - 1 is spin orbital alpha_k and qubit 2k is beta_k, and the sector
-    also holds the tables of rotate_determinants:
+    table jw.occupations(n_qubits, states).  Qubit 2k - 1 is spin orbital
+    alpha_k and qubit 2k is beta_k, and the sector also holds the tables of
+    rotate_determinants:
 
       subsets[k]: every k-subset of the n_qubits / 2 spatial orbitals
         (0-based), in itertools.combinations order.  A string of one
@@ -162,18 +162,16 @@ class NumberSector:
       spin_signs: +-1 per sector row, (-1)^(sum over beta electrons of
         the alpha electrons on later orbitals): the sign of moving every
         alpha creation operator ahead of every beta one.
-
-    For odd n_qubits the four are None.
     """
 
     n_qubits: int
     n_electrons: int
     states: np.ndarray
     occupations: np.ndarray
-    subsets: tuple[np.ndarray, ...] | None = None
-    alpha_strings: np.ndarray | None = None
-    beta_strings: np.ndarray | None = None
-    spin_signs: np.ndarray | None = None
+    subsets: tuple[np.ndarray, ...]
+    alpha_strings: np.ndarray
+    beta_strings: np.ndarray
+    spin_signs: np.ndarray
 
     @property
     def size(self) -> int:
@@ -182,7 +180,9 @@ class NumberSector:
 
 @lru_cache(maxsize=None)
 def number_sector(n_qubits: int, n_electrons: int) -> NumberSector:
-    """The (cached, read-only) sector of n_electrons among n_qubits."""
+    """The (cached, read-only) sector of n_electrons among n_qubits (even)."""
+    if n_qubits % 2:
+        raise ValueError(f"a number sector needs an even number of qubits, got {n_qubits}")
     states = np.array(
         sorted(
             sum(1 << (n_qubits - p) for p in occ)
@@ -191,10 +191,6 @@ def number_sector(n_qubits: int, n_electrons: int) -> NumberSector:
         dtype=np.intp,
     )
     occ = occupations(n_qubits, states)  # column p - 1 is qubit p
-    for a in (states, occ):
-        a.setflags(write=False)
-    if n_qubits % 2:
-        return NumberSector(n_qubits, n_electrons, states, occ)
     n_orb = n_qubits // 2
     subsets = tuple(
         np.array(list(combinations(range(n_orb), k)), dtype=np.intp, ndmin=2)
@@ -211,7 +207,7 @@ def number_sector(n_qubits: int, n_electrons: int) -> NumberSector:
     alpha_strings, beta_strings = index[occ_a @ weights], index[occ_b @ weights]
     later_a = occ_a[:, ::-1].cumsum(axis=1)[:, ::-1] - occ_a
     spin_signs = 1.0 - 2.0 * ((occ_b * later_a).sum(axis=1) % 2)
-    for a in (*subsets, alpha_strings, beta_strings, spin_signs):
+    for a in (states, occ, *subsets, alpha_strings, beta_strings, spin_signs):
         a.setflags(write=False)
     return NumberSector(
         n_qubits, n_electrons, states, occ, subsets, alpha_strings, beta_strings, spin_signs
@@ -235,8 +231,6 @@ def rotate_determinants(w: np.ndarray, rows, sector: NumberSector) -> np.ndarray
     and each output row from and to qubit order.  Minors multiply, so
     R(v) R(w) = R(v w) (Cauchy-Binet).
     """
-    if sector.spin_signs is None:
-        raise ValueError("orbital rotations need an even number of qubits")
     n_orb = sector.n_qubits // 2
     w = np.asarray(w, dtype=float)
     if w.shape != (n_orb, n_orb):

@@ -318,6 +318,23 @@ def test_curve_checks_every_fixture_before_any_work(tmp_path, monkeypatch, capsy
     assert built == []
 
 
+def test_curve_checks_capacity_before_any_optimization(tmp_path, monkeypatch, capsys):
+    # with a 4-qubit cap the two H2 points fit and H3+ (6 qubits) does not
+    for name in ("h2_1.4.fcidump", "h2_1.6.fcidump", "h3p_2.4.fcidump"):
+        shutil.copy(fixture_path(name), tmp_path / name)
+    monkeypatch.setattr(omp2sim.omp2, "MAX_QUBITS", 4)
+
+    def optimize(self, *args, **kwargs):
+        raise AssertionError("optimize called before every fixture's capacity was checked")
+
+    monkeypatch.setattr(omp2sim.omp2.Estimator, "optimize", optimize)
+    assert run_cli("curve", "--fixture-dir", str(tmp_path)) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "4-qubit cap" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "name,qubits,params,doubles,groups,circuits,depth_a,depth_b",
     [
@@ -547,6 +564,10 @@ def test_seed_changes_shot_noise(tmp_path):
         # every packaged fixture: the exact path over all molecules and spaces
         ("curve_all_exact.csv",
          ("curve", "--fixture-dir", str(Path(H2_FIXTURE).parent), "--jobs", "1")),
+        # noiseless sector draws with spin-mixed doubles and four electrons
+        ("noise_study_h4_noiseless_seed5.json",
+         ("noise-study", "--fixture", str(fixture_path("h4_2.6.fcidump")),
+          "--shots", "2000", "--seed", "5", "--format", "json")),
     ],
 )
 def test_seeded_output_matches_golden(tmp_path, golden, argv):

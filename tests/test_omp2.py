@@ -107,6 +107,21 @@ def test_estimator_config_validation():
     EstimatorConfig(mode="shots", postselect=True)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("shots", 1.5), ("shots", math.nan), ("trajectories", 2.5), ("seed", 2.7), ("seed", "3")],
+)
+def test_estimator_config_rejects_non_integral_counts(field, value):
+    # shots=1.5 used to fail mid-evaluation in rng.random, and seed=2.7 ran as seed 2
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        EstimatorConfig(mode="shots", **{field: value})
+
+
+def test_estimator_config_accepts_numpy_integers():
+    cfg = EstimatorConfig(mode="shots", shots=np.int64(5), trajectories=np.int32(2), seed=np.uint8(3))
+    assert (cfg.shots, cfg.trajectories, cfg.seed) == (5, 2, 3)
+
+
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
 def test_estimator_config_rejects_bad_truncation_tol(tol):
     # an infinite tolerance drops every two-body factor and returned an energy
@@ -575,7 +590,8 @@ def test_double_excitation_sign_on_the_reference(omega):
         for n_electrons in range(2, n - 1, 2):
             sector = number_sector(n, n_electrons)
             doubles = enumerate_doubles(n, n_electrons)
-            probes = omp2._excited_columns(n, n_electrons, doubles, (omega,))
+            table = np.array([(d.i, d.j, d.a, d.b) for d in doubles]).reshape(-1, 4)
+            probes = omp2._probe_table(n, n_electrons, table, (omega,))
             rows = np.searchsorted(sector.states, probes.states)
             cols = _probe_matrix(sector, rows, probes)
             ref = run(prep_reference(n, n_electrons))

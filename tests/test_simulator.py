@@ -123,7 +123,7 @@ def test_sector_kernel_composes_rotations(n, data):
     assert np.abs(once - then @ rotate_determinants(u, rows, sector)).max() < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 4, 7, 10])
+@pytest.mark.parametrize("n", [4, 10])
 def test_number_sector_holds_every_state_of_its_weight(n):
     for n_electrons in range(n + 2):
         sector = number_sector(n, n_electrons)
@@ -143,9 +143,8 @@ def test_orbital_rotation_rejects_bad_input():
     for bad in (rows + 1, rows - 1, rows[:, None], rows.astype(float), ["0"]):
         with pytest.raises(ValueError, match="sector"):
             rotate_determinants(np.eye(2), bad, sector)
-    odd = number_sector(5, 2)
     with pytest.raises(ValueError, match="even"):
-        rotate_determinants(np.eye(2), np.arange(odd.size), odd)
+        number_sector(5, 2)
 
 
 def test_run_produces_normalized_state():
