@@ -59,7 +59,6 @@ from .lowrank import (
     factorize,
 )
 from .omp2 import (
-    DoubleExcitationIndex,
     EnergyBreakdown,
     Estimator,
     EstimatorConfig,
@@ -85,7 +84,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActiveSpaceSpec",
     "Circuit",
-    "DoubleExcitationIndex",
     "EnergyBreakdown",
     "Estimator",
     "EstimatorConfig",

@@ -98,9 +98,14 @@ def _load_problem(path: Path, refs: ReferenceValues):
             spec = ref_mol.active_space
             if spec.frozen_occupied or spec.deleted_virtual:
                 mi = freeze_active_space(mi, spec)
+        check_capacity(mi)
+    except CapacityError as exc:
+        raise CapacityError(f"{path}: {exc}") from exc
+    except MemoryError as exc:
+        # e.g. a header whose NORB asks for more integrals than fit
+        raise CapacityError(f"{path}: out of memory: {exc}") from exc
     except (OSError, ValueError) as exc:
         raise FixtureProblem(f"{path}: {exc}") from exc
-    check_capacity(mi)
     try:
         ref_pt = ref_mol.point_at(dist) if ref_mol is not None else None
     except KeyError:
@@ -188,11 +193,17 @@ def cmd_curve(args) -> int:
     # --jobs is accepted, but rows run serially: threads were measured slower
     cfg = _estimator_config(args)
     refs = ReferenceValues.load()
-    paths = sorted(Path(args.fixture_dir).glob("*.fcidump"))
+    fixture_dir = Path(args.fixture_dir)
+    if not fixture_dir.is_dir():
+        problem = "not a directory" if fixture_dir.exists() else "directory not found"
+        raise FixtureProblem(f"--fixture-dir {fixture_dir}: {problem}")
+    paths = sorted(fixture_dir.glob("*.fcidump"))
+    if not paths:
+        raise FixtureProblem(f"no fixtures in {fixture_dir}")
     if args.molecule:
         paths = [p for p in paths if _parse_fixture_name(p)[0] == args.molecule]
-    if not paths:
-        raise FixtureProblem(f"no fixtures in {args.fixture_dir}")
+        if not paths:
+            raise FixtureProblem(f"no {args.molecule} fixtures in {fixture_dir}")
     # every fixture is checked before any is optimized, so a bad file costs no work
     problems = [_load_problem(path, refs) for path in paths]
     rows = []
@@ -352,7 +363,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         return _fail(exc, EXIT_CAPACITY)
     except MemoryError as exc:
-        # e.g. a FCIDUMP header whose NORB asks for more integrals than fit
+        # an allocation past what the host holds, after the fixtures loaded
         return _fail(f"out of memory: {exc}", EXIT_CAPACITY)
 
 

@@ -32,7 +32,9 @@ Noiseless shots alone rotate determinants: each group rotates the
 reference and one determinant per double once, by g^T u, in the
 n_e-electron sector (`simulator.rotate_determinants`, pinned to the gate
 kernel by the test suite, and the test reference of the Wick path), and
-draws each column from (c R|ref> + s R|D>)^2 over the sector rows.
+draws each column from (c R|ref> + s R|D>)^2 over the sector rows.  Both
+paths take the probe determinants as basis states, and their alpha and
+beta strings in the one numbering of `jw.spin_strings`.
 Neither path compiles a circuit.  The gates run only on the noisy path,
 which alone holds 2^N amplitudes, counts and coefficients, and they back
 the depth and resource accounting.  Postselection discards outcomes of the
@@ -59,6 +61,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +82,7 @@ from .circuits import (
     lower_circuit,
     prep_reference,
 )
-from .jw import occupations
+from .jw import occupations, spin_strings
 from .lowrank import (
     coefficient_vector,
     occupation_coefficients,
@@ -114,7 +117,7 @@ _MAX_STEP = 1.0  # radians: the largest angle change of a trial step
 
 
 class CapacityError(ValueError):
-    """The problem needs more qubits than the simulator holds."""
+    """The problem needs more qubits, or more memory, than the simulator holds."""
 
 
 def check_capacity(mi: MolecularIntegrals) -> int:
@@ -179,30 +182,12 @@ def pair_indices(n_spin: int, n_electrons: int) -> tuple[tuple[int, int], ...]:
     return tuple((p, q) for p in occ for q in virt)
 
 
-@dataclass(frozen=True)
-class DoubleExcitationIndex:
-    i: int
-    j: int
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not self.i < self.j < self.a < self.b:
-            raise ValueError("indices must satisfy i < j < a < b")
-
-
-def enumerate_doubles(n_spin: int, n_electrons: int) -> tuple[DoubleExcitationIndex, ...]:
-    occ = range(1, n_electrons + 1)
-    virt = range(n_electrons + 1, n_spin + 1)
-    return tuple(
-        DoubleExcitationIndex(i, j, a, b)
-        for i in occ
-        for j in occ
-        if j > i
-        for a in virt
-        for b in virt
-        if b > a
-    )
+def enumerate_doubles(n_spin: int, n_electrons: int) -> np.ndarray:
+    """The doubles table: one row of 1-based spin orbitals (i, j, a, b) per
+    double, i < j occupied and a < b virtual, in lexicographic order."""
+    occ = combinations(range(1, n_electrons + 1), 2)
+    virt = list(combinations(range(n_electrons + 1, n_spin + 1), 2))
+    return np.array([ij + ab for ij in occ for ab in virt], dtype=int).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -274,11 +259,8 @@ class Estimator:
         self.eps = orbital_energies(self.si, self.n_electrons)
         self.e_core = mi.e_core
         self.e0 = float(self.eps[: self.n_electrons].sum())
-        self.pairs = pair_indices(self.n_qubits, self.n_electrons)
         self.doubles = enumerate_doubles(self.n_qubits, self.n_electrons)
-        # the doubles table: one row of 1-based spin orbitals (i, j, a, b) per double
-        self._doubles = np.array([(d.i, d.j, d.a, d.b) for d in self.doubles], int).reshape(-1, 4)
-        e_i, e_j, e_a, e_b = self.eps[self._doubles.T - 1]
+        e_i, e_j, e_a, e_b = self.eps[self.doubles.T - 1]
         self._deltas = e_i + e_j - e_a - e_b
         self._skip = np.abs(self._deltas) < DEGENERACY_TOL
         if self._skip.any():
@@ -297,9 +279,8 @@ class Estimator:
             )
 
         # exact mode evaluates every group on the probe determinants by Wick's
-        # theorem, from M x M matrices; only noiseless shots need the sector
-        # (its rows, coefficients and probe rows are built on first use)
-        self._probes = _probe_table(self.n_qubits, self.n_electrons, self._doubles, _OMEGAS)
+        # theorem, from M x M matrices; only noiseless shots build the sector
+        self._probes = _probe_table(self.n_qubits, self.n_electrons, self.doubles, _OMEGAS)
         m, groups = mi.n_spatial, self._static_groups
         self._rotations = np.array([g.rotation for g in groups]).reshape(-1, m, m)
         self._factors = np.array([g.factor for g in groups]).reshape(-1, m)
@@ -311,8 +292,8 @@ class Estimator:
         """The gates that prepare each column: the noisy path and the depth accounting."""
         prep = prep_reference(self.n_qubits, self.n_electrons)
         return [prep.gates] + [
-            prep.gates + double_excitation(d.i, d.j, d.a, d.b, omega)
-            for d in self.doubles
+            prep.gates + double_excitation(i, j, a, b, omega)
+            for i, j, a, b in self.doubles.tolist()
             for omega in _OMEGAS
         ]
 
@@ -337,11 +318,6 @@ class Estimator:
             occupation_coefficients(g, self._sector.occupations) for g in self._static_groups
         )
 
-    @cached_property
-    def _probe_rows(self) -> np.ndarray:
-        """The sector rows of the probe determinants."""
-        return np.searchsorted(self._sector.states, self._probes.states)
-
     def _rotated_determinants(self, u: np.ndarray):
         """Yield (coeff, x) per group: sector coefficients and the probe
         determinants after U(theta) and the group's measurement rotation."""
@@ -350,7 +326,7 @@ class Estimator:
         for g, coeff in zip(groups, (group0, *self._sector_coeffs)):
             # the measurement circuit is compiled from kron(rotation, I_2).T,
             # and R(rotation.T) R(u) = R(rotation.T u)
-            yield coeff, rotate_determinants(g.rotation.T @ u, self._probe_rows, self._sector)
+            yield coeff, rotate_determinants(g.rotation.T @ u, self._probes.states, self._sector)
 
     def _column_energies_exact(self, u: np.ndarray):
         """Per column c |ref> + s |D>: c^2 <ref|C|ref> + s^2 <D|C|D> + 2cs <ref|C|D>,
@@ -363,7 +339,7 @@ class Estimator:
         w = np.einsum("lqp,qk->lpk", rotations, u)
         f = np.einsum("lpk,lp,lpv->lkv", w, np.concatenate([g0.linear[None], self._factors]), w)
         # one value per distinct spin string, summed over each determinant's two
-        alpha, beta = t.spin_strings
+        alpha, beta = t.det_strings
         traces = np.einsum("sk,lkk->ls", t.strings, f)
         means = traces[:, alpha] + traces[:, beta]
         f2 = f[1:]
@@ -457,7 +433,7 @@ class Estimator:
         # left to right from 0.0, not pairwise as np.sum adds: seeded output keeps its digits
         e2 = np.cumsum(np.append(0.0, r * r / delta))[-1]
         var_e2 = np.cumsum(np.append(0.0, (2.0 * r / delta) ** 2 * var_r))[-1]
-        doubles = list(map(tuple, self._doubles[keep].tolist()))
+        doubles = list(map(tuple, self.doubles[keep].tolist()))
         diagnostics = {
             "residuals": tuple(zip(doubles, r.tolist())),
             "residual_variances": tuple(zip(doubles, var_r.tolist())),
@@ -468,6 +444,13 @@ class Estimator:
         variance = float(var_e1 + var_e2)
         return EnergyBreakdown(self.e0, e1, float(e2), variance, diagnostics)
 
+    def _orbital_rotation(self, theta: ThetaParams) -> np.ndarray:
+        """The spatial rotation u = exp(kappa) of theta, a ThetaParams of this problem."""
+        given, ours = (theta.n_spin, theta.n_electrons), (self.n_qubits, self.n_electrons)
+        if given != ours:
+            raise ValueError(f"theta is for (n_spin, n_electrons) = {given}, the problem is {ours}")
+        return expm_antisymmetric(theta.to_matrix())
+
     # -- public interface ----------------------------------------------------
 
     def mp2_energy(self, theta: ThetaParams) -> EnergyBreakdown:
@@ -475,8 +458,8 @@ class Estimator:
 
         Postselecting, it is the kept shots' estimate; diagnostics["raw"] is all shots'.
         """
+        u = self._orbital_rotation(theta)
         self.n_evaluations += 1
-        u = expm_antisymmetric(theta.to_matrix())
         if self.cfg.mode == "exact":
             return self._assemble(*self._column_energies_exact(u))
         raw, kept = self._column_energies_shots(u)
@@ -551,7 +534,7 @@ class Estimator:
 
     def measurement_circuits(self, theta: ThetaParams) -> tuple[Circuit, ...]:
         """The measurement rotation of every group at theta, group 0 first."""
-        u = expm_antisymmetric(theta.to_matrix())
+        u = self._orbital_rotation(theta)
         return tuple(_measurement_circuit(g) for g in self._groups_at(u))
 
     def resource_summary(self) -> ResourceSummary:
@@ -564,7 +547,7 @@ class Estimator:
         res = [cnot_depth(Circuit(self.n_qubits, c + suffix)) for c in self._column_gates[1::2]]
         return ResourceSummary(
             n_qubits=self.n_qubits,
-            n_parameters=len(self.pairs),
+            n_parameters=len(pair_indices(self.n_qubits, self.n_electrons)),
             n_doubles=len(self.doubles),
             n_groups=self.n_groups,
             circuits_per_evaluation=(1 + len(_OMEGAS) * len(self.doubles)) * self.n_groups,
@@ -586,8 +569,9 @@ class _Probes(NamedTuple):
     Column k is cos[k] |states[0]> + sin[k] |states[det[k]]>; states holds
     basis indices, the reference and then one determinant per double.
     strings[s, k] is 1 where spin string s fills spatial orbital k, over the
-    distinct alpha and beta strings of the probe determinants; determinant d
-    is alpha string spin_strings[0, d] and beta string spin_strings[1, d].
+    distinct alpha and beta strings of the probe determinants, in the order
+    of their jw.spin_strings numbers; determinant d is alpha string
+    det_strings[0, d] and beta string det_strings[1, d].
     Per double: orbitals holds the spatial i, j, a, b, and direct and
     exchange the Jordan-Wigner sign where spins i, a and j, b (direct) or
     i, b and j, a (exchange) agree, else 0.
@@ -598,7 +582,7 @@ class _Probes(NamedTuple):
     cos: np.ndarray
     sin: np.ndarray
     strings: np.ndarray
-    spin_strings: np.ndarray
+    det_strings: np.ndarray
     orbitals: np.ndarray
     direct: np.ndarray
     exchange: np.ndarray
@@ -619,10 +603,7 @@ def _probe_table(n_qubits, n_electrons, doubles: np.ndarray, omegas) -> _Probes:
     sign = np.where(doubles[:, :2].sum(axis=1) % 2, 1.0, -1.0)
     cos = np.array([math.cos(omega) for omega in omegas])
     sin = np.array([math.sin(omega) for omega in omegas])
-    # qubit 2k + 1 is spin orbital alpha_k, qubit 2k + 2 is beta_k; a spin
-    # string is numbered as the basis index of m qubits, orbital 0 first
-    occupied = occupations(n, states).reshape(-1, m, 2)
-    numbers = np.einsum("dks,k->sd", occupied, 1 << np.arange(m - 1, -1, -1))
+    numbers = np.array(spin_strings(n, states)[:2])  # alpha, beta per determinant
     # the distinct strings by lookup: np.unique's sort code costs 0.3 MB resident
     distinct = np.flatnonzero(np.bincount(numbers.ravel()))
     index = np.empty(1 << m, dtype=np.intp)
@@ -634,7 +615,7 @@ def _probe_table(n_qubits, n_electrons, doubles: np.ndarray, omegas) -> _Probes:
         cos=np.append(1.0, np.tile(cos, len(doubles))),
         sin=np.append(0.0, np.outer(sign, sin).ravel()),
         strings=occupations(m, distinct).astype(float),
-        spin_strings=index[numbers],
+        det_strings=index[numbers],
         orbitals=orbital,
         direct=sign * ((spin[0] == spin[2]) & (spin[1] == spin[3])),
         exchange=sign * ((spin[0] == spin[3]) & (spin[1] == spin[2])),

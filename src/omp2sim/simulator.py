@@ -11,7 +11,9 @@ states with n_electrons set bits are stored, and `rotate_determinants`
 gives the exact action of the compiled Givens network on each determinant,
 one outer product of columns of the minors of u per determinant, the
 determinant picture of the Fermionic Quantum Emulator (Rubin et al.,
-Quantum 5, 568 (2021)).  u is real, so the rotated determinants are
+Quantum 5, 568 (2021)).  Determinants are given as basis states, and
+`jw.spin_strings` alone splits them into their alpha and beta strings,
+numbered as jw numbers them.  u is real, so the rotated determinants are
 float64.  `apply_circuit` runs gates on all 2^N complex amplitudes; noisy
 circuits need it, because a Pauli error leaves the sector and Y is not
 real.  Noiseless shots stay in the sector, so the estimator draws them
@@ -56,7 +58,7 @@ from importlib import resources
 import numpy as np
 
 from .circuits import Circuit, Gate, lower_circuit
-from .jw import hamming_weights, occupations
+from .jw import hamming_weights, occupations, spin_strings
 
 SEED_ENV_VAR = "OMP2SIM_SEED"
 _ROW_CHUNK = 1024  # sector rows per step of rotate_determinants
@@ -147,28 +149,16 @@ class NumberSector:
     """Basis states of n_qubits (even) with exactly n_electrons set bits.
 
     states holds their sorted basis indices; sector amplitudes are the
-    full-space amplitudes gathered at states.  occupations is the 0/1
-    table jw.occupations(n_qubits, states).  Qubit 2k - 1 is spin orbital
-    alpha_k and qubit 2k is beta_k, and the sector also holds the tables of
-    rotate_determinants:
-
-      subsets[k]: every k-subset of the n_qubits / 2 spatial orbitals
-        (0-based), in itertools.combinations order.  A string of one
-        spin is indexed by its row in the concatenation of subsets[0],
-        subsets[1], ..., so strings of different lengths never share an
-        index.
-      alpha_strings, beta_strings: per sector row, the index of its alpha
-        and of its beta string.
-      spin_signs: +-1 per sector row, (-1)^(sum over beta electrons of
-        the alpha electrons on later orbitals): the sign of moving every
-        alpha creation operator ahead of every beta one.
+    full-space amplitudes gathered at states.  Per state, occupations is
+    jw.occupations(n_qubits, states), and alpha_strings, beta_strings and
+    spin_signs are jw.spin_strings(n_qubits, states): its strings, in the
+    one numbering that jw owns, and its spin sign.
     """
 
     n_qubits: int
     n_electrons: int
     states: np.ndarray
     occupations: np.ndarray
-    subsets: tuple[np.ndarray, ...]
     alpha_strings: np.ndarray
     beta_strings: np.ndarray
     spin_signs: np.ndarray
@@ -183,81 +173,53 @@ def number_sector(n_qubits: int, n_electrons: int) -> NumberSector:
     """The (cached, read-only) sector of n_electrons among n_qubits (even)."""
     if n_qubits % 2:
         raise ValueError(f"a number sector needs an even number of qubits, got {n_qubits}")
-    states = np.array(
-        sorted(
-            sum(1 << (n_qubits - p) for p in occ)
-            for occ in combinations(range(1, n_qubits + 1), n_electrons)
-        ),
-        dtype=np.intp,
-    )
-    occ = occupations(n_qubits, states)  # column p - 1 is qubit p
-    n_orb = n_qubits // 2
-    subsets = tuple(
-        np.array(list(combinations(range(n_orb), k)), dtype=np.intp, ndmin=2)
-        for k in range(n_orb + 1)
-    )
-    # index[mask] is the string index of the orbitals set in mask
-    index = np.empty(1 << n_orb, dtype=np.intp)
-    start = 0
-    for rows in subsets:
-        index[(1 << rows).sum(axis=1)] = np.arange(start, start + len(rows))
-        start += len(rows)
-    occ_a, occ_b = occ[:, 0::2], occ[:, 1::2]
-    weights = 1 << np.arange(n_orb)
-    alpha_strings, beta_strings = index[occ_a @ weights], index[occ_b @ weights]
-    later_a = occ_a[:, ::-1].cumsum(axis=1)[:, ::-1] - occ_a
-    spin_signs = 1.0 - 2.0 * ((occ_b * later_a).sum(axis=1) % 2)
-    for a in (states, occ, *subsets, alpha_strings, beta_strings, spin_signs):
+    fillings = combinations(range(1, n_qubits + 1), n_electrons)
+    states = np.array(sorted(sum(1 << (n_qubits - p) for p in f) for f in fillings), np.intp)
+    tables = (states, occupations(n_qubits, states), *spin_strings(n_qubits, states))
+    for a in tables:
         a.setflags(write=False)
-    return NumberSector(
-        n_qubits, n_electrons, states, occ, subsets, alpha_strings, beta_strings, spin_signs
-    )
+    return NumberSector(n_qubits, n_electrons, *tables)
 
 
-def rotate_determinants(w: np.ndarray, rows, sector: NumberSector) -> np.ndarray:
-    """R(w)|det> for the determinant at each of the given sector rows.
+def rotate_determinants(w: np.ndarray, states, sector: NumberSector) -> np.ndarray:
+    """R(w)|det> for the determinant of each of the given basis states.
 
     R(w) is the spin-free orbital rotation kron(w, I_2) for the (N/2, N/2)
-    spatial matrix w; column j of the (sector.size, len(rows)) float64
-    result, rows in sector.states order, equals
-    apply_circuit(compile_orbital_rotation(np.kron(w, np.eye(2))),
-    e)[sector.states] for the basis vector e of state states[rows[j]].
+    spatial matrix w.  Column j of the (sector.size, len(states)) float64
+    result is apply_circuit(compile_orbital_rotation(np.kron(w, np.eye(2))),
+    e)[sector.states] for the basis vector e of states[j], a sector state.
     With every alpha creation operator moved ahead of every beta one, the
     determinant of alpha string a and beta string b goes to
-    Lambda(w)[:, a] (x) Lambda(w)[:, b], where Lambda(w) is the block
-    diagonal of the matrices Lambda^k(w) of k x k minors of w (Rubin et
-    al., Quantum 5, 568 (2021)): one outer product per determinant, read
-    at the sector's strings, with spin_signs converting the determinant
-    and each output row from and to qubit order.  Minors multiply, so
-    R(v) R(w) = R(v w) (Cauchy-Binet).
+    Lambda(w)[:, a] (x) Lambda(w)[:, b], where Lambda(w)[I, J] = det w[I, J]
+    for strings I, J of one length, numbered as in jw, and 0 between lengths
+    (Rubin et al., Quantum 5, 568 (2021)): one outer product per
+    determinant, read at the sector's strings, with the spin signs
+    converting the determinant and each output row from and to qubit
+    order.  Minors multiply, so R(v) R(w) = R(v w) (Cauchy-Binet).
     """
     n_orb = sector.n_qubits // 2
     w = np.asarray(w, dtype=float)
     if w.shape != (n_orb, n_orb):
         raise ValueError(f"w must be {n_orb} x {n_orb}, got shape {w.shape}")
-    rows = np.asarray(rows)
-    in_range = rows.dtype.kind in "iu" and np.all((rows >= 0) & (rows < sector.size))
-    if rows.ndim != 1 or not in_range:
-        raise ValueError(f"rows must index the {sector.size} rows of the sector")
+    states = np.asarray(states)
+    strings = occupations(n_orb)  # row s: the orbitals of string s
+    lengths = strings.sum(axis=1)
     n_e = sector.n_electrons
+    # states >> n_qubits is 0 for the basis states of n_qubits, -1 for negative ones
+    valid = states.ndim == 1 and states.dtype.kind in "iu" and not np.any(states >> sector.n_qubits)
+    if not valid or np.any(occupations(sector.n_qubits, states).sum(axis=1) != n_e):
+        raise ValueError(f"states must be basis states of the sector's {n_e} electrons")
+    alpha, beta, signs = spin_strings(sector.n_qubits, states)
     lam = np.zeros((1 << n_orb,) * 2)
-    # the minors of sizes 0 and 1: the empty string, then one per orbital
-    lam[0, 0] = 1.0
-    lam[1 : n_orb + 1, 1 : n_orb + 1] = w
-    start = n_orb + 1
-    for k, strings in enumerate(sector.subsets[2:], start=2):
-        stop = start + len(strings)
-        if n_e - n_orb <= k <= n_e:  # a string length of the sector
-            # Lambda^k(w)[I, J] = det w[I, J] over the k-subsets I, J
-            lam[start:stop, start:stop] = np.linalg.det(
-                w[strings[:, None, :, None], strings[None, :, None, :]]
-            )
-        start = stop
+    for k in range(max(0, n_e - n_orb), min(n_e, n_orb) + 1):  # the sector's string lengths
+        numbers = np.flatnonzero(lengths == k)
+        orbitals = np.nonzero(strings[numbers])[1].reshape(numbers.size, k)
+        minors = w[orbitals[:, None, :, None], orbitals[None, :, None, :]]
+        lam[numbers[:, None], numbers] = np.linalg.det(minors)
     # np.take copies whole rows, several times faster here than lam[index]
-    alphas = lam[:, sector.alpha_strings[rows]] * sector.spin_signs[rows]
-    out = np.take(alphas, sector.alpha_strings, axis=0)
+    out = np.take(lam[:, alpha] * signs, sector.alpha_strings, axis=0)
     out *= sector.spin_signs[:, None]
-    betas = lam[:, sector.beta_strings[rows]]
+    betas = lam[:, beta]
     # a chunk of rows at a time, so the gathered beta factors stay in cache
     # instead of filling a second array the size of out
     for start in range(0, sector.size, _ROW_CHUNK):
@@ -350,7 +312,8 @@ def draw_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.n
     """
     cdf = np.cumsum(probs)
     draws = np.sort(rng.random(shots) * cdf[-1])
-    return np.diff(np.searchsorted(draws, cdf), prepend=0)
+    ends = np.searchsorted(draws, cdf)  # the draws below each cumulative sum
+    return ends - np.append(0, ends[:-1])  # np.diff(ends, prepend=0) at half its cost
 
 
 def postselect(counts: np.ndarray, n_electrons: int) -> np.ndarray:

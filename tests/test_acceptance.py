@@ -247,8 +247,8 @@ def test_criterion_7_noise_postselection(refs):
     prep = prep_reference(n, mi.n_electrons)
     set_a = Circuit(n, prep.gates + u0.gates + meas[0].gates)
     deepest = max(
-        (Circuit(n, prep.gates + double_excitation(d.i, d.j, d.a, d.b, np.pi / 2) + u0.gates + m.gates)
-         for d in est.doubles for m in meas),
+        (Circuit(n, prep.gates + double_excitation(i, j, a, b, np.pi / 2) + u0.gates + m.gates)
+         for i, j, a, b in est.doubles.tolist() for m in meas),
         key=lambda c: len(c.gates),
     )
 

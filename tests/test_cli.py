@@ -215,6 +215,7 @@ def test_oversized_header_is_capacity_exit(tmp_path):
     code, stdout, stderr = _run_captured(["energy", "--fixture", str(big), "--out", str(out)])
     assert code == EXIT_CAPACITY
     assert stdout == ""
+    assert f"error: {big}: out of memory" in stderr
     _assert_clean_exit(code, stdout, stderr, out)
 
 
@@ -295,8 +296,20 @@ def test_curve_jobs_do_not_change_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_curve_empty_dir(tmp_path):
-    assert run_cli("curve", "--fixture-dir", str(tmp_path)) == EXIT_FIXTURE
+@pytest.mark.parametrize("case", ["empty", "filtered", "missing", "file"])
+def test_curve_empty_dir(tmp_path, capsys, case):
+    fixture_dir, message = {
+        "empty": (tmp_path, "no fixtures in"),
+        # the packaged directory: 69 fixtures, none of them h5
+        "filtered": (fixture_path("h2_1.4.fcidump").parent, "no h5 fixtures in"),
+        "missing": (tmp_path / "nowhere", "directory not found"),
+        "file": (Path(H2_FIXTURE), "not a directory"),
+    }[case]
+    molecule = ["--molecule", "h5"] if case == "filtered" else []
+    assert run_cli("curve", "--fixture-dir", str(fixture_dir), *molecule) == EXIT_FIXTURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and str(fixture_dir) in err
 
 
 def test_curve_checks_every_fixture_before_any_work(tmp_path, monkeypatch, capsys):
@@ -332,6 +345,7 @@ def test_curve_checks_capacity_before_any_optimization(tmp_path, monkeypatch, ca
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "4-qubit cap" in captured.err
+    assert "h3p_2.4.fcidump" in captured.err
     assert captured.out == ""
 
 
@@ -681,3 +695,19 @@ def test_invalid_flags_exit_cleanly(command, valid, invalid):
         assert code == EXIT_USAGE, argv
         assert stdout == ""
         _assert_clean_exit(code, stdout, stderr, out)
+
+
+def test_readme_energy_example_matches_the_cli():
+    # the README's `omp2sim energy` example, run from the repository root,
+    # must print exactly the three lines the README shows under it
+    root = Path(__file__).resolve().parents[1]
+    lines = (root / "README.md").read_text().splitlines()
+    start = lines.index("$ omp2sim energy --fixture src/omp2sim/data/fixtures/h2_1.4.fcidump")
+    end = lines.index("```", start)
+    expected = lines[start + 1 : end]
+    assert len(expected) == 3
+    argv = lines[start].split()[2:]
+    argv[argv.index("--fixture") + 1] = str(root / argv[argv.index("--fixture") + 1])
+    code, stdout, stderr = _run_captured(argv)
+    assert (code, stderr) == (EXIT_OK, "")
+    assert stdout == "\n".join(expected) + "\n"

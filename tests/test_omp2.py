@@ -19,7 +19,7 @@ from omp2sim.chem import (
 )
 from helpers import dense_perturbation
 from omp2sim.circuits import Circuit, compile_orbital_rotation, double_excitation, prep_reference
-from omp2sim import omp2, simulator
+from omp2sim import jw, omp2, simulator
 from omp2sim.omp2 import (
     EnergyBreakdown,
     Estimator,
@@ -82,15 +82,26 @@ def test_theta_zeros_and_update():
         theta.with_values((1.0, 2.0))
 
 
+def test_theta_of_another_problem_is_rejected():
+    # H3+ is 6 qubits with 2 electrons; a 4-electron theta has as many angles
+    est = Estimator(parse_fcidump(fixture_path("h3p_2.4.fcidump")))
+    theta = ThetaParams(6, 4, (0.3, 0.2))
+    assert len(theta.values) == len(ThetaParams.zeros(6, 2).values)
+    for evaluate in (est.mp2_energy, est.measurement_circuits):
+        with pytest.raises(ValueError, match=r"\(6, 4\).*\(6, 2\)"):
+            evaluate(theta)
+    assert est.n_evaluations == 0
+
+
 def test_enumerate_doubles_counts():
     # C(n_occ, 2) * C(n_virt, 2) in spin orbitals
     assert len(enumerate_doubles(4, 2)) == 1
     assert len(enumerate_doubles(6, 2)) == 6
     assert len(enumerate_doubles(8, 4)) == 36
     doubles = enumerate_doubles(6, 2)
-    assert [(d.i, d.j, d.a, d.b) for d in doubles[:2]] == [(1, 2, 3, 4), (1, 2, 3, 5)]
-    for d in doubles:
-        assert d.i < d.j <= 2 < d.a < d.b
+    assert doubles[:2].tolist() == [[1, 2, 3, 4], [1, 2, 3, 5]]
+    for i, j, a, b in doubles:
+        assert i < j <= 2 < a < b
 
 
 def test_estimator_config_validation():
@@ -546,16 +557,17 @@ def _gate_built_columns(est):
     n = est.n_qubits
     ref = run(prep_reference(n, est.n_electrons))
     cols = [ref]
-    for d in est.doubles:
+    for i, j, a, b in est.doubles.tolist():
         for omega in (np.pi / 4, np.pi / 2):
-            gates = double_excitation(d.i, d.j, d.a, d.b, omega)
+            gates = double_excitation(i, j, a, b, omega)
             cols.append(apply_circuit(Circuit(n, gates), ref))
     return np.stack(cols, axis=1)[est._sector.states]
 
 
-def _probe_matrix(sector, rows, probes):
+def _probe_matrix(sector, probes):
     """The sector columns cos |ref> + sin |D> of the probe table, written out
     at the sector rows of its determinants."""
+    rows = np.searchsorted(sector.states, probes.states)
     assert np.array_equal(sector.states[rows], probes.states)
     cols = np.zeros((sector.size, probes.det.size))
     k = np.arange(probes.det.size)
@@ -577,9 +589,9 @@ def test_sector_columns_equal_the_gate_built_columns(refs, molecule, distance):
     est = Estimator(mi)
     built = _gate_built_columns(est)
     assert np.array_equal(built.imag, np.zeros(built.shape))
-    assert np.array_equal(built.real, _probe_matrix(est._sector, est._probe_rows, est._probes))
+    assert np.array_equal(built.real, _probe_matrix(est._sector, est._probes))
     # one determinant per double, after the reference
-    assert est._probe_rows.size == 1 + len(est.doubles)
+    assert est._probes.states.size == 1 + len(est.doubles)
 
 
 @settings(max_examples=8, deadline=None)
@@ -590,13 +602,11 @@ def test_double_excitation_sign_on_the_reference(omega):
         for n_electrons in range(2, n - 1, 2):
             sector = number_sector(n, n_electrons)
             doubles = enumerate_doubles(n, n_electrons)
-            table = np.array([(d.i, d.j, d.a, d.b) for d in doubles]).reshape(-1, 4)
-            probes = omp2._probe_table(n, n_electrons, table, (omega,))
-            rows = np.searchsorted(sector.states, probes.states)
-            cols = _probe_matrix(sector, rows, probes)
+            probes = omp2._probe_table(n, n_electrons, doubles, (omega,))
+            cols = _probe_matrix(sector, probes)
             ref = run(prep_reference(n, n_electrons))
-            for k, d in enumerate(doubles):
-                gates = double_excitation(d.i, d.j, d.a, d.b, omega)
+            for k, (i, j, a, b) in enumerate(doubles.tolist()):
+                gates = double_excitation(i, j, a, b, omega)
                 excited = apply_circuit(Circuit(n, gates), ref)
                 expected = np.zeros(1 << n)
                 expected[sector.states] = cols[:, 1 + k]
@@ -666,14 +676,18 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
     for name in ("run", "coefficient_vector", "sample", "postselect"):
         monkeypatch.setattr(omp2, name, full_space)
     monkeypatch.setattr(simulator, "hamming_weights", full_space)
-    occupations = simulator.occupations
+    occupations = jw.occupations
 
     def sector_occupations(n_qubits, states=None):
-        assert states is not None, "noiseless shots must not tabulate all 2^N occupations"
+        rows = 1 << n_qubits if states is None else len(states)
+        # 2^12 rows: every basis state of LiH in full space, the largest problem below
+        assert rows < 1 << 12, "noiseless shots must not tabulate all 2^N occupations"
         return occupations(n_qubits, states)
 
-    # the estimator reads the occupation table of the cached sector
-    monkeypatch.setattr(simulator, "occupations", sector_occupations)
+    # the estimator reads the occupation table of the cached sector, and
+    # jw.spin_strings splits the states it is given into their spin strings
+    for module in (simulator, jw, omp2):
+        monkeypatch.setattr(module, "occupations", sector_occupations)
     simulator.number_sector.cache_clear()
 
     def no_compile(*args, **kwargs):
@@ -683,11 +697,11 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
     monkeypatch.setattr(omp2, "double_excitation", no_compile)
     batches = []
 
-    def sector_rotate(w, rows, sector):
-        out = rotate_determinants(w, rows, sector)
-        assert out.shape == (sector.size, len(rows))
+    def sector_rotate(w, states, sector):
+        out = rotate_determinants(w, states, sector)
+        assert out.shape == (sector.size, len(states))
         assert out.dtype == np.float64
-        batches.append(len(rows))
+        batches.append(len(states))
         return out
 
     monkeypatch.setattr(omp2, "rotate_determinants", sector_rotate)

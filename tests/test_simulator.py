@@ -99,13 +99,12 @@ def test_sector_kernel_matches_full_space(n, seed):
         full = apply_circuit(c, np.eye(1 << n))
         for n_electrons in range(n + 1):
             sector = number_sector(n, n_electrons)
-            rows = np.arange(sector.size)
-            out = rotate_determinants(u, rows, sector)
+            out = rotate_determinants(u, sector.states, sector)
             assert out.dtype == np.float64
             assert np.abs(out - full[np.ix_(sector.states, sector.states)]).max() < 1e-12
-            # any subset of rows, in any order and with repeats
+            # any subset of states, in any order and with repeats
             some = rng.integers(sector.size, size=5)
-            assert np.array_equal(rotate_determinants(u, some, sector), out[:, some])
+            assert np.array_equal(rotate_determinants(u, sector.states[some], sector), out[:, some])
 
 
 @settings(max_examples=20, deadline=None)
@@ -117,10 +116,10 @@ def test_sector_kernel_composes_rotations(n, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
     u, g = special_ortho_group.rvs(n // 2, size=2, random_state=rng)
     sector = number_sector(n, n_electrons)
-    rows = rng.integers(sector.size, size=7)
-    then = rotate_determinants(g.T, np.arange(sector.size), sector)
-    once = rotate_determinants(g.T @ u, rows, sector)
-    assert np.abs(once - then @ rotate_determinants(u, rows, sector)).max() < 1e-12
+    states = sector.states[rng.integers(sector.size, size=7)]
+    then = rotate_determinants(g.T, sector.states, sector)
+    once = rotate_determinants(g.T @ u, states, sector)
+    assert np.abs(once - then @ rotate_determinants(u, states, sector)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 10])
@@ -135,12 +134,13 @@ def test_number_sector_holds_every_state_of_its_weight(n):
 
 def test_orbital_rotation_rejects_bad_input():
     sector = number_sector(4, 2)
-    rows = np.arange(sector.size)
+    states = sector.states
     # the spin-orbital matrix instead of the spatial one, and a non-square w
     for w in (np.eye(4), np.eye(3), np.eye(2)[:1]):
         with pytest.raises(ValueError, match="w must be"):
-            rotate_determinants(w, rows, sector)
-    for bad in (rows + 1, rows - 1, rows[:, None], rows.astype(float), ["0"]):
+            rotate_determinants(w, states, sector)
+    # another electron count, outside the 4 qubits, negative, not a vector, not integers
+    for bad in (states + 1, states + 16, states - 4, states[:, None], states.astype(float), ["0"]):
         with pytest.raises(ValueError, match="sector"):
             rotate_determinants(np.eye(2), bad, sector)
     with pytest.raises(ValueError, match="even"):
