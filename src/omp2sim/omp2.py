@@ -15,21 +15,25 @@ parameters; everything before and after it is fixed per run, which is
 what keeps the per-evaluation work linear in circuits.
 
 theta enters as one spatial rotation u = exp(kappa), computed once per
-evaluation; both spin channels rotate by it, kron(u, I_2), and group 0 is
-diagonalized from the spatial perturbation T = h1 - u diag(eps) u^T.
-One table of the doubles' (i, j, a, b) drives the probe columns
-cos(omega) |ref> + sin(omega) |D>, their Wick tables and the assembly of
-E2.  Measured after the rotation W = g^T u of U(theta) and its group's
-measurement circuit, a group's sum_p f_p n_p is the one-body operator
-A = sum_kv F_kv E_kv on the probe, with F = W^T diag(f) W (f = linear for
+evaluation; both spin channels rotate by it, kron(u, I_2).  Each group
+measures one M x M one-body matrix G, stacked once per estimator:
+G = O diag(f) O^T for a two-body group, and for group 0 the theta-free part
+h1 - 1/2 sum_r (pr|rq) of the spatial perturbation T = h1 - u diag(eps) u^T
+plus that reordering term.  One table of the doubles' (i, j, a, b) drives
+the probe columns cos(omega) |ref> + sin(omega) |D>, their Wick tables and
+the assembly of E2.  Measured after U(theta) and its group's measurement
+circuit, a group's sum_p f_p n_p is the one-body operator
+A = sum_kv F_kv E_kv on the probe, with F = u^T G u (minus diag(eps) for
 group 0).  On a determinant of occupied spin orbitals o, Wick's theorem
 gives <A> = sum_{k in o} F_kk, <A^2> = <A>^2 + sum over each spin of
 F_kv^2 (k in o, v not) and <ref|A^2|D_ij^ab> = 2 (F_ia F_jb - F_ib F_ja),
 F zero between spins; a two-body group is weight / 2 A^2.  So exact mode
 takes c^2 <ref|C|ref> + s^2 <D|C|D> + 2cs <ref|C|D> for every group at
-once from M x M matrices, with no amplitudes.
+once from M x M matrices, with no amplitudes and no diagonalization: only
+circuits need a group's measurement basis.
 Noiseless shots alone rotate determinants: each group rotates the
-reference and one determinant per double once, by g^T u, in the
+reference and one determinant per double once, by O^T u (O the group's
+measurement basis, group 0's diagonalized at u), in the
 n_e-electron sector (`simulator.rotate_determinants`, pinned to the gate
 kernel by the test suite, and the test reference of the Wick path), and
 draws each column from (c R|ref> + s R|D>)^2 over the sector rows.  Both
@@ -151,6 +155,9 @@ class ThetaParams:
             raise ValueError("spin orbital and electron counts must be even")
         if len(self.values) != len(self.pairs):
             raise ValueError("wrong number of parameters")
+        for v in self.values:
+            if not math.isfinite(v):
+                raise ValueError(f"theta values must be finite, got {v}")
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -281,9 +288,13 @@ class Estimator:
         # exact mode evaluates every group on the probe determinants by Wick's
         # theorem, from M x M matrices; only noiseless shots build the sector
         self._probes = _probe_table(self.n_qubits, self.n_electrons, self.doubles, _OMEGAS)
-        m, groups = mi.n_spatial, self._static_groups
-        self._rotations = np.array([g.rotation for g in groups]).reshape(-1, m, m)
-        self._factors = np.array([g.factor for g in groups]).reshape(-1, m)
+        # the one-body matrix each group measures: group 0's theta-free part
+        # h1 - 1/2 sum_r (pr|rq), then G_l = O_l diag(f_l) O_l^T
+        groups = self._static_groups
+        self._operators = np.array(
+            [mi.h1 - 0.5 * np.einsum("prrq->pq", mi.eri)]
+            + [np.einsum("pa,a,qa->pq", g.rotation, g.factor, g.rotation) for g in groups]
+        )
         self._half_weights = np.array([0.5 * g.weight for g in groups])
         self.n_evaluations = 0
 
@@ -299,45 +310,33 @@ class Estimator:
 
     # -- measurement plumbing ------------------------------------------------
 
-    def _group0(self, u: np.ndarray):
-        t = build_perturbation(self.mi.h1, self.eps[0::2], u)
-        return one_body_group(t, self.mi.eri)
-
     def _groups_at(self, u: np.ndarray):
-        """Every group at u, group 0 first."""
-        return (self._group0(u), *self._static_groups)
+        """Every group at u, group 0 first: the measurement bases, which only circuits need."""
+        t = build_perturbation(self.mi.h1, self.eps[0::2], u)
+        return (one_body_group(t, self.mi.eri), *self._static_groups)
 
     @cached_property
     def _sector(self):
         return number_sector(self.n_qubits, self.n_electrons)
 
-    @cached_property
-    def _sector_coeffs(self) -> tuple[np.ndarray, ...]:
-        """The two-body groups' coefficients at the sector rows."""
-        return tuple(
-            occupation_coefficients(g, self._sector.occupations) for g in self._static_groups
-        )
-
     def _rotated_determinants(self, u: np.ndarray):
         """Yield (coeff, x) per group: sector coefficients and the probe
         determinants after U(theta) and the group's measurement rotation."""
-        groups = self._groups_at(u)
-        group0 = occupation_coefficients(groups[0], self._sector.occupations)
-        for g, coeff in zip(groups, (group0, *self._sector_coeffs)):
+        for g in self._groups_at(u):
+            coeff = occupation_coefficients(g, self._sector.occupations)
             # the measurement circuit is compiled from kron(rotation, I_2).T,
             # and R(rotation.T) R(u) = R(rotation.T u)
             yield coeff, rotate_determinants(g.rotation.T @ u, self._probes.states, self._sector)
 
     def _column_energies_exact(self, u: np.ndarray):
         """Per column c |ref> + s |D>: c^2 <ref|C|ref> + s^2 <D|C|D> + 2cs <ref|C|D>,
-        every group at once by Wick's theorem on F = W^T diag(f) W, W = g^T u
-        (the module docstring gives the rules)."""
-        g0, t = self._group0(u), self._probes
+        every group at once by Wick's theorem on F = u^T G u (the module
+        docstring gives the rules)."""
+        t = self._probes
         # einsum sums without BLAS, so the rounding does not depend on the
         # BLAS build or its threads
-        rotations = np.concatenate([g0.rotation[None], self._rotations])
-        w = np.einsum("lqp,qk->lpk", rotations, u)
-        f = np.einsum("lpk,lp,lpv->lkv", w, np.concatenate([g0.linear[None], self._factors]), w)
+        f = np.einsum("pk,lpv->lkv", u, np.einsum("lpq,qv->lpv", self._operators, u))
+        f[0] -= np.diag(self.eps[0::2])  # u^T T u, T = h1 - u diag(eps) u^T
         # one value per distinct spin string, summed over each determinant's two
         alpha, beta = t.det_strings
         traces = np.einsum("sk,lkk->ls", t.strings, f)
@@ -470,6 +469,8 @@ class Estimator:
 
     def optimize(self, maxiter: int = 200) -> tuple[ThetaParams, EnergyBreakdown]:
         """Minimize the total electronic energy over the rotation angles."""
+        if not isinstance(maxiter, numbers.Integral) or maxiter < 0:
+            raise ValueError(f"maxiter must be a non-negative integer, got {maxiter!r}")
         theta0 = ThetaParams.zeros(self.n_qubits, self.n_electrons)
         n_par = len(theta0.values)
         evaluated = {}
@@ -525,12 +526,10 @@ class Estimator:
         eigenpair leaves only its reordering term -1/2 sum_r (pr|rq), which
         group 0 still carries.
         """
-        # a group adds w g_pq g_rs, with g = O diag(f) O^T its eigenvector
-        o = self._rotations
-        g = np.einsum("lpa,la,lqa->lpq", o, self._factors, o)
+        # a group adds w G_pq G_rs, with G = O diag(f) O^T its eigenvector
+        g = self._operators[1:]
         eri = np.einsum("l,lpq,lrs->pqrs", 2.0 * self._half_weights, g, g)
-        h1 = self.mi.h1 - 0.5 * np.einsum("prrq->pq", self.mi.eri - eri)
-        return h1, eri
+        return self._operators[0] + 0.5 * np.einsum("prrq->pq", eri), eri
 
     def measurement_circuits(self, theta: ThetaParams) -> tuple[Circuit, ...]:
         """The measurement rotation of every group at theta, group 0 first."""
@@ -538,10 +537,10 @@ class Estimator:
         return tuple(_measurement_circuit(g) for g in self._groups_at(u))
 
     def resource_summary(self) -> ResourceSummary:
-        # every measurement circuit has the same gates, all Givens slots
-        # emitted, and only their angles differ: group 0 stands for them all
-        meas = _measurement_circuit(self._group0(np.eye(self.n_qubits // 2)))
-        suffix = compile_orbital_rotation(np.eye(self.n_qubits)).gates + meas.gates
+        # U(theta) and every measurement circuit have the same gates, all
+        # Givens slots emitted, and only their angles differ
+        rotation = compile_orbital_rotation(np.eye(self.n_qubits)).gates
+        suffix = rotation + rotation
         ref = cnot_depth(Circuit(self.n_qubits, self._column_gates[0] + suffix))
         # one column per double: its quarter and half turn differ only in angle
         res = [cnot_depth(Circuit(self.n_qubits, c + suffix)) for c in self._column_gates[1::2]]

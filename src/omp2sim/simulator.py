@@ -1,7 +1,8 @@
 """Statevector execution, shot sampling, noise, and post-selection.
 
-Exact mode runs no circuit here: the estimator takes its energies from
-Wick's theorem on the probe determinants (`omp2`).  Noiseless shots run
+Exact mode runs no circuit and needs no measurement basis: the estimator
+takes its energies by Wick's theorem from F = u^T G u (`omp2`), for the
+one-body matrix G each group measures.  Noiseless shots run
 the reference column preparation, the orbital rotation U(theta) and one
 measurement rotation.  Every probe column is a determinant or
 cos(omega) |ref> + sin(omega) |D> of two determinants, and both rotations

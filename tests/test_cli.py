@@ -183,7 +183,7 @@ def test_truncation_that_drops_every_two_body_group_warns(tmp_path):
     assert read_csv(out)[0]["status"] == "ok"
 
 
-@pytest.mark.parametrize("fixture", [H2_FIXTURE, LIH_FIXTURE])
+@pytest.mark.parametrize("fixture", [H2_FIXTURE, LIH_FIXTURE], ids=os.path.basename)
 def test_default_truncation_is_silent(tmp_path, fixture):
     code, _, stderr = _run_captured(
         ["energy", "--fixture", fixture, "--out", str(tmp_path / "row.csv")]

@@ -19,6 +19,7 @@ from omp2sim.chem import (
 )
 from helpers import dense_perturbation
 from omp2sim.circuits import Circuit, compile_orbital_rotation, double_excitation, prep_reference
+from omp2sim.lowrank import one_body_group
 from omp2sim import jw, omp2, simulator
 from omp2sim.omp2 import (
     EnergyBreakdown,
@@ -91,6 +92,36 @@ def test_theta_of_another_problem_is_rejected():
         with pytest.raises(ValueError, match=r"\(6, 4\).*\(6, 2\)"):
             evaluate(theta)
     assert est.n_evaluations == 0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_theta_rejects_non_finite_values(value):
+    # a non-finite angle used to reach the eigensolver of expm_antisymmetric
+    # and fail there with LinAlgError
+    with pytest.raises(ValueError, match=f"finite, got {value}"):
+        ThetaParams(6, 2, (0.1, value))
+    with pytest.raises(ValueError, match=f"finite, got {value}"):
+        ThetaParams.zeros(6, 2).with_values((value, 0.0))
+
+
+@pytest.mark.parametrize("mode", ["exact", "shots"])
+@pytest.mark.parametrize("maxiter", [-1, 2.5, "3", None])
+def test_optimize_rejects_a_bad_maxiter(mode, maxiter):
+    # maxiter=-1 used to end exact mode in UnboundLocalError, and shots mode
+    # ran two evaluations
+    mi = parse_fcidump(fixture_path("h2_1.4.fcidump"))
+    est = Estimator(mi, EstimatorConfig(mode=mode, shots=100))
+    message = f"maxiter must be a non-negative integer, got {maxiter!r}"
+    with pytest.raises(ValueError, match=message):
+        est.optimize(maxiter=maxiter)
+    assert est.n_evaluations == 0
+
+
+def test_optimize_accepts_zero_iterations():
+    est = Estimator(parse_fcidump(fixture_path("h3p_2.4.fcidump")))
+    theta, bd = est.optimize(maxiter=np.int64(0))
+    assert bd.diagnostics["n_iterations"] == 0 and est.n_evaluations == 1
+    assert theta == ThetaParams.zeros(est.n_qubits, est.n_electrons)
 
 
 def test_enumerate_doubles_counts():
@@ -743,6 +774,39 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
     _, bd = Estimator(mi).optimize()
     assert bd.total + mi.e_core == pytest.approx(pt.e_omp2, abs=1e-6)
     assert batches == [] and sector_calls() == 0
+
+
+def test_exact_mode_builds_no_measurement_basis(refs, monkeypatch):
+    # exact mode and the resource count read the groups' M x M operators,
+    # built once; only shots, whose circuits end in a group's measurement
+    # rotation, diagonalize group 0, once per evaluation
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact mode must not diagonalize a group")
+
+    monkeypatch.setattr(omp2, "build_perturbation", refuse)
+    monkeypatch.setattr(omp2, "one_body_group", refuse)
+    mi, pt = load_point(refs, "h4", 2.6)
+    est = Estimator(mi)
+    theta = _random_theta(est, np.random.default_rng(5), scale=0.2)
+    est.mp2_energy(theta)
+    _, bd = est.optimize()
+    assert bd.total + mi.e_core == pytest.approx(pt.e_omp2, abs=1e-6)
+    assert est.resource_summary().n_groups == est.n_groups
+
+    calls = []
+    for name, original in (
+        ("build_perturbation", build_perturbation),
+        ("one_body_group", one_body_group),
+    ):
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(omp2, name, counted)
+    est = Estimator(mi, EstimatorConfig(mode="shots", shots=50))
+    for k in (1, 2):
+        est.mp2_energy(theta)
+        assert calls.count("build_perturbation") == calls.count("one_body_group") == k
 
 
 def test_energy_breakdown_total():
