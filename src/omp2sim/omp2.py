@@ -3,8 +3,8 @@
 The energy splits as E = E0 + E1 + E2 against the frozen reference
 spectrum.  E0 is the occupied-orbital energy sum.  E1 is the expectation
 of the perturbation over the rotated reference, measured group by group
-after each diagonalizing rotation.  E2 is assembled from residual matrix
-elements r = <ref| V |double>, each extracted from three expectation
+after each diagonalizing rotation.  E2 = sum r^2 / Delta over the doubles,
+each residual r = <ref| V |double> extracted from three expectation
 values: the same state interfered with one double excitation at quarter
 and half turn.
 
@@ -15,30 +15,29 @@ parameters; everything before and after it is fixed per run, which is
 what keeps the per-evaluation work linear in circuits.
 
 theta enters as one spatial rotation u = exp(kappa), computed once per
-evaluation; both spin channels rotate by it, kron(u, I_2).  Each group
-measures one M x M one-body matrix G, stacked once per estimator:
-G = O diag(f) O^T for a two-body group, and for group 0 the theta-free part
-h1 - 1/2 sum_r (pr|rq) of the spatial perturbation T = h1 - u diag(eps) u^T
-plus that reordering term.  One table of the doubles' (i, j, a, b) drives
-the probe columns cos(omega) |ref> + sin(omega) |D>, their Wick tables and
-the assembly of E2.  Measured after U(theta) and its group's measurement
-circuit, a group's sum_p f_p n_p is the one-body operator
-A = sum_kv F_kv E_kv on the probe, with F = u^T G u (minus diag(eps) for
-group 0).  On a determinant of occupied spin orbitals o, Wick's theorem
-gives <A> = sum_{k in o} F_kk, <A^2> = <A>^2 + sum over each spin of
-F_kv^2 (k in o, v not) and <ref|A^2|D_ij^ab> = 2 (F_ia F_jb - F_ib F_ja),
-F zero between spins; a two-body group is weight / 2 A^2.  So exact mode
-takes c^2 <ref|C|ref> + s^2 <D|C|D> + 2cs <ref|C|D> for every group at
-once from M x M matrices, with no amplitudes and no diagonalization: only
-circuits need a group's measurement basis.
-Noiseless shots alone rotate determinants: each group rotates the
-reference and one determinant per double once, by O^T u (O the group's
-measurement basis, group 0's diagonalized at u), in the
-n_e-electron sector (`simulator.rotate_determinants`, pinned to the gate
-kernel by the test suite, and the test reference of the Wick path), and
-draws each column from (c R|ref> + s R|D>)^2 over the sector rows.  Both
-paths take the probe determinants as basis states, and their alpha and
-beta strings in the one numbering of `jw.spin_strings`.
+evaluation; both spin channels rotate by it, kron(u, I_2).  The groups
+measure the spatial integrals (h1, eri) built once per estimator: eri =
+sum_l w_l G_l (x) G_l over the kept two-body groups, G_l = O_l diag(f_l)
+O_l^T, and h1 the one-body part group 0 measures plus their reordering
+term 1/2 sum_r (pr|rq).  Exact mode, the infinite-shot limit, reads every
+term from these integrals rotated by u, in closed form: E0 + E1 is the
+reference energy of the rotated integrals, and the residual of the double
+(i, j, a, b) is (ia|jb) [s_i = s_a, s_j = s_b] - (ib|ja) [s_i = s_b,
+s_j = s_a] over the rotated spatial (ov|ov), s the spins.  It carries no
+Jordan-Wigner sign: a probe column's sin carries the sign of its
+determinant, so the residual the columns give is that of the excited
+reference itself.  A double with both spin masks 0 changes S_z, and its
+residual is 0 at every theta.  The same intermediates give the analytic
+gradient in theta, diagnostics["gradient"]: the OMP2 functional of
+Bozkaya, Turney, Yamaguchi, Schaefer and Sherrill, JCP 135, 104103 (2011),
+pulled back to kappa through the adjoint Frechet derivative of exp.
+E2 is then summed as in shots mode, by `_assemble`.
+Noiseless shots rotate determinants: each group rotates the reference
+and one determinant per double once, by O^T u (O the group's measurement
+basis, group 0's diagonalized at u), in the n_e-electron sector
+(`simulator.rotate_determinants`, pinned to the gate kernel by the test
+suite, and the exact path's test reference), and draws each column from
+(c R|ref> + s R|D>)^2 over the sector rows.
 Neither path compiles a circuit.  The gates run only on the noisy path,
 which alone holds 2^N amplitudes, counts and coefficients, and they back
 the depth and resource accounting.  Postselection discards outcomes of the
@@ -46,15 +45,14 @@ counts already drawn: each count array is summed raw, then again over its
 kept outcomes, and the raw estimate of those same draws is kept in
 diagnostics["raw"].
 
-Exact mode minimizes with the package's own L-BFGS (`_lbfgs`).  Its
-gradient is the analytic OMP2 orbital gradient of the operator the circuits
-measure, taken from the energy's closed form; the energy it minimizes and
-reports still comes from the measured groups.  It stops on that gradient,
-max |g| <= 1e-9, not on the change in energy: the e1/e2 split is not
-stationary at the optimum, and this fixes it to about 1e-11, below the
-1e-10 the CLI prints.  With the closed-form orbital exponentials of `chem`,
-exact mode runs on numpy alone.  Shots mode runs scipy's Nelder-Mead on the
-estimates, since a noiseless gradient must not steer a noisy estimate.
+Exact mode minimizes with the package's own L-BFGS (`_lbfgs`), one
+evaluation giving the energy and its gradient per trial step.  It stops on
+the gradient, max |g| <= 1e-9, not on the change in energy: the e1/e2
+split is not stationary at the optimum, and this fixes it to about 1e-11,
+below the 1e-10 the CLI prints.  With the closed-form orbital exponentials
+of `chem`, exact mode runs on numpy alone.  Shots mode runs scipy's
+Nelder-Mead on the estimates, since a noiseless gradient must not steer a
+noisy estimate.
 """
 
 from __future__ import annotations
@@ -86,7 +84,6 @@ from .circuits import (
     lower_circuit,
     prep_reference,
 )
-from .jw import occupations, spin_strings
 from .lowrank import (
     coefficient_vector,
     occupation_coefficients,
@@ -115,7 +112,7 @@ _STREAM_TRAJECTORY = 0x7A
 _LBFGS_MEMORY = 10
 _LBFGS_GTOL = 1e-9  # on max |gradient|
 _ARMIJO_C1 = 1e-4
-_ARMIJO_ULPS = 64  # the circuit energy's roundoff, up to about 60 ulps on H4
+_ARMIJO_ULPS = 64  # over 10x the energy's roundoff, at most 5.3 ulps on H4 and LiH
 _MAX_BACKTRACKS = 30
 _MAX_STEP = 1.0  # radians: the largest angle change of a trial step
 
@@ -285,18 +282,33 @@ class Estimator:
                 stacklevel=2,
             )
 
-        # exact mode evaluates every group on the probe determinants by Wick's
-        # theorem, from M x M matrices; only noiseless shots build the sector
-        self._probes = _probe_table(self.n_qubits, self.n_electrons, self.doubles, _OMEGAS)
-        # the one-body matrix each group measures: group 0's theta-free part
-        # h1 - 1/2 sum_r (pr|rq), then G_l = O_l diag(f_l) O_l^T
+        # the spatial integrals the groups measure: eri = sum_l w_l G_l (x) G_l,
+        # G_l = O_l diag(f_l) O_l^T, and group 0's h1 - 1/2 sum_r (pr|rq) plus
+        # the kept groups' reordering term
+        m = mi.n_spatial
         groups = self._static_groups
-        self._operators = np.array(
-            [mi.h1 - 0.5 * np.einsum("prrq->pq", mi.eri)]
-            + [np.einsum("pa,a,qa->pq", g.rotation, g.factor, g.rotation) for g in groups]
-        )
-        self._half_weights = np.array([0.5 * g.weight for g in groups])
+        ops = np.array([np.einsum("pa,a,qa->pq", g.rotation, g.factor, g.rotation) for g in groups])
+        ops = ops.reshape(-1, m, m)  # (0, m, m) when every group is dropped
+        eri = np.einsum("l,lpq,lrs->pqrs", np.array([g.weight for g in groups]), ops, ops)
+        h1 = mi.h1 - 0.5 * np.einsum("prrq->pq", mi.eri) + 0.5 * np.einsum("prrq->pq", eri)
+        self._integrals = h1, eri
+        # each double's spatial (i, j, a, b), a and b counted from the first
+        # virtual, and the spins that pair (ia|jb) (direct) and (ib|ja)
+        # (exchange); a double with neither changes S_z
+        orbital, spin = np.divmod(self.doubles.T - 1, 2)
+        self._orbitals = orbital - np.array([[0], [0], [1], [1]]) * (self.n_electrons // 2)
+        self._direct = (spin[0] == spin[2]) & (spin[1] == spin[3])
+        self._exchange = (spin[0] == spin[3]) & (spin[1] == spin[2])
+        # Delta of each spatial (i, a, j, b) for the gradient, inf where skipped
+        e_occ, e_virt = np.split(self.eps[0::2], [self.n_electrons // 2])
+        delta = e_occ[:, None, None, None] - e_virt[:, None, None] + e_occ[:, None] - e_virt
+        self._pair_deltas = np.where(np.abs(delta) < DEGENERACY_TOL, np.inf, delta)
         self.n_evaluations = 0
+
+    @cached_property
+    def _probes(self) -> _Probes:
+        """The probe columns, which only shots mode prepares."""
+        return _probe_table(self.n_qubits, self.n_electrons, self.doubles, _OMEGAS)
 
     @cached_property
     def _column_gates(self) -> list[tuple]:
@@ -328,35 +340,39 @@ class Estimator:
             # and R(rotation.T) R(u) = R(rotation.T u)
             yield coeff, rotate_determinants(g.rotation.T @ u, self._probes.states, self._sector)
 
-    def _column_energies_exact(self, u: np.ndarray):
-        """Per column c |ref> + s |D>: c^2 <ref|C|ref> + s^2 <D|C|D> + 2cs <ref|C|D>,
-        every group at once by Wick's theorem on F = u^T G u (the module
-        docstring gives the rules)."""
-        t = self._probes
+    def _exact_breakdown(self, kappa: np.ndarray, u: np.ndarray) -> EnergyBreakdown:
+        """E1, the residuals and E2 from the measured integrals rotated by
+        u = exp(kappa), and the energy's gradient in theta (the module
+        docstring gives the closed form)."""
+        h1, eri = self._integrals
+        n_occ = self.n_electrons // 2
+        occ, virt = u[:, :n_occ], u[:, n_occ:]
         # einsum sums without BLAS, so the rounding does not depend on the
         # BLAS build or its threads
-        f = np.einsum("pk,lpv->lkv", u, np.einsum("lpq,qv->lpv", self._operators, u))
-        f[0] -= np.diag(self.eps[0::2])  # u^T T u, T = h1 - u diag(eps) u^T
-        # one value per distinct spin string, summed over each determinant's two
-        alpha, beta = t.det_strings
-        traces = np.einsum("sk,lkk->ls", t.strings, f)
-        means = traces[:, alpha] + traces[:, beta]
-        f2 = f[1:]
-        hops = np.einsum("sk,lkv,sv->ls", t.strings, f2 * f2, 1.0 - t.strings)
-        hops = hops[:, alpha] + hops[:, beta]
-        diagonal = means[0] + np.einsum("l,ld->d", self._half_weights, means[1:] ** 2 + hops)
-        i, j, a, b = t.orbitals
-        pairs = f2[:, i, a] * f2[:, j, b] * t.direct - f2[:, i, b] * f2[:, j, a] * t.exchange
-        cross = np.zeros_like(diagonal)  # <ref|C|D>, 0 on the reference itself
-        cross[1:] = 2.0 * np.einsum("l,ld->d", self._half_weights, pairs)
-        c, s, d = t.cos, t.sin, t.det
-        e_cols = c**2 * diagonal[0] + s**2 * diagonal[d] + 2.0 * c * s * cross[d]
-        return e_cols, np.zeros_like(e_cols)
+        dens = np.einsum("pi,qi->pq", occ, occ)
+        fock = h1 + 2.0 * np.einsum("pqrs,rs->pq", eri, dens) - np.einsum("prsq,rs->pq", eri, dens)
+        half = np.einsum("pqrs,rj,sb->pqjb", eri, occ, virt)  # (xy|jb), x and y unrotated
+        xajb = np.einsum("xqjb,qa->xajb", half, virt)
+        ovov = np.einsum("xajb,xi->iajb", xajb, occ)
+        e1 = float(np.einsum("pq,pq->", dens, h1 + fock)) - self.e0
+        i, j, a, b = self._orbitals
+        r = ovov[i, a, j, b] * self._direct - ovov[i, b, j, a] * self._exchange
+        bd = self._assemble(e1, 0.0, r, np.zeros_like(r))
 
-    def _column_energies_shots(self, u: np.ndarray):
-        """(energies, variances) per column of the raw counts, and (energies,
-        variances, mean kept fraction) of the kept ones if postselecting, else
-        None: postselection discards outcomes of the same draws."""
+        # dE/du: E2 = sum ovov (2 ovov - exchange) / Delta over spatial orbitals
+        amp = (2.0 * ovov - ovov.transpose(0, 3, 2, 1)) / self._pair_deltas
+        grad_u = np.empty_like(u)
+        grad_u[:, :n_occ] = 4.0 * np.einsum("xq,qi->xi", fock, occ)
+        grad_u[:, :n_occ] += 4.0 * np.einsum("xajb,iajb->xi", xajb, amp)
+        grad_u[:, n_occ:] = 4.0 * np.einsum("xqjb,qi,iajb->xa", half, occ, amp)
+        grad = expm_antisymmetric_adjoint(kappa, grad_u)
+        bd.diagnostics["gradient"] = (grad - grad.T)[:n_occ, n_occ:].ravel()
+        return bd
+
+    def _shot_residuals(self, u: np.ndarray):
+        """`_column_residuals` of the raw counts, and of the kept ones with the
+        mean kept fraction if postselecting, else None: postselection discards
+        outcomes of the same draws."""
         cfg = self.cfg
         n_cols = self._probes.det.size
         raw = np.zeros((2, n_cols))
@@ -377,7 +393,10 @@ class Estimator:
                         f"column {col} in measurement group {l}"
                     )
                 kept_sums[:, col] += expectation_with_variance(counts, coeff)
-        return raw, ((*kept_sums, float(np.mean(kept_fractions))) if cfg.postselect else None)
+        if not cfg.postselect:
+            return self._column_residuals(*raw), None
+        kept_mean = float(np.mean(kept_fractions))
+        return self._column_residuals(*raw), (*self._column_residuals(*kept_sums), kept_mean)
 
     def _shot_counts(self, u: np.ndarray):
         """Yield, per group, its coefficients and one count array per column.
@@ -420,15 +439,20 @@ class Estimator:
             counts += sample(state, int(per[t]), noise=cfg.noise, rng=rng)
         return counts
 
-    def _assemble(self, e_cols, var_cols, kept_mean=None) -> EnergyBreakdown:
+    def _column_residuals(self, e_cols, var_cols):
+        """(e1, var_e1, r, var_r) from the column energies and variances:
+        r = quarter - half / 2 - e1 / 2 for every double."""
         e1 = float(e_cols[0])
         var_e1 = float(var_cols[0])
-        keep = ~self._skip
-        quarter, half = e_cols[1:].reshape(-1, len(_OMEGAS)).T[:, keep]
-        var_quarter, var_half = var_cols[1:].reshape(-1, len(_OMEGAS)).T[:, keep]
+        quarter, half = e_cols[1:].reshape(-1, len(_OMEGAS)).T
+        var_quarter, var_half = var_cols[1:].reshape(-1, len(_OMEGAS)).T
         r = quarter - 0.5 * half - 0.5 * e1
-        var_r = var_quarter + 0.25 * var_half + 0.25 * var_e1
-        delta = self._deltas[keep]
+        return e1, var_e1, r, var_quarter + 0.25 * var_half + 0.25 * var_e1
+
+    def _assemble(self, e1, var_e1, r, var_r, kept_mean=None) -> EnergyBreakdown:
+        """The breakdown of e1 and every double's residual, skipped doubles left out."""
+        keep = ~self._skip
+        r, var_r, delta = r[keep], var_r[keep], self._deltas[keep]
         # left to right from 0.0, not pairwise as np.sum adds: seeded output keeps its digits
         e2 = np.cumsum(np.append(0.0, r * r / delta))[-1]
         var_e2 = np.cumsum(np.append(0.0, (2.0 * r / delta) ** 2 * var_r))[-1]
@@ -443,25 +467,28 @@ class Estimator:
         variance = float(var_e1 + var_e2)
         return EnergyBreakdown(self.e0, e1, float(e2), variance, diagnostics)
 
-    def _orbital_rotation(self, theta: ThetaParams) -> np.ndarray:
-        """The spatial rotation u = exp(kappa) of theta, a ThetaParams of this problem."""
+    def _kappa(self, theta: ThetaParams) -> np.ndarray:
+        """kappa = theta.to_matrix(); ValueError if theta is for another problem."""
         given, ours = (theta.n_spin, theta.n_electrons), (self.n_qubits, self.n_electrons)
         if given != ours:
             raise ValueError(f"theta is for (n_spin, n_electrons) = {given}, the problem is {ours}")
-        return expm_antisymmetric(theta.to_matrix())
+        return theta.to_matrix()
 
     # -- public interface ----------------------------------------------------
 
     def mp2_energy(self, theta: ThetaParams) -> EnergyBreakdown:
         """E0 + E1 + E2 (electronic part; add mi.e_core for the total energy).
 
-        Postselecting, it is the kept shots' estimate; diagnostics["raw"] is all shots'.
+        Exact mode adds the energy's gradient in theta.values as
+        diagnostics["gradient"].  Postselecting, it is the kept shots'
+        estimate; diagnostics["raw"] is all shots'.
         """
-        u = self._orbital_rotation(theta)
+        kappa = self._kappa(theta)
         self.n_evaluations += 1
+        u = expm_antisymmetric(kappa)
         if self.cfg.mode == "exact":
-            return self._assemble(*self._column_energies_exact(u))
-        raw, kept = self._column_energies_shots(u)
+            return self._exact_breakdown(kappa, u)
+        raw, kept = self._shot_residuals(u)
         bd = self._assemble(*(kept or raw))
         if kept is not None:
             bd.diagnostics["raw"] = self._assemble(*raw)
@@ -478,19 +505,13 @@ class Estimator:
         def fun(x):
             theta = theta0.with_values(x)
             bd = evaluated[theta.values] = self.mp2_energy(theta)
-            return bd.total
+            return bd.total, bd.diagnostics.get("gradient")  # no gradient in shots mode
 
         if n_par == 0:
             # a filled shell has no rotation angles, so theta = 0 is the answer
             res = _OptimizeResult(np.zeros(0), True, 0, "no parameters")
         elif self.cfg.mode == "exact":
-            h, eri = self._measured_integrals()
-            eps = self.eps[0::2]
-
-            def jac(x):
-                return _omp2_energy_and_gradient(h, eri, eps, theta0.with_values(x))[1]
-
-            res = _lbfgs(fun, jac, np.zeros(n_par), maxiter)
+            res = _lbfgs(fun, np.zeros(n_par), maxiter)
         else:
             # imported here so exact runs never load scipy, and on one BLAS
             # thread, as numpy's OpenBLAS is loaded
@@ -500,7 +521,7 @@ class Estimator:
                 from scipy.optimize import minimize
 
             res = minimize(
-                fun,
+                lambda x: fun(x)[0],
                 np.zeros(n_par),
                 method="Nelder-Mead",
                 options={"maxiter": maxiter, "xatol": 1e-3, "fatol": 1e-6},
@@ -519,21 +540,9 @@ class Estimator:
         )
         return theta, bd
 
-    def _measured_integrals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Spatial (h1, eri) of the operator the circuits measure.
-
-        The two-body part is what the kept groups rebuild.  A dropped
-        eigenpair leaves only its reordering term -1/2 sum_r (pr|rq), which
-        group 0 still carries.
-        """
-        # a group adds w G_pq G_rs, with G = O diag(f) O^T its eigenvector
-        g = self._operators[1:]
-        eri = np.einsum("l,lpq,lrs->pqrs", 2.0 * self._half_weights, g, g)
-        return self._operators[0] + 0.5 * np.einsum("prrq->pq", eri), eri
-
     def measurement_circuits(self, theta: ThetaParams) -> tuple[Circuit, ...]:
         """The measurement rotation of every group at theta, group 0 first."""
-        u = self._orbital_rotation(theta)
+        u = expm_antisymmetric(self._kappa(theta))
         return tuple(_measurement_circuit(g) for g in self._groups_at(u))
 
     def resource_summary(self) -> ResourceSummary:
@@ -563,28 +572,13 @@ def _measurement_circuit(g) -> Circuit:
 
 
 class _Probes(NamedTuple):
-    """The probe columns, and their determinants as Wick's theorem reads them.
-
-    Column k is cos[k] |states[0]> + sin[k] |states[det[k]]>; states holds
-    basis indices, the reference and then one determinant per double.
-    strings[s, k] is 1 where spin string s fills spatial orbital k, over the
-    distinct alpha and beta strings of the probe determinants, in the order
-    of their jw.spin_strings numbers; determinant d is alpha string
-    det_strings[0, d] and beta string det_strings[1, d].
-    Per double: orbitals holds the spatial i, j, a, b, and direct and
-    exchange the Jordan-Wigner sign where spins i, a and j, b (direct) or
-    i, b and j, a (exchange) agree, else 0.
-    """
+    """The probe columns: column k is cos[k] |states[0]> + sin[k] |states[det[k]]>;
+    states holds basis indices, the reference and then one determinant per double."""
 
     states: np.ndarray
     det: np.ndarray
     cos: np.ndarray
     sin: np.ndarray
-    strings: np.ndarray
-    det_strings: np.ndarray
-    orbitals: np.ndarray
-    direct: np.ndarray
-    exchange: np.ndarray
 
 
 def _probe_table(n_qubits, n_electrons, doubles: np.ndarray, omegas) -> _Probes:
@@ -596,68 +590,17 @@ def _probe_table(n_qubits, n_electrons, doubles: np.ndarray, omegas) -> _Probes:
     a, b filled; these are the values the gates produce, bit for bit.
     Column 0 is the reference alone: cos 1 and sin 0 on states[0].
     """
-    n, m = n_qubits, n_qubits // 2
-    ref = ((1 << n_electrons) - 1) << (n - n_electrons)
-    states = np.append(ref, ref ^ (1 << (n - doubles)).sum(axis=1))
+    ref = ((1 << n_electrons) - 1) << (n_qubits - n_electrons)
+    states = np.append(ref, ref ^ (1 << (n_qubits - doubles)).sum(axis=1))
     sign = np.where(doubles[:, :2].sum(axis=1) % 2, 1.0, -1.0)
     cos = np.array([math.cos(omega) for omega in omegas])
     sin = np.array([math.sin(omega) for omega in omegas])
-    numbers = np.array(spin_strings(n, states)[:2])  # alpha, beta per determinant
-    # the distinct strings by lookup: np.unique's sort code costs 0.3 MB resident
-    distinct = np.flatnonzero(np.bincount(numbers.ravel()))
-    index = np.empty(1 << m, dtype=np.intp)
-    index[distinct] = np.arange(distinct.size)
-    orbital, spin = np.divmod(doubles.T - 1, 2)
     return _Probes(
         states=states,
         det=np.append(0, np.repeat(np.arange(1, len(states)), len(omegas))),
         cos=np.append(1.0, np.tile(cos, len(doubles))),
         sin=np.append(0.0, np.outer(sign, sin).ravel()),
-        strings=occupations(m, distinct).astype(float),
-        det_strings=index[numbers],
-        orbitals=orbital,
-        direct=sign * ((spin[0] == spin[2]) & (spin[1] == spin[3])),
-        exchange=sign * ((spin[0] == spin[3]) & (spin[1] == spin[2])),
     )
-
-
-def _omp2_energy_and_gradient(h1, eri, eps, theta: ThetaParams) -> tuple[float, np.ndarray]:
-    """The exact-mode energy in closed form, and its gradient in theta.
-
-    With U = exp(kappa), kappa = theta.to_matrix(), the
-    energy is the Hartree-Fock energy of the integrals rotated by U plus
-    sum_ijab (ia|jb)(2(ia|jb) - (ib|ja)) / Delta_ijab over the rotated
-    integrals, with the frozen denominators Delta of the spatial orbital
-    energies eps; |Delta| < DEGENERACY_TOL drops the term, as the estimator
-    skips those doubles.  This is the OMP2 functional of Bozkaya, Turney,
-    Yamaguchi, Schaefer and Sherrill, JCP 135, 104103 (2011).  dE/dU is
-    pulled back to kappa through the adjoint Frechet derivative of exp.
-    """
-    n_occ = theta.n_electrons // 2
-    kappa = theta.to_matrix()
-    u = expm_antisymmetric(kappa)
-    occ, virt = u[:, :n_occ], u[:, n_occ:]
-
-    dens = occ @ occ.T
-    fock = h1 + 2.0 * np.einsum("pqrs,rs->pq", eri, dens) - np.einsum("prsq,rs->pq", eri, dens)
-    # (xy|jb) with x, y still in the original basis
-    half = np.einsum("pqrs,rj,sb->pqjb", eri, occ, virt)
-    xajb = np.einsum("xqjb,qa->xajb", half, virt)
-    ovov = np.einsum("xajb,xi->iajb", xajb, occ)
-
-    e_occ, e_virt = eps[:n_occ], eps[n_occ:]
-    delta = e_occ[:, None, None, None] - e_virt[:, None, None] + e_occ[:, None] - e_virt
-    keep = np.abs(delta) >= DEGENERACY_TOL
-    amp = np.zeros_like(delta)
-    amp[keep] = (2.0 * ovov - ovov.transpose(0, 3, 2, 1))[keep] / delta[keep]
-    energy = float(np.sum(dens * (h1 + fock)) + np.sum(ovov * amp))
-
-    grad_u = np.empty_like(u)
-    grad_u[:, :n_occ] = 4.0 * (fock @ occ + np.einsum("xajb,iajb->xi", xajb, amp))
-    grad_u[:, n_occ:] = 4.0 * np.einsum("xqjb,qi,iajb->xa", half, occ, amp)
-    m = expm_antisymmetric_adjoint(kappa, grad_u)
-    grad = m - m.T
-    return energy, grad[:n_occ, n_occ:].ravel()
 
 
 class _OptimizeResult(NamedTuple):
@@ -667,8 +610,8 @@ class _OptimizeResult(NamedTuple):
     message: str
 
 
-def _lbfgs(fun, jac, x0, maxiter: int) -> _OptimizeResult:
-    """Minimize fun from x0 by L-BFGS on its exact gradient jac.
+def _lbfgs(fun, x0, maxiter: int) -> _OptimizeResult:
+    """Minimize f from x0 by L-BFGS, fun(x) returning f(x) and its exact gradient.
 
     The search direction comes from the two-loop recursion over the last
     _LBFGS_MEMORY steps; a step whose s.y <= 0 is not stored, which keeps
@@ -681,10 +624,10 @@ def _lbfgs(fun, jac, x0, maxiter: int) -> _OptimizeResult:
     allows _ARMIJO_ULPS ulps of |f|: near the optimum the predicted decrease
     falls below f's roundoff, and the search must not stall there.
     Convergence is judged on the gradient alone, max |g| <= _LBFGS_GTOL.
-    jac is called once per accepted step, fun once per trial step.
+    fun is called once per trial step.
     """
     x = np.array(x0, dtype=float)
-    f, g = fun(x), jac(x)
+    f, g = fun(x)
     steps = deque(maxlen=_LBFGS_MEMORY)
     for nit in range(maxiter + 1):
         g_max = float(np.abs(g).max(initial=0.0))
@@ -698,7 +641,7 @@ def _lbfgs(fun, jac, x0, maxiter: int) -> _OptimizeResult:
         t = min(1.0, _MAX_STEP / np.abs(d).max())
         for _ in range(_MAX_BACKTRACKS):
             x_new = x + t * d
-            f_new = fun(x_new)
+            f_new, g_new = fun(x_new)
             if f_new <= f + _ARMIJO_C1 * t * slope + slack:
                 break
             t_quad = -slope * t * t / (2.0 * (f_new - f - slope * t))
@@ -707,7 +650,6 @@ def _lbfgs(fun, jac, x0, maxiter: int) -> _OptimizeResult:
             return _OptimizeResult(
                 x, False, nit, f"line search found no decrease at max|gradient| {g_max:.1e}"
             )
-        g_new = jac(x_new)
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
         if sy > 0.0:

@@ -1,25 +1,25 @@
 """Statevector execution, shot sampling, noise, and post-selection.
 
 Exact mode runs no circuit and needs no measurement basis: the estimator
-takes its energies by Wick's theorem from F = u^T G u (`omp2`), for the
-one-body matrix G each group measures.  Noiseless shots run
-the reference column preparation, the orbital rotation U(theta) and one
-measurement rotation.  Every probe column is a determinant or
-cos(omega) |ref> + sin(omega) |D> of two determinants, and both rotations
-are spin-free, kron(u, I_2), and conserve particle number, so they run in
-the fixed-number sector (`NumberSector`): only the amplitudes of basis
-states with n_electrons set bits are stored, and `rotate_determinants`
-gives the exact action of the compiled Givens network on each determinant,
-one outer product of columns of the minors of u per determinant, the
-determinant picture of the Fermionic Quantum Emulator (Rubin et al.,
-Quantum 5, 568 (2021)).  Determinants are given as basis states, and
-`jw.spin_strings` alone splits them into their alpha and beta strings,
-numbered as jw numbers them.  u is real, so the rotated determinants are
-float64.  `apply_circuit` runs gates on all 2^N complex amplitudes; noisy
-circuits need it, because a Pauli error leaves the sector and Y is not
-real.  Noiseless shots stay in the sector, so the estimator draws them
-over the sector rows itself; `run`, `sample` and `postselect` serve the
-noisy path.
+takes its energies in closed form from the integrals the groups measure,
+rotated by u (`omp2`).  Noiseless shots run the reference column
+preparation, the orbital rotation U(theta) and one measurement rotation.
+Every probe column is a determinant or cos(omega) |ref> + sin(omega) |D>
+of two determinants, and both rotations are spin-free, kron(u, I_2), and
+conserve particle number, so they run in the fixed-number sector
+(`NumberSector`): only the amplitudes of basis states with n_electrons
+set bits are stored, and `rotate_determinants` gives the exact action of
+the compiled Givens network on each determinant, one outer product of
+columns of the minors of u per determinant, the determinant picture of
+the Fermionic Quantum Emulator (Rubin et al., Quantum 5, 568 (2021)).
+Determinants are given as basis states, and `jw.spin_strings` alone
+splits them into their alpha and beta strings, numbered as jw numbers
+them.  u is real, so the rotated determinants are float64.
+`apply_circuit` runs gates on all 2^N complex amplitudes; noisy circuits
+need it, because a Pauli error leaves the sector and Y is not real.
+Noiseless shots stay in the sector, so the estimator draws them over the
+sector rows itself; `run`, `sample` and `postselect` serve the noisy
+path.
 
 One kernel does the full-space work: every gate, Pauli error and readout
 flip is one 2x2 matrix on its target qubit under its controls (X for X

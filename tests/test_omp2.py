@@ -257,9 +257,35 @@ def test_optimize_improves_on_mp2(refs):
     assert bd.diagnostics["n_iterations"] > 0
 
 
-def _closed_form(est, theta):
-    h1, eri = est._measured_integrals()
-    return omp2._omp2_energy_and_gradient(h1, eri, est.eps[0::2], theta)
+def _rotated_column_energies(est, u):
+    """Every column's energy from the noiseless-shots path: the probe
+    determinants rotated in the sector, summed against each group's
+    coefficients."""
+    diagonal = np.zeros(est._probes.states.size)
+    cross = np.zeros_like(diagonal)
+    for coeff, x in est._rotated_determinants(u):
+        diagonal += np.einsum("i,ij,ij->j", coeff, x, x)
+        cross += np.einsum("i,ij->j", coeff * x[:, 0], x)
+    c, s, d = est._probes.cos, est._probes.sin, est._probes.det
+    return c**2 * diagonal[0] + s**2 * diagonal[d] + 2.0 * c * s * cross[d]
+
+
+def _sector_reference(est, theta):
+    """What `_assemble` makes of each column's exact expectation, sum coeff x^2
+    over the probe determinants rotated in the sector (rotate_determinants)."""
+    cols = _rotated_column_energies(est, omp2.expm_antisymmetric(theta.to_matrix()))
+    return est._assemble(*est._column_residuals(cols, np.zeros_like(cols)))
+
+
+def _assert_matches_sector_reference(est, theta, tol=1e-12):
+    """The exact breakdown's e1, residuals and e2 against `_sector_reference`."""
+    bd, ref = est.mp2_energy(theta), _sector_reference(est, theta)
+    assert abs(bd.e1 - ref.e1) <= tol
+    assert abs(bd.e2 - ref.e2) <= tol
+    r, r_ref = dict(bd.diagnostics["residuals"]), dict(ref.diagnostics["residuals"])
+    assert list(r) == list(r_ref)
+    assert max((abs(r[d] - r_ref[d]) for d in r), default=0.0) <= tol
+    return bd
 
 
 def _random_theta(est, rng, scale=0.5):
@@ -284,9 +310,7 @@ def test_closed_form_equals_circuit_energy(refs, molecule, distance, tol):
     est = Estimator(mi, EstimatorConfig(truncation_tol=tol))
     rng = np.random.default_rng(17)
     for _ in range(3):
-        theta = _random_theta(est, rng)
-        energy, _ = _closed_form(est, theta)
-        assert abs(energy - est.mp2_energy(theta).total) <= 1e-12
+        _assert_matches_sector_reference(est, _random_theta(est, rng))
 
 
 def _synthetic_integrals(n_orb, n_electrons, seed, n_factors=3):
@@ -304,8 +328,8 @@ def _synthetic_integrals(n_orb, n_electrons, seed, n_factors=3):
 
 
 def test_fourteen_qubits_in_bounded_memory(monkeypatch):
-    # 7 orbitals, 6 electrons: 3003 sector rows and 421 probe determinants,
-    # each rotated once per group, never a sector row per probe column
+    # 7 orbitals, 6 electrons: exact mode holds the 7^4 measured integrals
+    # and the 420 doubles, no sector row
     import tracemalloc
 
     monkeypatch.setattr(omp2, "MAX_QUBITS", 14)
@@ -314,12 +338,12 @@ def test_fourteen_qubits_in_bounded_memory(monkeypatch):
     try:
         est = Estimator(mi)
         theta = _random_theta(est, np.random.default_rng(2), scale=0.3)
-        total = est.mp2_energy(theta).total
+        est.mp2_energy(theta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert est.n_qubits == 14
-    assert abs(total - _closed_form(est, theta)[0]) <= 1e-10
+    _assert_matches_sector_reference(est, theta)
     assert peak <= 50e6, f"peak {peak / 1e6:.0f} MB"
 
 
@@ -329,9 +353,44 @@ def test_closed_form_with_every_double_skipped():
     with pytest.warns(UserWarning, match="degenerate excitation denominators"):
         est = Estimator(mi)
     theta = ThetaParams(6, 2, (0.3, -0.2))
-    energy, grad = _closed_form(est, theta)
-    assert abs(energy - est.mp2_energy(theta).total) <= 1e-12
-    assert np.isfinite(grad).all()
+    bd = _assert_matches_sector_reference(est, theta)
+    assert bd.e2 == 0.0 and bd.diagnostics["skipped_doubles"] == len(est.doubles)
+    assert np.isfinite(bd.diagnostics["gradient"]).all()
+
+
+def test_every_group_dropped(refs):
+    # a truncation tol above every supermatrix eigenvalue leaves no two-body
+    # group: the energy is group 0's one-body remainder alone
+    mi, _ = load_point(refs, "h4", 2.6)
+    with pytest.warns(UserWarning, match="drops every two-body group"):
+        est = Estimator(mi, EstimatorConfig(truncation_tol=1e6))
+    assert est.n_groups == 1
+    bd = _assert_matches_sector_reference(est, ThetaParams.zeros(est.n_qubits, est.n_electrons))
+    assert abs(bd.total - -7.170077277603959) <= 1e-12
+    _, bd = est.optimize()
+    assert bd.diagnostics["converged"] and math.isfinite(bd.total)
+
+
+def test_sz_changing_doubles_have_no_residual(refs):
+    # U(theta) and every measurement rotation are kron(u, I_2), which keeps
+    # S_z, so <ref|V|D> = 0 at every theta for a double D that changes it:
+    # those are the doubles with neither spin mask
+    rng = np.random.default_rng(29)
+    paths = sorted(Path(fixture_path("h2_1.4.fcidump")).parent.glob("*.fcidump"))
+    counts = {}
+    for path in paths:
+        est = Estimator(parse_fcidump(path))
+        beta = (est.doubles - 1) % 2
+        changes_sz = beta[:, :2].sum(axis=1) != beta[:, 2:].sum(axis=1)
+        assert np.array_equal(changes_sz, ~(est._direct | est._exchange))
+        counts[path.name] = (int(changes_sz.sum()), len(est.doubles))
+        zero = set(map(tuple, est.doubles[changes_sz].tolist()))
+        for theta in _thetas(est, rng):
+            bd, ref = est.mp2_energy(theta), _sector_reference(est, theta)
+            assert all(r == 0.0 for d, r in bd.diagnostics["residuals"] if d in zero)
+            assert all(abs(r) <= 1e-14 for d, r in ref.diagnostics["residuals"] if d in zero)
+    assert counts["h4_2.6.fcidump"] == (18, 36)
+    assert counts["lih_3.1.fcidump"] == (92, 168)
 
 
 def test_large_angles_match_the_closed_form():
@@ -342,8 +401,7 @@ def test_large_angles_match_the_closed_form():
     rng = np.random.default_rng(0)
     for _ in range(20):
         theta = theta0.with_values(rng.normal(size=len(theta0.values)) * 1e5)
-        energy, _ = _closed_form(est, theta)
-        assert abs(est.mp2_energy(theta).total - energy) <= 1e-10
+        _assert_matches_sector_reference(est, theta)
 
 
 @pytest.mark.parametrize("molecule,distance", [("h3p", 2.4), ("h4", 2.6)])
@@ -351,7 +409,8 @@ def test_gradient_matches_circuit_central_differences(refs, molecule, distance):
     mi, _ = load_point(refs, molecule, distance)
     est = Estimator(mi)
     theta = _random_theta(est, np.random.default_rng(3), scale=0.3)
-    _, grad = _closed_form(est, theta)
+    grad = est.mp2_energy(theta).diagnostics["gradient"]
+    assert grad.shape == (len(theta.values),)
     step = 1e-5
     for k in range(len(theta.values)):
         x = np.array(theta.values)
@@ -374,10 +433,13 @@ def test_shots_optimize_never_calls_the_gradient(refs, monkeypatch):
     def no_gradient(*args):
         raise AssertionError("shots mode must not use the closed-form gradient")
 
-    monkeypatch.setattr(omp2, "_omp2_energy_and_gradient", no_gradient)
+    monkeypatch.setattr(omp2, "expm_antisymmetric_adjoint", no_gradient)
     mi, _ = load_point(refs, "h2", 1.4)
     cfg = EstimatorConfig(mode="shots", shots=500, seed=4)
     theta, bd = Estimator(mi, cfg).optimize(maxiter=5)
+    assert "gradient" not in bd.diagnostics
+    postselecting = Estimator(mi, replace(cfg, postselect=True))
+    assert "gradient" not in postselecting.mp2_energy(theta).diagnostics
     # the optimum's stored evaluation equals a fresh one: streams are keyed
     # by seed, column and group, not by how many evaluations came before
     assert Estimator(mi, cfg).mp2_energy(theta) == bd
@@ -400,13 +462,10 @@ def test_optimize_does_not_rerun_the_optimum(refs):
 
 
 def _rosenbrock(x):
-    return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
-
-
-def _rosenbrock_gradient(x):
-    return np.array(
-        [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)]
-    )
+    """The Rosenbrock function and its gradient."""
+    value = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+    gradient = [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)]
+    return value, np.array(gradient)
 
 
 def test_lbfgs_minimizes_a_convex_quadratic():
@@ -414,16 +473,14 @@ def test_lbfgs_minimizes_a_convex_quadratic():
     a = rng.normal(size=(6, 6))
     hess = a @ a.T + 0.5 * np.eye(6)
     b = rng.normal(size=6)
-    res = omp2._lbfgs(
-        lambda x: 0.5 * x @ hess @ x - b @ x, lambda x: hess @ x - b, np.zeros(6), 200
-    )
+    res = omp2._lbfgs(lambda x: (0.5 * x @ hess @ x - b @ x, hess @ x - b), np.zeros(6), 200)
     assert res.success
     assert np.abs(hess @ res.x - b).max() <= 1e-9
     assert np.abs(res.x - np.linalg.solve(hess, b)).max() <= 1e-8
 
 
 def test_lbfgs_minimizes_rosenbrock():
-    res = omp2._lbfgs(_rosenbrock, _rosenbrock_gradient, np.array([-1.2, 1.0]), 200)
+    res = omp2._lbfgs(_rosenbrock, np.array([-1.2, 1.0]), 200)
     assert res.success
     assert 0 < res.nit < 200
     assert np.abs(res.x - 1.0).max() <= 1e-8
@@ -434,16 +491,16 @@ def test_lbfgs_caps_the_trial_step():
 
     def steep(x):
         trials.append(x.copy())
-        return 500.0 * (x - 3.0) @ (x - 3.0)
+        return 500.0 * (x - 3.0) @ (x - 3.0), 1000.0 * (x - 3.0)
 
-    res = omp2._lbfgs(steep, lambda x: 1000.0 * (x - 3.0), np.zeros(3), 200)
+    res = omp2._lbfgs(steep, np.zeros(3), 200)
     assert res.success
     assert np.abs(res.x - 3.0).max() <= 1e-9
     assert all(np.abs(b - a).max() <= 1.0 for a, b in zip(trials, trials[1:]))
 
 
 def test_lbfgs_reports_running_out_of_iterations(refs):
-    res = omp2._lbfgs(_rosenbrock, _rosenbrock_gradient, np.array([-1.2, 1.0]), 3)
+    res = omp2._lbfgs(_rosenbrock, np.array([-1.2, 1.0]), 3)
     assert not res.success
     assert res.nit == 3
     assert "3 iterations" in res.message
@@ -456,15 +513,20 @@ def test_lbfgs_reports_running_out_of_iterations(refs):
 
 @pytest.mark.parametrize("molecule,distance", [("h3p", 2.4), ("h4", 2.6), ("lih", 3.1)])
 def test_optimize_matches_scipy_lbfgsb(refs, molecule, distance):
-    # scipy's L-BFGS-B on the same circuit energy and closed-form gradient
+    # scipy's L-BFGS-B on the same energy and gradient
     mi, _ = load_point(refs, molecule, distance)
     est = Estimator(mi)
     _, bd = est.optimize()
     theta0 = ThetaParams.zeros(est.n_qubits, est.n_electrons)
+
+    def fun(x):
+        bd = est.mp2_energy(theta0.with_values(x))
+        return bd.total, bd.diagnostics["gradient"]
+
     res = minimize(
-        lambda x: est.mp2_energy(theta0.with_values(x)).total,
+        fun,
         np.zeros(len(theta0.values)),
-        jac=lambda x: _closed_form(est, theta0.with_values(x))[1],
+        jac=True,
         method="L-BFGS-B",
         options={"ftol": 1e-12, "gtol": 1e-9},
     )
@@ -473,10 +535,10 @@ def test_optimize_matches_scipy_lbfgsb(refs, molecule, distance):
 
 
 def _newton_polish(est, theta, steps=4):
-    """theta moved by Newton steps on the closed-form gradient (central-difference Hessian)."""
+    """theta moved by Newton steps on the exact gradient (central-difference Hessian)."""
 
     def grad(x):
-        return _closed_form(est, theta.with_values(x))[1]
+        return est.mp2_energy(theta.with_values(x)).diagnostics["gradient"]
 
     x = np.array(theta.values)
     for _ in range(steps):
@@ -645,32 +707,21 @@ def test_double_excitation_sign_on_the_reference(omega):
             assert np.array_equal(ref[sector.states], cols[:, 0])
 
 
-def _rotated_column_energies(est, u):
-    """Every column's energy from the noiseless-shots path: the probe
-    determinants rotated in the sector, summed against each group's
-    coefficients."""
-    diagonal = np.zeros(est._probes.states.size)
-    cross = np.zeros_like(diagonal)
-    for coeff, x in est._rotated_determinants(u):
-        diagonal += np.einsum("i,ij,ij->j", coeff, x, x)
-        cross += np.einsum("i,ij->j", coeff * x[:, 0], x)
-    c, s, d = est._probes.cos, est._probes.sin, est._probes.det
-    return c**2 * diagonal[0] + s**2 * diagonal[d] + 2.0 * c * s * cross[d]
-
-
-def _assert_wick_matches_rotated_determinants(est, rng, n_random=2):
+def _thetas(est, rng, n_random=2):
+    """theta = 0 and n_random theta with angles uniform in [-1, 1]."""
     theta0 = ThetaParams.zeros(est.n_qubits, est.n_electrons)
-    thetas = [theta0] + [
+    return [theta0] + [
         theta0.with_values(rng.uniform(-1.0, 1.0, len(theta0.values))) for _ in range(n_random)
     ]
-    for theta in thetas:
-        u = omp2.expm_antisymmetric(theta.to_matrix())
-        wick, variances = est._column_energies_exact(u)
-        assert not variances.any()
-        assert np.abs(wick - _rotated_column_energies(est, u)).max() <= 1e-12
 
 
-def test_wick_columns_match_the_rotated_determinants(refs):
+def _assert_closed_form_matches_rotated_determinants(est, rng):
+    for theta in _thetas(est, rng):
+        bd = _assert_matches_sector_reference(est, theta)
+        assert bd.variance == 0.0 and not any(v for _, v in bd.diagnostics["residual_variances"])
+
+
+def test_closed_form_matches_the_rotated_determinants(refs):
     # every packaged fixture in its full orbital space, and LiH also in the
     # active space the CLI runs it in; theta = 0 and two random theta
     rng = np.random.default_rng(23)
@@ -679,27 +730,27 @@ def test_wick_columns_match_the_rotated_determinants(refs):
     assert len(paths) == 69
     for path in paths:
         mi = parse_fcidump(path)
-        _assert_wick_matches_rotated_determinants(Estimator(mi), rng)
+        _assert_closed_form_matches_rotated_determinants(Estimator(mi), rng)
         if path.name.startswith("lih"):
-            _assert_wick_matches_rotated_determinants(
+            _assert_closed_form_matches_rotated_determinants(
                 Estimator(freeze_active_space(mi, spec)), rng
             )
 
 
 # 28 random factors push an orbital energy out of aufbau order, which is harmless here
 @pytest.mark.filterwarnings("ignore:orbital energies are not aufbau ordered")
-def test_wick_columns_match_the_rotated_determinants_at_fourteen_qubits(monkeypatch):
+def test_closed_form_matches_the_rotated_determinants_at_fourteen_qubits(monkeypatch):
     # 7 orbitals, 6 electrons: 29 groups of 28 factors, 421 probe determinants
     monkeypatch.setattr(omp2, "MAX_QUBITS", 14)
     mi = _synthetic_integrals(7, 6, seed=5, n_factors=28)
     est = Estimator(mi)
     assert (est.n_qubits, est.n_groups) == (14, 29)
-    _assert_wick_matches_rotated_determinants(est, np.random.default_rng(4))
+    _assert_closed_form_matches_rotated_determinants(est, np.random.default_rng(4))
 
 
 def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
     # exact mode builds no sector and rotates no determinant: its energies
-    # come from Wick's theorem on M x M matrices; noiseless shots, with and
+    # come from the rotated measured integrals; noiseless shots, with and
     # without postselection, rotate the probe determinants in the sector
     def full_space(*args, **kwargs):
         raise AssertionError("noiseless modes must not build 2^N states, counts or coefficients")
@@ -717,7 +768,7 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
 
     # the estimator reads the occupation table of the cached sector, and
     # jw.spin_strings splits the states it is given into their spin strings
-    for module in (simulator, jw, omp2):
+    for module in (simulator, jw):
         monkeypatch.setattr(module, "occupations", sector_occupations)
     simulator.number_sector.cache_clear()
 
