@@ -49,10 +49,10 @@ Exact mode minimizes with the package's own L-BFGS (`_lbfgs`), one
 evaluation giving the energy and its gradient per trial step.  It stops on
 the gradient, max |g| <= 1e-9, not on the change in energy: the e1/e2
 split is not stationary at the optimum, and this fixes it to about 1e-11,
-below the 1e-10 the CLI prints.  With the closed-form orbital exponentials
-of `chem`, exact mode runs on numpy alone.  Shots mode runs scipy's
-Nelder-Mead on the estimates, since a noiseless gradient must not steer a
-noisy estimate.
+below the 1e-10 the CLI prints.  Shots mode runs the package's
+Nelder-Mead (`_nelder_mead`) on the estimates, since a noiseless gradient
+must not steer a noisy estimate.  With the closed-form orbital exponentials
+of `chem`, both modes run on numpy alone.
 """
 
 from __future__ import annotations
@@ -115,6 +115,7 @@ _ARMIJO_C1 = 1e-4
 _ARMIJO_ULPS = 64  # over 10x the energy's roundoff, at most 5.3 ulps on H4 and LiH
 _MAX_BACKTRACKS = 30
 _MAX_STEP = 1.0  # radians: the largest angle change of a trial step
+_NM_XATOL, _NM_FATOL = 1e-3, 1e-6  # Nelder-Mead's simplex spread in theta and in f
 
 
 class CapacityError(ValueError):
@@ -499,7 +500,6 @@ class Estimator:
         if not isinstance(maxiter, numbers.Integral) or maxiter < 0:
             raise ValueError(f"maxiter must be a non-negative integer, got {maxiter!r}")
         theta0 = ThetaParams.zeros(self.n_qubits, self.n_electrons)
-        n_par = len(theta0.values)
         evaluated = {}
 
         def fun(x):
@@ -507,31 +507,13 @@ class Estimator:
             bd = evaluated[theta.values] = self.mp2_energy(theta)
             return bd.total, bd.diagnostics.get("gradient")  # no gradient in shots mode
 
-        if n_par == 0:
-            # a filled shell has no rotation angles, so theta = 0 is the answer
-            res = _OptimizeResult(np.zeros(0), True, 0, "no parameters")
-        elif self.cfg.mode == "exact":
-            res = _lbfgs(fun, np.zeros(n_par), maxiter)
-        else:
-            # imported here so exact runs never load scipy, and on one BLAS
-            # thread, as numpy's OpenBLAS is loaded
-            from . import _one_blas_thread
-
-            with _one_blas_thread():
-                from scipy.optimize import minimize
-
-            res = minimize(
-                lambda x: fun(x)[0],
-                np.zeros(n_par),
-                method="Nelder-Mead",
-                options={"maxiter": maxiter, "xatol": 1e-3, "fatol": 1e-6},
-            )
+        minimize = _lbfgs if self.cfg.mode == "exact" else _nelder_mead
+        res = minimize(fun, np.zeros(len(theta0.values)), maxiter)
         theta = theta0.with_values(res.x)
-        # every sample and trajectory stream is keyed by (seed, column, group,
-        # trajectory), so a stored evaluation equals a fresh one
-        bd = evaluated.get(theta.values)
-        if bd is None:
-            bd = self.mp2_energy(theta)
+        # both minimizers return a point they evaluated; every sample and
+        # trajectory stream is keyed by (seed, column, group, trajectory), so
+        # its stored evaluation equals a fresh one
+        bd = evaluated[theta.values]
         bd.diagnostics.update(
             converged=bool(res.success),
             n_iterations=int(res.nit),
@@ -658,6 +640,58 @@ def _lbfgs(fun, x0, maxiter: int) -> _OptimizeResult:
     return _OptimizeResult(
         x, False, maxiter, f"no convergence in {maxiter} iterations, max|gradient| {g_max:.1e}"
     )
+
+
+def _nelder_mead(fun, x0, maxiter: int) -> _OptimizeResult:
+    """Minimize f from x0 by the Nelder-Mead simplex (Nelder and Mead, Computer
+    Journal 7, 308 (1965)); fun(x) returns (f, gradient), and only f is read.
+
+    The simplex is x0 and, for each k, x0 with coordinate k scaled by 1.05,
+    or set to 0.00025 if it is 0.  A step replaces the worst vertex by its
+    reflection through the centroid of the others, the expansion beyond it,
+    or an outside or inside contraction, or else shrinks every vertex
+    halfway to the best, with the coefficients and tie rules of scipy's
+    non-adaptive Nelder-Mead: maxiter steps here are its maxiter + 1.
+    Before each step the vertices are sorted by f; the run has converged
+    when every vertex is within _NM_XATOL of the best in each coordinate and
+    within _NM_FATOL in f.  maxiter = 0 evaluates x0 alone.  fun is passed
+    a fresh array each call.
+    """
+    x0 = np.array(x0, dtype=float)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1 if maxiter else 1, 1))
+    np.fill_diagonal(sim[1:], np.where(x0 != 0, 1.05 * x0, 0.00025))
+    f = np.array([fun(v.copy())[0] for v in sim], dtype=float)
+    for nit in range(maxiter + 1):
+        order = np.argsort(f)
+        sim, f = sim[order], f[order]
+        if nit == maxiter:
+            break
+        if (
+            np.abs(sim[1:] - sim[0]).max(initial=0.0) <= _NM_XATOL
+            and np.abs(f[0] - f[1:]).max(initial=0.0) <= _NM_FATOL
+        ):
+            return _OptimizeResult(sim[0], True, nit, "simplex converged")
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2.0 * xbar - sim[-1]
+        fr = fun(xr)[0]
+        if fr < f[0]:
+            xe = 3.0 * xbar - 2.0 * sim[-1]
+            fe = fun(xe)[0]
+            sim[-1], f[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < f[-2]:
+            sim[-1], f[-1] = xr, fr
+        else:
+            outside = fr < f[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fc = fun(xc)[0]
+            if fc <= fr if outside else fc < f[-1]:
+                sim[-1], f[-1] = xc, fc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    f[j] = fun(sim[j].copy())[0]
+    return _OptimizeResult(sim[0], False, maxiter, f"no convergence in {maxiter} iterations")
 
 
 def _inverse_hessian_times(g: np.ndarray, steps) -> np.ndarray:

@@ -462,8 +462,8 @@ def _fresh_env(**overrides):
 
 
 def test_import_leaves_the_optimizer_unloaded(tmp_path):
-    # exact mode runs on numpy alone: its exponentials are closed form and its
-    # optimizer is in the package; only shots mode imports scipy, itself
+    # every mode runs on numpy alone: the exponentials are closed form and
+    # both optimizers are in the package
     shutil.copyfile(H2_FIXTURE, tmp_path / "h2_1.4.fcidump")
     env = _fresh_env()
     code = f"""
@@ -477,6 +477,10 @@ est.mp2_energy(ThetaParams.zeros(est.n_qubits, est.n_electrons))
 with contextlib.redirect_stdout(io.StringIO()):
     assert omp2sim.cli.main(["curve", "--fixture-dir", {str(tmp_path)!r}, "--jobs", "1"]) == 0
     assert omp2sim.cli.main(["energy", "--fixture", {H2_FIXTURE!r}]) == 0
+    shots = ["--mode", "shots", "--shots", "200", "--seed", "3"]
+    assert omp2sim.cli.main(["energy", "--fixture", {H2_FIXTURE!r}, *shots]) == 0
+    assert omp2sim.cli.main(["energy", "--fixture", {H2_FIXTURE!r}, *shots, "--postselect"]) == 0
+    assert omp2sim.cli.main(["noise-study", "--fixture", {H2_FIXTURE!r}, *shots[2:]]) == 0
 print(sorted(m for m in sys.modules if m.startswith("scipy") or m == "numpy.ma"))
 """
     done = subprocess.run(
@@ -501,10 +505,10 @@ a = np.ones((500, 500))
 a @ a
 np.linalg.det(np.ones((64, 4, 4)) + np.eye(4))
 imported = tasks()
-# shots mode imports scipy.optimize, which loads scipy's own OpenBLAS
+# shots-mode optimization loads no second OpenBLAS
 cfg = EstimatorConfig(mode="shots", shots=100)
 Estimator(parse_fcidump(fixture_path("h2_1.4.fcidump")), cfg).optimize(maxiter=2)
-assert "scipy.optimize" in sys.modules
+assert not any(m.startswith("scipy") for m in sys.modules)
 print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), imported, tasks()]))
 """
 
@@ -520,10 +524,10 @@ def test_import_loads_blas_on_one_thread_unless_told(found):
     assert seen == found
     if imported is None:
         pytest.skip("thread count read from /proc/self/task on Linux only")
-    # OpenBLAS starts no more threads than the process has cores; numpy's
-    # and scipy's libraries each add their workers to the main thread
+    # OpenBLAS starts no more threads than the process has cores, and adds
+    # its workers to the main thread
     workers = 0 if found is None else min(2, len(os.sched_getaffinity(0))) - 1
-    assert (imported, optimized) == (1 + workers, 1 + 2 * workers)
+    assert (imported, optimized) == (1 + workers, 1 + workers)
 
 
 def test_output_does_not_depend_on_blas_threads(tmp_path):

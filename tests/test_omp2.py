@@ -117,8 +117,15 @@ def test_optimize_rejects_a_bad_maxiter(mode, maxiter):
     assert est.n_evaluations == 0
 
 
-def test_optimize_accepts_zero_iterations():
-    est = Estimator(parse_fcidump(fixture_path("h3p_2.4.fcidump")))
+@pytest.mark.parametrize(
+    "cfg",
+    [EstimatorConfig(), EstimatorConfig(mode="shots", shots=500, seed=3)],
+    ids=["exact", "shots"],
+)
+def test_optimize_accepts_zero_iterations(cfg):
+    # shots mode used to evaluate the whole initial simplex and return its
+    # best vertex, theta = (0.00025, 0.0), after one iteration
+    est = Estimator(parse_fcidump(fixture_path("h3p_2.4.fcidump")), cfg)
     theta, bd = est.optimize(maxiter=np.int64(0))
     assert bd.diagnostics["n_iterations"] == 0 and est.n_evaluations == 1
     assert theta == ThetaParams.zeros(est.n_qubits, est.n_electrons)
@@ -172,13 +179,16 @@ def test_estimator_config_rejects_bad_truncation_tol(tol):
         EstimatorConfig(truncation_tol=tol)
 
 
-def test_filled_shell_optimize_is_theta_zero():
+@pytest.mark.parametrize(
+    "cfg", [EstimatorConfig(), EstimatorConfig(mode="shots", shots=100)], ids=["exact", "shots"]
+)
+def test_filled_shell_optimize_is_theta_zero(cfg):
     # NORB=2, NELEC=4: no virtual orbitals, so no rotation angle to optimize
     mi = MolecularIntegrals(
         n_spatial=2, e_core=0.0, h1=np.diag([-1.0, -0.5]), eri=np.zeros((2, 2, 2, 2)),
         n_electrons=4,
     )
-    est = Estimator(mi)
+    est = Estimator(mi, cfg)
     theta, bd = est.optimize()
     assert theta.values == ()
     assert bd.diagnostics["converged"] is True
@@ -509,6 +519,50 @@ def test_lbfgs_reports_running_out_of_iterations(refs):
     assert bd.diagnostics["converged"] is False
     assert bd.diagnostics["n_iterations"] == 1
     assert "1 iterations" in bd.diagnostics["optimizer_message"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    x0_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    f_seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 1e-4]),
+    maxiter=st.integers(1, 300),
+)
+def test_nelder_mead_matches_scipy(n, x0_seed, f_seed, noise, maxiter):
+    # scipy's non-adaptive Nelder-Mead with one more iteration, since its
+    # count starts at 1: the same vertices, in the same order
+    rng = np.random.default_rng(f_seed)
+    a = rng.normal(size=(n, n))
+    hess, b, c = a @ a.T + 0.1 * np.eye(n), rng.normal(size=n), rng.normal(size=n)
+    x0 = np.zeros(n) if x0_seed is None else np.random.default_rng(x0_seed).normal(size=n)
+
+    def calls_of(minimizer):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            # noise keyed by x alone, so a vertex evaluated twice reads the same
+            jitter = np.random.default_rng([f_seed, *x.view(np.uint32)]).normal()
+            return float(0.5 * x @ hess @ x - b @ x + np.cos(c * x).sum() + noise * jitter)
+
+        return minimizer(f), calls
+
+    ours, our_calls = calls_of(lambda f: omp2._nelder_mead(lambda x: (f(x), None), x0, maxiter))
+    ref, ref_calls = calls_of(
+        lambda f: minimize(
+            f,
+            x0,
+            method="Nelder-Mead",
+            options={"maxiter": maxiter + 1, "xatol": 1e-3, "fatol": 1e-6},
+        )
+    )
+    assert np.array_equal(ours.x, ref.x)
+    assert len(our_calls) == len(ref_calls) and ours.nit + 1 == ref.nit
+    assert ours.success == ref.success
+    assert all(np.array_equal(u, v) for u, v in zip(our_calls, ref_calls))
+    # each vertex reaches fun as its own array
+    assert len({id(x) for x in our_calls}) == len(our_calls)
 
 
 @pytest.mark.parametrize("molecule,distance", [("h3p", 2.4), ("h4", 2.6), ("lih", 3.1)])
