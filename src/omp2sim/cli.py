@@ -289,50 +289,43 @@ def _bounded(kind, low, strict=True):
     return parse
 
 
-def _add_common(p, with_jobs=False):
-    p.add_argument("--mode", choices=("exact", "shots"), default="exact")
-    p.add_argument("--shots", type=_bounded(int, 0), default=100_000)
-    p.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--mode", choices=("exact", "shots"), default="exact")
+    common.add_argument("--shots", type=_bounded(int, 0), default=100_000)
+    common.add_argument(
         "--noise", choices=sorted(load_noise_presets()), default=None, help="noise preset name"
     )
-    p.add_argument("--postselect", action="store_true")
-    p.add_argument("--tol", type=_bounded(float, 0), default=1e-12, help="factorization truncation")
-    p.add_argument("--seed", type=_bounded(int, 0, strict=False), default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    if with_jobs:
-        p.add_argument(
-            "--jobs",
-            type=_bounded(int, 0),
-            default=1,
-            help="accepted, but the rows run serially whatever its value",
-        )
+    common.add_argument("--postselect", action="store_true")
+    common.add_argument(
+        "--tol", type=_bounded(float, 0), default=1e-12, help="factorization truncation"
+    )
+    common.add_argument("--seed", type=_bounded(int, 0, strict=False), default=None)
+    common.add_argument("--out", default=None)
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="omp2sim")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("energy", help="optimize one fixture")
+    p = sub.add_parser("energy", parents=[common], help="optimize one fixture")
     p.add_argument("--fixture", required=True)
-    _add_common(p)
     p.set_defaults(fn=cmd_energy)
 
-    p = sub.add_parser("curve", help="optimize every fixture in a directory")
+    p = sub.add_parser("curve", parents=[common], help="optimize every fixture in a directory")
     p.add_argument("--fixture-dir", required=True)
     p.add_argument("--molecule", default=None)
-    _add_common(p, with_jobs=True)
+    p.add_argument("--jobs", type=_bounded(int, 0), default=1, help="accepted; rows run serially")
     p.set_defaults(fn=cmd_curve)
 
-    p = sub.add_parser("resources", help="circuit counts and depths")
+    p = sub.add_parser("resources", parents=[common], help="circuit counts and depths")
     p.add_argument("--fixture", required=True)
-    _add_common(p)
     p.set_defaults(fn=cmd_resources)
 
-    p = sub.add_parser("noise-study", help="theta = 0 energies under a noise preset")
+    p = sub.add_parser(
+        "noise-study", parents=[common], help="theta = 0 energies under a noise preset"
+    )
     p.add_argument("--fixture", required=True)
     p.add_argument("--trajectories", type=_bounded(int, 0), default=16)
-    _add_common(p)
     p.set_defaults(fn=cmd_noise_study)
 
     return parser

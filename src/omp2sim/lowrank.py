@@ -2,18 +2,18 @@
 
 The two-body operator (1/2) sum (pq|rs) E_pq E_rs is rewritten as a sum
 of basis-rotated squares of spatial number operators: eigendecompose the
-M^2 x M^2 supermatrix A[(pq),(rs)] = (pq|rs), then diagonalize each kept
-eigenvector as a symmetric M x M matrix.  The operator-reordering
-remainder -1/2 sum_r (pr|rq) joins the one-body matrix, which
-diagonalizes into group 0.  Each group is measurable as plain occupation
-statistics after its rotation circuit: with n_p the electrons in rotated
-spatial orbital p, group 0 is sum_p linear_p n_p, and a kept eigenpair
-(w, g) with g = O diag(f) O^T gives the group w/2 (sum_p f_p n_p)^2.
-
-reconstruction_error records the supermatrix spectral norm of the
-truncated remainder (the largest dropped |eigenvalue|); the one- and
-two-body rebuilds are otherwise exact by construction.  The dense
-operator-level check lives in the test suite.
+M^2 x M^2 supermatrix A[(pq),(rs)] = (pq|rs) once, fold each kept
+eigenvector into a symmetric M x M matrix G = O diag(f) O^T, and
+diagonalize it.  The operator-reordering remainder -1/2 sum_r (pr|rq)
+joins the one-body matrix, which diagonalizes into group 0.  Each group
+is measurable as plain occupation statistics after its rotation circuit:
+with n_p the electrons in rotated spatial orbital p, group 0 is
+sum_p linear_p n_p, and a kept eigenpair (w, G) gives w/2 (sum_p f_p n_p)^2.
+Exact mode, their infinite-shot limit, builds no group and reads the
+integrals they measure from `measured_integrals`.  Only this module
+truncates; the largest dropped |eigenvalue| bounds the supermatrix
+spectral norm of what is left out, and the dense operator-level check
+lives in the test suite.
 """
 
 from __future__ import annotations
@@ -71,8 +71,10 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def two_body_groups(eri: np.ndarray, tol: float) -> tuple[MeasurementGroup, ...]:
-    """Groups l >= 1; independent of the one-body matrix, hence of theta."""
+def factor_supermatrix(eri: np.ndarray, tol: float):
+    """(w, g, dropped): the supermatrix eigenvalues with |w| > tol, largest
+    |w| first, each eigenvector folded into a symmetric M x M matrix g[l],
+    and the largest dropped |w| (0 if none)."""
     if tol <= 0.0:
         raise ValueError("truncation tol must be positive")
     m = eri.shape[0]
@@ -80,20 +82,32 @@ def two_body_groups(eri: np.ndarray, tol: float) -> tuple[MeasurementGroup, ...]
     if np.abs(super_a - super_a.T).max() > 1e-10:
         raise ValueError("eri supermatrix not symmetric")
     w, v = np.linalg.eigh(super_a)
-    order = np.argsort(-np.abs(w), kind="stable")
-    groups = []
-    for idx in order:
-        if abs(w[idx]) <= tol:
-            continue
-        vec = _canonical_sign(v[:, idx])
-        g_mat = vec.reshape(m, m)
-        g_mat = 0.5 * (g_mat + g_mat.T)
-        f, o = np.linalg.eigh(g_mat)
-        o = _det_plus_one(o)
-        groups.append(
-            MeasurementGroup(rotation=o, linear=np.zeros(m), factor=f, weight=float(w[idx]))
-        )
-    return tuple(groups)
+    kept = [idx for idx in np.argsort(-np.abs(w), kind="stable") if abs(w[idx]) > tol]
+    g = np.array([_canonical_sign(v[:, idx]) for idx in kept]).reshape(-1, m, m)
+    dropped = float(np.abs(w).max(initial=0.0, where=np.abs(w) <= tol))
+    return w[kept], 0.5 * (g + g.transpose(0, 2, 1)), dropped
+
+
+def _rank_one_groups(w: np.ndarray, g: np.ndarray) -> tuple[MeasurementGroup, ...]:
+    eigs = map(np.linalg.eigh, g)
+    return tuple(
+        MeasurementGroup(_det_plus_one(o), np.zeros(len(f)), f, float(w_l))
+        for w_l, (f, o) in zip(w, eigs)
+    )
+
+
+def two_body_groups(eri: np.ndarray, tol: float) -> tuple[MeasurementGroup, ...]:
+    """Groups l >= 1; independent of the one-body matrix, hence of theta."""
+    return _rank_one_groups(*factor_supermatrix(eri, tol)[:2])
+
+
+def measured_integrals(h1: np.ndarray, eri: np.ndarray, tol: float):
+    """The spatial (h1, eri) the groups measure: eri = sum_l w_l G_l (x) G_l
+    over the kept eigenpairs, and h1 - 1/2 sum_r (pr|rq), group 0's part
+    without the perturbation's zeroth order, plus the kept reordering term."""
+    w, g, _ = factor_supermatrix(eri, tol)
+    kept = np.einsum("l,lpq,lrs->pqrs", w, g, g)
+    return h1 - 0.5 * np.einsum("prrq->pq", eri) + 0.5 * np.einsum("prrq->pq", kept), kept
 
 
 def one_body_group(t: np.ndarray, eri: np.ndarray) -> MeasurementGroup:
@@ -101,8 +115,7 @@ def one_body_group(t: np.ndarray, eri: np.ndarray) -> MeasurementGroup:
     -1/2 sum_r (pr|rq), diagonalized; both spin channels share its rotation."""
     correction = -0.5 * np.einsum("prrq->pq", eri)
     d, o = np.linalg.eigh(t + correction)
-    o = _det_plus_one(o)
-    return MeasurementGroup(rotation=o, linear=d, factor=np.zeros_like(d), weight=0.0)
+    return MeasurementGroup(_det_plus_one(o), linear=d, factor=np.zeros_like(d), weight=0.0)
 
 
 def factorize(t: np.ndarray, eri: np.ndarray, tol: float) -> FactorizedPerturbation:
@@ -110,15 +123,9 @@ def factorize(t: np.ndarray, eri: np.ndarray, tol: float) -> FactorizedPerturbat
     t = np.asarray(t, dtype=float)
     if np.abs(t - t.T).max() > 1e-10:
         raise ValueError("one-body matrix not symmetric")
-    groups = (one_body_group(t, eri),) + two_body_groups(eri, tol)
-    m = eri.shape[0]
-    super_a = eri.reshape(m * m, m * m)
-    w = np.linalg.eigvalsh(super_a)
-    dropped = np.abs(w)[np.abs(w) <= tol]
-    err = float(dropped.max()) if dropped.size else 0.0
-    return FactorizedPerturbation(
-        groups=groups, truncation_tol=tol, reconstruction_error=err
-    )
+    w, g, err = factor_supermatrix(eri, tol)
+    groups = (one_body_group(t, eri), *_rank_one_groups(w, g))
+    return FactorizedPerturbation(groups=groups, truncation_tol=tol, reconstruction_error=err)
 
 
 def occupation_coefficients(g: MeasurementGroup, occ: np.ndarray) -> np.ndarray:

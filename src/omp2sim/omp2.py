@@ -16,14 +16,13 @@ what keeps the per-evaluation work linear in circuits.
 
 theta enters as one spatial rotation u = exp(kappa), computed once per
 evaluation; both spin channels rotate by it, kron(u, I_2).  The groups
-measure the spatial integrals (h1, eri) built once per estimator: eri =
-sum_l w_l G_l (x) G_l over the kept two-body groups, G_l = O_l diag(f_l)
-O_l^T, and h1 the one-body part group 0 measures plus their reordering
-term 1/2 sum_r (pr|rq).  Exact mode, the infinite-shot limit, reads every
-term from these integrals rotated by u, in closed form: E0 + E1 is the
-reference energy of the rotated integrals, and the residual of the double
-(i, j, a, b) is (ia|jb) [s_i = s_a, s_j = s_b] - (ib|ja) [s_i = s_b,
-s_j = s_a] over the rotated spatial (ov|ov), s the spins.  It carries no
+measure the spatial integrals (h1, eri) that `lowrank.measured_integrals`
+returns, built once per estimator.  Exact mode, the infinite-shot limit,
+builds no group: it reads every term from these integrals rotated by u,
+in closed form.  E0 + E1 is the reference energy of the rotated
+integrals, and the residual of the double (i, j, a, b) is (ia|jb)
+[s_i = s_a, s_j = s_b] - (ib|ja) [s_i = s_b, s_j = s_a] over the rotated
+spatial (ov|ov), s the spins.  It carries no
 Jordan-Wigner sign: a probe column's sin carries the sign of its
 determinant, so the residual the columns give is that of the excited
 reference itself.  A double with both spin masks 0 changes S_z, and its
@@ -86,6 +85,7 @@ from .circuits import (
 )
 from .lowrank import (
     coefficient_vector,
+    measured_integrals,
     occupation_coefficients,
     one_body_group,
     two_body_groups,
@@ -268,31 +268,20 @@ class Estimator:
         e_i, e_j, e_a, e_b = self.eps[self.doubles.T - 1]
         self._deltas = e_i + e_j - e_a - e_b
         self._skip = np.abs(self._deltas) < DEGENERACY_TOL
+        self._kept_doubles = list(map(tuple, self.doubles[~self._skip].tolist()))
         if self._skip.any():
             warnings.warn(
                 "degenerate excitation denominators; those doubles are skipped",
                 stacklevel=2,
             )
 
-        self._static_groups = two_body_groups(self.si.eri_spatial, self.cfg.truncation_tol)
-        self.n_groups = 1 + len(self._static_groups)
-        if not self._static_groups and self.si.eri_spatial.any():
+        self._integrals = measured_integrals(mi.h1, mi.eri, self.cfg.truncation_tol)
+        if not self._integrals[1].any() and mi.eri.any():
             warnings.warn(
                 f"truncation tol {self.cfg.truncation_tol:g} drops every two-body group; "
                 "the energies leave out the two-electron interaction",
                 stacklevel=2,
             )
-
-        # the spatial integrals the groups measure: eri = sum_l w_l G_l (x) G_l,
-        # G_l = O_l diag(f_l) O_l^T, and group 0's h1 - 1/2 sum_r (pr|rq) plus
-        # the kept groups' reordering term
-        m = mi.n_spatial
-        groups = self._static_groups
-        ops = np.array([np.einsum("pa,a,qa->pq", g.rotation, g.factor, g.rotation) for g in groups])
-        ops = ops.reshape(-1, m, m)  # (0, m, m) when every group is dropped
-        eri = np.einsum("l,lpq,lrs->pqrs", np.array([g.weight for g in groups]), ops, ops)
-        h1 = mi.h1 - 0.5 * np.einsum("prrq->pq", mi.eri) + 0.5 * np.einsum("prrq->pq", eri)
-        self._integrals = h1, eri
         # each double's spatial (i, j, a, b), a and b counted from the first
         # virtual, and the spins that pair (ia|jb) (direct) and (ib|ja)
         # (exchange); a double with neither changes S_z
@@ -305,6 +294,15 @@ class Estimator:
         delta = e_occ[:, None, None, None] - e_virt[:, None, None] + e_occ[:, None] - e_virt
         self._pair_deltas = np.where(np.abs(delta) < DEGENERACY_TOL, np.inf, delta)
         self.n_evaluations = 0
+
+    @cached_property
+    def _static_groups(self):
+        """The two-body groups, whose measurement bases only circuits need."""
+        return two_body_groups(self.mi.eri, self.cfg.truncation_tol)
+
+    @property
+    def n_groups(self) -> int:
+        return 1 + len(self._static_groups)
 
     @cached_property
     def _probes(self) -> _Probes:
@@ -457,10 +455,9 @@ class Estimator:
         # left to right from 0.0, not pairwise as np.sum adds: seeded output keeps its digits
         e2 = np.cumsum(np.append(0.0, r * r / delta))[-1]
         var_e2 = np.cumsum(np.append(0.0, (2.0 * r / delta) ** 2 * var_r))[-1]
-        doubles = list(map(tuple, self.doubles[keep].tolist()))
         diagnostics = {
-            "residuals": tuple(zip(doubles, r.tolist())),
-            "residual_variances": tuple(zip(doubles, var_r.tolist())),
+            "residuals": tuple(zip(self._kept_doubles, r.tolist())),
+            "residual_variances": tuple(zip(self._kept_doubles, var_r.tolist())),
             "var_e1": var_e1,
             "skipped_doubles": int(self._skip.sum()),
             "kept_fraction_mean": kept_mean,

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -46,6 +47,27 @@ def read_csv(path):
     assert lines[0] == "# schema=1"
     header = lines[1].split(",")
     return [dict(zip(header, ln.split(","))) for ln in lines[2:]]
+
+
+COMMON_OPTIONS = (
+    "--mode", "--shots", "--noise", "--postselect", "--tol", "--seed", "--out", "--format"
+)
+
+
+@pytest.mark.parametrize("command", ["energy", "curve", "resources", "noise-study"])
+def test_help_lists_each_common_option_once(command, monkeypatch, capsys):
+    loads = []
+    presets = cli.load_noise_presets()
+    monkeypatch.setattr(cli, "load_noise_presets", lambda: loads.append(1) or presets)
+    assert run_cli(command, "--help") == EXIT_OK
+    assert loads == [1]  # the presets file is read once per parse
+    text = capsys.readouterr().out
+    for option in COMMON_OPTIONS + (("--jobs",) if command == "curve" else ()):
+        assert len(re.findall(rf"^  {option}\b", text, flags=re.MULTILINE)) == 1, option
+    if command != "curve":
+        assert "--jobs" not in text
+    choices = re.search(r"^  --noise \{([^}]*)\}", text, flags=re.MULTILINE).group(1)
+    assert choices.split(",") == sorted(presets)
 
 
 def test_usage_errors(tmp_path, monkeypatch, capsys):

@@ -14,14 +14,18 @@ from omp2sim.chem import (
     build_perturbation,
     expm_antisymmetric,
     orbital_energies,
+    parse_fcidump,
     spin_orbitalize,
 )
 from omp2sim.lowrank import (
     coefficient_vector,
+    factor_supermatrix,
     factorize,
+    measured_integrals,
     one_body_group,
     two_body_groups,
 )
+from omp2sim.oracle import fixture_path
 
 EXPECTED_GROUPS = {"h2": 4, "h3p": 7, "lih": 7, "h4": 11}
 MIDPOINTS = {"h2": 1.4, "h3p": 2.4, "lih": 3.1, "h4": 1.8}
@@ -90,6 +94,34 @@ def test_truncation_records_dropped_weight(refs):
     direct = dense_perturbation(np.kron(t, np.eye(2)), si)
     rebuilt = sum(dense_group_operator(g, si.n_spin) for g in loose.groups)
     assert operator_norm(rebuilt - direct) > 1e-8
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-3])
+def test_factor_step_is_what_the_groups_measure(refs, tol):
+    # on every fixture, the factor step's sum_l w_l G_l (x) G_l is the groups'
+    # sum over O diag(f) O^T, and it rebuilds eri within the dropped bound
+    names = sorted(pt.fcidump for mol in refs.molecules.values() for pt in mol.points)
+    assert len(names) == 69
+    worst_dropped = 0.0
+    for name in names:
+        mi = parse_fcidump(fixture_path(name))
+        m = mi.n_spatial
+        w, g, dropped = factor_supermatrix(mi.eri, tol)
+        h1, eri = measured_integrals(mi.h1, mi.eri, tol)
+        assert np.array_equal(eri, np.einsum("l,lpq,lrs->pqrs", w, g, g))
+        from_groups = np.zeros((m,) * 4)
+        for gr in two_body_groups(mi.eri, tol):
+            op = gr.rotation @ np.diag(gr.factor) @ gr.rotation.T
+            from_groups += gr.weight * np.multiply.outer(op, op)
+        assert np.abs(eri - from_groups).max() <= 1e-12, name
+        remainder = (mi.eri - eri).reshape(m * m, m * m)
+        assert np.linalg.norm(remainder, 2) <= dropped + 1e-12, name
+        reorder = 0.5 * np.einsum("prrq->pq", mi.eri - eri)
+        assert np.abs(h1 - (mi.h1 - reorder)).max() <= 1e-12, name
+        t = build_perturbation(mi.h1, np.zeros(m), np.eye(m))
+        assert factorize(t, mi.eri, tol).reconstruction_error == dropped
+        worst_dropped = max(worst_dropped, dropped)
+    assert (worst_dropped > 1e-8) == (tol > 1e-8)  # the loose tol truncates
 
 
 def test_one_body_group_diagonalizes(refs):

@@ -20,7 +20,7 @@ from omp2sim.chem import (
 from helpers import dense_perturbation
 from omp2sim.circuits import Circuit, compile_orbital_rotation, double_excitation, prep_reference
 from omp2sim.lowrank import one_body_group
-from omp2sim import jw, omp2, simulator
+from omp2sim import jw, lowrank, omp2, simulator
 from omp2sim.omp2 import (
     EnergyBreakdown,
     Estimator,
@@ -882,9 +882,9 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
 
 
 def test_exact_mode_builds_no_measurement_basis(refs, monkeypatch):
-    # exact mode and the resource count read the groups' M x M operators,
-    # built once; only shots, whose circuits end in a group's measurement
-    # rotation, diagonalize group 0, once per evaluation
+    # exact mode reads the measured integrals and the resource count only
+    # the two-body groups; only shots, whose circuits end in a group's
+    # measurement rotation, diagonalize group 0, once per evaluation
     def refuse(*args, **kwargs):
         raise AssertionError("exact mode must not diagonalize a group")
 
@@ -912,6 +912,72 @@ def test_exact_mode_builds_no_measurement_basis(refs, monkeypatch):
     for k in (1, 2):
         est.mp2_energy(theta)
         assert calls.count("build_perturbation") == calls.count("one_body_group") == k
+
+
+def _groups_one_eigenvector_at_a_time(eri, tol):
+    """(rotation, factor, weight) of each two-body group, built from the
+    supermatrix eigenpairs one at a time: largest |w| first, the vector's
+    first component above 1e-12 made positive, folded and symmetrized,
+    diagonalized, and its first column negated if the rotation's det is -1."""
+    m = eri.shape[0]
+    w, v = np.linalg.eigh(eri.reshape(m * m, m * m))
+    groups = []
+    for idx in np.argsort(-np.abs(w), kind="stable"):
+        if abs(w[idx]) <= tol:
+            continue
+        vec = v[:, idx]
+        lead = vec[np.abs(vec) > 1e-12][0]
+        g_mat = (vec if lead > 0 else -vec).reshape(m, m)
+        f, o = np.linalg.eigh(0.5 * (g_mat + g_mat.T))
+        if np.linalg.det(o) < 0.0:
+            o = o.copy()
+            o[:, 0] = -o[:, 0]
+        groups.append((o, f, float(w[idx])))
+    return groups
+
+
+def test_exact_mode_constructs_no_measurement_group(refs, monkeypatch):
+    # exact mode takes its integrals from the factor step alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact mode must not construct a MeasurementGroup")
+
+    monkeypatch.setattr(lowrank, "MeasurementGroup", refuse)
+    mi, pt = load_point(refs, "h4", 2.6)
+    est = Estimator(mi)
+    est.mp2_energy(_random_theta(est, np.random.default_rng(5), scale=0.2))
+    _, bd = est.optimize()
+    assert bd.total + mi.e_core == pytest.approx(pt.e_omp2, abs=1e-6)
+    monkeypatch.undo()
+
+    # shots, the measurement circuits and the resource count build the
+    # groups once, lazily, laid out as one eigenvector at a time gives them
+    theta = ThetaParams.zeros(est.n_qubits, est.n_electrons)
+    reference = _groups_one_eigenvector_at_a_time(mi.eri, 1e-12)
+    for reach in (
+        lambda est: est.mp2_energy(theta),
+        lambda est: est.measurement_circuits(theta),
+        lambda est: est.resource_summary(),
+    ):
+        est = Estimator(mi, EstimatorConfig(mode="shots", shots=50))
+        assert "_static_groups" not in vars(est)
+        reach(est)
+        groups = vars(est)["_static_groups"]
+        assert len(groups) == len(reference) == 10
+        for g, (rotation, factor, weight) in zip(groups, reference):
+            assert np.array_equal(g.rotation, rotation)
+            assert np.array_equal(g.factor, factor) and g.weight == weight
+
+
+def test_groups_unchanged_on_every_fixture(refs):
+    for tol in (1e-12, 1e-3):
+        for name in sorted(pt.fcidump for mol in refs.molecules.values() for pt in mol.points):
+            mi = parse_fcidump(fixture_path(name))
+            est = Estimator(mi, EstimatorConfig(truncation_tol=tol))
+            reference = _groups_one_eigenvector_at_a_time(mi.eri, tol)
+            assert est.n_groups == 1 + len(reference), name
+            for g, (rotation, factor, weight) in zip(est._static_groups, reference):
+                assert np.array_equal(g.rotation, rotation), name
+                assert np.array_equal(g.factor, factor) and g.weight == weight, name
 
 
 def test_energy_breakdown_total():
