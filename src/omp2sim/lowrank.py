@@ -103,8 +103,8 @@ def two_body_groups(eri: np.ndarray, tol: float) -> tuple[MeasurementGroup, ...]
 
 def measured_integrals(h1: np.ndarray, eri: np.ndarray, tol: float):
     """The spatial (h1, eri) the groups measure: eri = sum_l w_l G_l (x) G_l
-    over the kept eigenpairs, and h1 - 1/2 sum_r (pr|rq), group 0's part
-    without the perturbation's zeroth order, plus the kept reordering term."""
+    over the kept eigenpairs, and h1 - 1/2 sum_r (pr|rq), group 0's
+    theta-free part, plus the reordering term of the kept eri."""
     w, g, _ = factor_supermatrix(eri, tol)
     kept = np.einsum("l,lpq,lrs->pqrs", w, g, g)
     return h1 - 0.5 * np.einsum("prrq->pq", eri) + 0.5 * np.einsum("prrq->pq", kept), kept
