@@ -88,7 +88,9 @@ def factor_supermatrix(eri: np.ndarray, tol: float):
     return w[kept], 0.5 * (g + g.transpose(0, 2, 1)), dropped
 
 
-def _rank_one_groups(w: np.ndarray, g: np.ndarray) -> tuple[MeasurementGroup, ...]:
+def two_body_groups(w: np.ndarray, g: np.ndarray) -> tuple[MeasurementGroup, ...]:
+    """Groups l >= 1 of `factor_supermatrix`'s kept (w, g); independent of
+    the one-body matrix, hence of theta."""
     eigs = map(np.linalg.eigh, g)
     return tuple(
         MeasurementGroup(_det_plus_one(o), np.zeros(len(f)), f, float(w_l))
@@ -96,16 +98,10 @@ def _rank_one_groups(w: np.ndarray, g: np.ndarray) -> tuple[MeasurementGroup, ..
     )
 
 
-def two_body_groups(eri: np.ndarray, tol: float) -> tuple[MeasurementGroup, ...]:
-    """Groups l >= 1; independent of the one-body matrix, hence of theta."""
-    return _rank_one_groups(*factor_supermatrix(eri, tol)[:2])
-
-
-def measured_integrals(h1: np.ndarray, eri: np.ndarray, tol: float):
-    """The spatial (h1, eri) the groups measure: eri = sum_l w_l G_l (x) G_l
-    over the kept eigenpairs, and h1 - 1/2 sum_r (pr|rq), group 0's
-    theta-free part, plus the reordering term of the kept eri."""
-    w, g, _ = factor_supermatrix(eri, tol)
+def measured_integrals(h1: np.ndarray, eri: np.ndarray, w: np.ndarray, g: np.ndarray):
+    """The spatial (h1, eri) the groups of `factor_supermatrix`'s kept (w, g)
+    measure: eri = sum_l w_l G_l (x) G_l, and h1 - 1/2 sum_r (pr|rq), group
+    0's theta-free part, plus the reordering term of the kept eri."""
     kept = np.einsum("l,lpq,lrs->pqrs", w, g, g)
     return h1 - 0.5 * np.einsum("prrq->pq", eri) + 0.5 * np.einsum("prrq->pq", kept), kept
 
@@ -124,7 +120,7 @@ def factorize(t: np.ndarray, eri: np.ndarray, tol: float) -> FactorizedPerturbat
     if np.abs(t - t.T).max() > 1e-10:
         raise ValueError("one-body matrix not symmetric")
     w, g, err = factor_supermatrix(eri, tol)
-    groups = (one_body_group(t, eri), *_rank_one_groups(w, g))
+    groups = (one_body_group(t, eri), *two_body_groups(w, g))
     return FactorizedPerturbation(groups=groups, truncation_tol=tol, reconstruction_error=err)
 
 

@@ -85,6 +85,7 @@ from .circuits import (
 )
 from .lowrank import (
     coefficient_vector,
+    factor_supermatrix,
     measured_integrals,
     occupation_coefficients,
     one_body_group,
@@ -268,15 +269,17 @@ class Estimator:
         e_i, e_j, e_a, e_b = self.eps[self.doubles.T - 1]
         self._deltas = e_i + e_j - e_a - e_b
         self._skip = np.abs(self._deltas) < DEGENERACY_TOL
-        self._kept_doubles = list(map(tuple, self.doubles[~self._skip].tolist()))
         if self._skip.any():
             warnings.warn(
                 "degenerate excitation denominators; those doubles are skipped",
                 stacklevel=2,
             )
 
-        self._integrals = measured_integrals(mi.h1, mi.eri, self.cfg.truncation_tol)
-        if not self._integrals[1].any() and mi.eri.any():
+        # the one factorization: exact mode measures its integrals, shots its groups
+        self._factors = factor_supermatrix(mi.eri, self.cfg.truncation_tol)[:2]
+        self._integrals = measured_integrals(mi.h1, mi.eri, *self._factors)
+        self.n_groups = 1 + len(self._factors[0])
+        if self.n_groups == 1 and mi.eri.any():
             warnings.warn(
                 f"truncation tol {self.cfg.truncation_tol:g} drops every two-body group; "
                 "the energies leave out the two-electron interaction",
@@ -298,11 +301,7 @@ class Estimator:
     @cached_property
     def _static_groups(self):
         """The two-body groups, whose measurement bases only circuits need."""
-        return two_body_groups(self.mi.eri, self.cfg.truncation_tol)
-
-    @property
-    def n_groups(self) -> int:
-        return 1 + len(self._static_groups)
+        return two_body_groups(*self._factors)
 
     @cached_property
     def _probes(self) -> _Probes:
@@ -449,15 +448,17 @@ class Estimator:
         return e1, var_e1, r, var_quarter + 0.25 * var_half + 0.25 * var_e1
 
     def _assemble(self, e1, var_e1, r, var_r, kept_mean=None) -> EnergyBreakdown:
-        """The breakdown of e1 and every double's residual, skipped doubles left out."""
+        """The breakdown of e1 and the residuals r, variances var_r, one per row
+        of `doubles`.  E2 and its variance leave out the skipped doubles; the
+        diagnostics keep r and var_r whole, arrays indexed like `doubles`."""
         keep = ~self._skip
-        r, var_r, delta = r[keep], var_r[keep], self._deltas[keep]
+        kept_r, delta = r[keep], self._deltas[keep]
         # left to right from 0.0, not pairwise as np.sum adds: seeded output keeps its digits
-        e2 = np.cumsum(np.append(0.0, r * r / delta))[-1]
-        var_e2 = np.cumsum(np.append(0.0, (2.0 * r / delta) ** 2 * var_r))[-1]
+        e2 = np.cumsum(np.append(0.0, kept_r * kept_r / delta))[-1]
+        var_e2 = np.cumsum(np.append(0.0, (2.0 * kept_r / delta) ** 2 * var_r[keep]))[-1]
         diagnostics = {
-            "residuals": tuple(zip(self._kept_doubles, r.tolist())),
-            "residual_variances": tuple(zip(self._kept_doubles, var_r.tolist())),
+            "residuals": r,
+            "residual_variances": var_r,
             "var_e1": var_e1,
             "skipped_doubles": int(self._skip.sum()),
             "kept_fraction_mean": kept_mean,

@@ -107,10 +107,10 @@ def test_factor_step_is_what_the_groups_measure(refs, tol):
         mi = parse_fcidump(fixture_path(name))
         m = mi.n_spatial
         w, g, dropped = factor_supermatrix(mi.eri, tol)
-        h1, eri = measured_integrals(mi.h1, mi.eri, tol)
+        h1, eri = measured_integrals(mi.h1, mi.eri, w, g)
         assert np.array_equal(eri, np.einsum("l,lpq,lrs->pqrs", w, g, g))
         from_groups = np.zeros((m,) * 4)
-        for gr in two_body_groups(mi.eri, tol):
+        for gr in two_body_groups(w, g):
             op = gr.rotation @ np.diag(gr.factor) @ gr.rotation.T
             from_groups += gr.weight * np.multiply.outer(op, op)
         assert np.abs(eri - from_groups).max() <= 1e-12, name
@@ -137,7 +137,7 @@ def test_one_body_group_diagonalizes(refs):
 def test_two_body_requires_positive_tol(refs):
     _, _, eri, _ = _factorized(refs, "h2")
     with pytest.raises(ValueError):
-        two_body_groups(eri, 0.0)
+        factor_supermatrix(eri, 0.0)
 
 
 @pytest.mark.parametrize("molecule", ["h2", "h4"])

@@ -242,7 +242,7 @@ def test_residual_matches_dense_matrix_element(refs, seed):
     base = circuit_unitary(prep)[:, 0]
     rotated = circuit_unitary(u_circ)
     ref = rotated @ base
-    for (i, j, a, b), r_measured in bd.diagnostics["residuals"]:
+    for (i, j, a, b), r_measured in zip(est.doubles.tolist(), bd.diagnostics["residuals"]):
         exc = Circuit(n, double_excitation(i, j, a, b, np.pi / 2))
         excited = rotated @ circuit_unitary(exc) @ base
         r_dense = np.real(np.vdot(ref, v_dense @ excited))
@@ -292,9 +292,9 @@ def _assert_matches_sector_reference(est, theta, tol=1e-12):
     bd, ref = est.mp2_energy(theta), _sector_reference(est, theta)
     assert abs(bd.e1 - ref.e1) <= tol
     assert abs(bd.e2 - ref.e2) <= tol
-    r, r_ref = dict(bd.diagnostics["residuals"]), dict(ref.diagnostics["residuals"])
-    assert list(r) == list(r_ref)
-    assert max((abs(r[d] - r_ref[d]) for d in r), default=0.0) <= tol
+    r, r_ref = bd.diagnostics["residuals"], ref.diagnostics["residuals"]
+    assert r.dtype == r_ref.dtype == float and r.shape == r_ref.shape == (len(est.doubles),)
+    assert np.abs(r - r_ref).max(initial=0.0) <= tol
     return bd
 
 
@@ -357,6 +357,24 @@ def test_fourteen_qubits_in_bounded_memory(monkeypatch):
     assert peak <= 50e6, f"peak {peak / 1e6:.0f} MB"
 
 
+def test_twenty_qubit_optimize_in_bounded_memory(monkeypatch):
+    # 10 orbitals, 10 electrons: 2025 doubles and about 30 evaluations, each
+    # kept by optimize with its residuals as two arrays over the doubles
+    import tracemalloc
+
+    monkeypatch.setattr(omp2, "MAX_QUBITS", 20)
+    est = Estimator(_synthetic_integrals(10, 10, seed=5))
+    tracemalloc.start()
+    try:
+        _, bd = est.optimize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (est.n_qubits, len(est.doubles)) == (20, 2025)
+    assert bd.diagnostics["converged"]
+    assert peak <= 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_closed_form_with_every_double_skipped():
     # no integrals: every denominator is 0, so every double is dropped
     mi = parse_fcidump("&FCI NORB=3,NELEC=2,MS2=0,\n&END\n")
@@ -394,11 +412,10 @@ def test_sz_changing_doubles_have_no_residual(refs):
         changes_sz = beta[:, :2].sum(axis=1) != beta[:, 2:].sum(axis=1)
         assert np.array_equal(changes_sz, ~(est._direct | est._exchange))
         counts[path.name] = (int(changes_sz.sum()), len(est.doubles))
-        zero = set(map(tuple, est.doubles[changes_sz].tolist()))
         for theta in _thetas(est, rng):
             bd, ref = est.mp2_energy(theta), _sector_reference(est, theta)
-            assert all(r == 0.0 for d, r in bd.diagnostics["residuals"] if d in zero)
-            assert all(abs(r) <= 1e-14 for d, r in ref.diagnostics["residuals"] if d in zero)
+            assert np.all(bd.diagnostics["residuals"][changes_sz] == 0.0)
+            assert np.abs(ref.diagnostics["residuals"][changes_sz]).max(initial=0.0) <= 1e-14
     assert counts["h4_2.6.fcidump"] == (18, 36)
     assert counts["lih_3.1.fcidump"] == (92, 168)
 
@@ -686,8 +703,13 @@ def test_postselection_reads_the_raw_draws(refs, noisy):
     assert (raw.e0, raw.e1, raw.e2, raw.variance) == (
         plain.e0, plain.e1, plain.e2, plain.variance
     )
+    n_doubles = len(enumerate_doubles(2 * mi.n_spatial, mi.n_electrons))
     for key in ("residuals", "residual_variances", "var_e1"):
-        assert raw.diagnostics[key] == plain.diagnostics[key]
+        assert np.array_equal(raw.diagnostics[key], plain.diagnostics[key])
+    for b in (plain, bd, raw):
+        for key in ("residuals", "residual_variances"):
+            assert b.diagnostics[key].dtype == float
+            assert b.diagnostics[key].shape == (n_doubles,)
     assert raw.diagnostics["kept_fraction_mean"] is None
     assert "raw" not in plain.diagnostics
     if noisy:
@@ -772,7 +794,7 @@ def _thetas(est, rng, n_random=2):
 def _assert_closed_form_matches_rotated_determinants(est, rng):
     for theta in _thetas(est, rng):
         bd = _assert_matches_sector_reference(est, theta)
-        assert bd.variance == 0.0 and not any(v for _, v in bd.diagnostics["residual_variances"])
+        assert bd.variance == 0.0 and not bd.diagnostics["residual_variances"].any()
 
 
 def test_closed_form_matches_the_rotated_determinants(refs):
@@ -883,7 +905,7 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
 
 def test_exact_mode_builds_no_measurement_basis(refs, monkeypatch):
     # exact mode reads the measured integrals and the resource count only
-    # the two-body groups; only shots, whose circuits end in a group's
+    # the kept-eigenvalue count; only shots, whose circuits end in a group's
     # measurement rotation, diagonalize group 0, once per evaluation
     def refuse(*args, **kwargs):
         raise AssertionError("exact mode must not diagonalize a group")
@@ -949,14 +971,13 @@ def test_exact_mode_constructs_no_measurement_group(refs, monkeypatch):
     assert bd.total + mi.e_core == pytest.approx(pt.e_omp2, abs=1e-6)
     monkeypatch.undo()
 
-    # shots, the measurement circuits and the resource count build the
-    # groups once, lazily, laid out as one eigenvector at a time gives them
+    # shots and the measurement circuits build the groups once, lazily,
+    # laid out as one eigenvector at a time gives them
     theta = ThetaParams.zeros(est.n_qubits, est.n_electrons)
     reference = _groups_one_eigenvector_at_a_time(mi.eri, 1e-12)
     for reach in (
         lambda est: est.mp2_energy(theta),
         lambda est: est.measurement_circuits(theta),
-        lambda est: est.resource_summary(),
     ):
         est = Estimator(mi, EstimatorConfig(mode="shots", shots=50))
         assert "_static_groups" not in vars(est)
@@ -966,6 +987,37 @@ def test_exact_mode_constructs_no_measurement_group(refs, monkeypatch):
         for g, (rotation, factor, weight) in zip(groups, reference):
             assert np.array_equal(g.rotation, rotation)
             assert np.array_equal(g.factor, factor) and g.weight == weight
+
+
+def test_supermatrix_factored_once_per_estimator(refs, monkeypatch):
+    # one factorization gives the measured integrals, the group count and the
+    # lazy groups; the resource count constructs no group
+    calls = []
+    original = lowrank.factor_supermatrix
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (lowrank, omp2):  # wherever the estimator looks it up
+        monkeypatch.setattr(module, "factor_supermatrix", counted, raising=False)
+    mi, _ = load_point(refs, "h4", 2.6)
+    theta = ThetaParams.zeros(2 * mi.n_spatial, mi.n_electrons)
+    configs = (EstimatorConfig(), EstimatorConfig(mode="shots", shots=50))
+    for cfg in configs:
+        calls.clear()
+        est = Estimator(mi, cfg)
+        est.mp2_energy(theta)
+        est.resource_summary()
+        est.measurement_circuits(theta)
+        assert len(calls) == 1, cfg.mode
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the resource count must not construct a MeasurementGroup")
+
+    monkeypatch.setattr(lowrank, "MeasurementGroup", refuse)
+    for cfg in configs:
+        assert Estimator(mi, cfg).resource_summary().n_groups == 11
 
 
 def test_groups_unchanged_on_every_fixture(refs):
