@@ -40,13 +40,8 @@ from .circuits import (
     lower_circuit,
     prep_reference,
     single_excitation,
-    single_particle_action,
 )
-from .lowrank import (
-    FactorizedPerturbation,
-    MeasurementGroup,
-    factorize,
-)
+from .lowrank import MeasurementGroup
 from .omp2 import (
     EnergyBreakdown,
     Estimator,
@@ -76,7 +71,6 @@ __all__ = [
     "EnergyBreakdown",
     "Estimator",
     "EstimatorConfig",
-    "FactorizedPerturbation",
     "FcidumpError",
     "FidelityEstimate",
     "Gate",
@@ -97,7 +91,6 @@ __all__ = [
     "double_excitation",
     "enumerate_doubles",
     "expectation_with_variance",
-    "factorize",
     "fci_energy",
     "freeze_active_space",
     "load_noise_presets",
@@ -109,7 +102,6 @@ __all__ = [
     "run",
     "sample",
     "single_excitation",
-    "single_particle_action",
     "spin_orbitalize",
     "trajectory_fidelity",
 ]

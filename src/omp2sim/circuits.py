@@ -15,7 +15,8 @@ convention of module jw (qubit p = spin orbital p, |1> = occupied):
       is 19, two above the formula: the lone string CZ cannot share a
       layer with the frame because every anchor qubit is busy in both
       edge layers, and folding it inside the frame provably cancels the
-      very phase it must apply.
+      very phase it must apply.  The tests' copy of this formula is
+      double_excitation_depth_formula in tests/helpers.py.
   compile_orbital_rotation(U):  Givens network, depth exactly 3N
 """
 
@@ -64,10 +65,6 @@ class Gate:
     def target(self) -> int:
         return self.qubits[-1]
 
-    def to_text(self) -> str:
-        angle = "" if self.angle is None else f" {self.angle!r}"
-        return f"{self.kind} {' '.join(map(str, self.qubits))}{angle}"
-
 
 def x(q):
     return Gate("X", (q,))
@@ -107,9 +104,6 @@ class Circuit:
         for g in self.gates:
             if max(g.qubits) > self.n_qubits:
                 raise ValueError(f"gate {g} exceeds {self.n_qubits} qubits")
-
-    def to_text(self) -> str:
-        return "\n".join(g.to_text() for g in self.gates)
 
 
 @dataclass(frozen=True)
@@ -300,13 +294,6 @@ def _rotation_layers(rotations: list[tuple[int, float]]) -> list[list[tuple[int,
     return layers
 
 
-def single_particle_action(circuit_unitary: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Extract V with U a+_m U^+ = sum_n V[n,m] a+_n from a number-conserving
-    circuit unitary (restriction to the one-particle sector)."""
-    idx = [1 << (n_qubits - p) for p in range(1, n_qubits + 1)]  # |e_p> basis states
-    return circuit_unitary[np.ix_(idx, idx)]
-
-
 def cnot_depth(c: Circuit) -> ResourceReport:
     """Greedy ASAP layering; only 2-qubit entangling gates advance depth."""
     lowered = lower_circuit(c)
@@ -324,10 +311,3 @@ def cnot_depth(c: Circuit) -> ResourceReport:
             frontier[q] = layer
         depth = max(depth, layer)
     return ResourceReport(cnot_depth=depth, cnot_count=cnots, single_qubit_count=singles)
-
-
-def double_excitation_depth_formula(i: int, j: int, a: int, b: int) -> int:
-    base = 17 + 2 * (0 if j == i + 1 else 1) + 2 * max(0, j - i - 2, b - a - 2)
-    if j == i + 1 and b == a + 2:
-        base += 2  # realizable minimum; see module docstring
-    return base

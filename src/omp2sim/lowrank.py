@@ -50,13 +50,6 @@ class MeasurementGroup:
             arr.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class FactorizedPerturbation:
-    groups: tuple[MeasurementGroup, ...]
-    truncation_tol: float
-    reconstruction_error: float
-
-
 def _det_plus_one(o: np.ndarray) -> np.ndarray:
     if np.linalg.det(o) < 0.0:
         o = o.copy()
@@ -114,14 +107,14 @@ def one_body_group(t: np.ndarray, eri: np.ndarray) -> MeasurementGroup:
     return MeasurementGroup(_det_plus_one(o), linear=d, factor=np.zeros_like(d), weight=0.0)
 
 
-def factorize(t: np.ndarray, eri: np.ndarray, tol: float) -> FactorizedPerturbation:
-    """Every group of the spatial one-body T and the two-body eri."""
+def factorize(t: np.ndarray, eri: np.ndarray, tol: float) -> tuple[MeasurementGroup, ...]:
+    """Every group of the spatial one-body T and the two-body eri, group 0
+    first, as the estimator builds them from the same parts."""
     t = np.asarray(t, dtype=float)
     if np.abs(t - t.T).max() > 1e-10:
         raise ValueError("one-body matrix not symmetric")
-    w, g, err = factor_supermatrix(eri, tol)
-    groups = (one_body_group(t, eri), *two_body_groups(w, g))
-    return FactorizedPerturbation(groups=groups, truncation_tol=tol, reconstruction_error=err)
+    w, g = factor_supermatrix(eri, tol)[:2]
+    return (one_body_group(t, eri), *two_body_groups(w, g))
 
 
 def occupation_coefficients(g: MeasurementGroup, occ: np.ndarray) -> np.ndarray:

@@ -221,8 +221,9 @@ class EstimatorConfig:
 
     def __post_init__(self):
         for name in ("shots", "trajectories", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):  # numpy integers too
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)  # numpy integers pass; bool is an Integral, but no count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mode not in ("exact", "shots"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.shots < 1:
@@ -260,9 +261,8 @@ class Estimator:
         self.cfg = cfg or EstimatorConfig()
         self.mi = mi
         self.n_qubits = check_capacity(mi)
-        self.si = spin_orbitalize(mi)
         self.n_electrons = mi.n_electrons
-        self.eps = orbital_energies(self.si, self.n_electrons)
+        self.eps = orbital_energies(spin_orbitalize(mi), self.n_electrons)
         self.e_core = mi.e_core
         self.e0 = float(self.eps[: self.n_electrons].sum())
         self.doubles = enumerate_doubles(self.n_qubits, self.n_electrons)
@@ -495,7 +495,7 @@ class Estimator:
 
     def optimize(self, maxiter: int = 200) -> tuple[ThetaParams, EnergyBreakdown]:
         """Minimize the total electronic energy over the rotation angles."""
-        if not isinstance(maxiter, numbers.Integral) or maxiter < 0:
+        if isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral) or maxiter < 0:
             raise ValueError(f"maxiter must be a non-negative integer, got {maxiter!r}")
         theta0 = ThetaParams.zeros(self.n_qubits, self.n_electrons)
         evaluated = {}

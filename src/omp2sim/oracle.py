@@ -4,7 +4,8 @@ Everything here is computed without the statevector simulator, the
 low-rank groups or the estimator, and with its own enumeration of basis
 states: full CI on the fixed-number sector, built term by term from the
 integrals, the closed-form second-order correlation energy, a dense
-gate-by-gate circuit unitary, and the packaged reference energy tables.
+gate-by-gate circuit unitary and its one-particle block, and the packaged
+reference energy tables.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ class MoleculeReference:
     active_space: ActiveSpaceSpec
     points: tuple[ReferencePoint, ...]
 
-    def point_at(self, distance: float, atol: float = 1e-9) -> ReferencePoint:
+    def point_at(self, distance: float) -> ReferencePoint:
         for pt in self.points:
-            if abs(pt.distance_bohr - distance) <= atol:
+            if abs(pt.distance_bohr - distance) <= 1e-9:
                 return pt
         raise KeyError(f"{self.name}: no reference at {distance} bohr")
 
@@ -269,12 +270,8 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return u
 
 
-def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max deviation after modding out a global phase."""
-    flat_a = a.ravel()
-    anchor = int(np.argmax(np.abs(flat_a)))
-    ratio = b.ravel()[anchor] / flat_a[anchor]
-    mag = abs(ratio)
-    if mag < 1e-12:
-        return float(np.abs(a - b).max())
-    return float(np.abs(a * (ratio / mag) - b).max())
+def single_particle_action(circuit_unitary: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Extract V with U a+_m U^+ = sum_n V[n,m] a+_n from a number-conserving
+    circuit unitary (restriction to the one-particle sector)."""
+    idx = [1 << (n_qubits - p) for p in range(1, n_qubits + 1)]  # |e_p> basis states
+    return circuit_unitary[np.ix_(idx, idx)]

@@ -80,7 +80,6 @@ class NoiseModel:
 class FidelityEstimate:
     fidelity: float
     stderr: float
-    n_trajectories: int
     kept_fraction_mean: float | None = None
 
 
@@ -373,7 +372,6 @@ def trajectory_fidelity(
     raw_estimate = FidelityEstimate(
         fidelity=float(raw.mean()),
         stderr=float(raw.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0,
-        n_trajectories=n_traj,
     )
     total_kept = kept.sum()
     fid = float(np.dot(kept, ps) / total_kept) if total_kept > 0 else 0.0
@@ -384,7 +382,6 @@ def trajectory_fidelity(
     return raw_estimate, FidelityEstimate(
         fidelity=fid,
         stderr=stderr,
-        n_trajectories=n_traj,
         kept_fraction_mean=float(kept.mean()),
     )
 
@@ -393,12 +390,8 @@ def trajectory_fidelity(
 # noise presets
 
 
-def load_noise_presets(path=None) -> dict[str, NoiseModel]:
-    if path is None:
-        text = resources.files("omp2sim.data").joinpath("noise_presets.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+def load_noise_presets() -> dict[str, NoiseModel]:
+    text = resources.files("omp2sim.data").joinpath("noise_presets.json").read_text()
     raw = json.loads(text)
     return {
         name: NoiseModel(

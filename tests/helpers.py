@@ -1,8 +1,10 @@
-"""Dense fermionic algebra built from raw kron chains.
+"""Test-only references: dense fermionic algebra built from raw kron chains,
+the double-excitation depth formula, and a phase-blind distance.
 
 Kept independent of the package's operator machinery so tests have a
 second opinion: annihilators are Z x .. x Z x lower x I x .. x I with
-qubit 1 as the leftmost factor.
+qubit 1 as the leftmost factor.  The depth formula is the one stated in
+the omp2sim.circuits docstring.
 """
 
 import numpy as np
@@ -89,3 +91,22 @@ def group_expectation_coefficients(g):
 
 def operator_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))
+
+
+def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Max deviation after modding out a global phase."""
+    flat_a = a.ravel()
+    anchor = int(np.argmax(np.abs(flat_a)))
+    ratio = b.ravel()[anchor] / flat_a[anchor]
+    mag = abs(ratio)
+    if mag < 1e-12:
+        return float(np.abs(a - b).max())
+    return float(np.abs(a * (ratio / mag) - b).max())
+
+
+def double_excitation_depth_formula(i: int, j: int, a: int, b: int) -> int:
+    """CNOT depth of circuits.double_excitation(i, j, a, b, omega)."""
+    base = 17 + 2 * (0 if j == i + 1 else 1) + 2 * max(0, j - i - 2, b - a - 2)
+    if j == i + 1 and b == a + 2:
+        base += 2  # realizable minimum; see the omp2sim.circuits docstring
+    return base

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import special_ortho_group
 
-from helpers import ladder_ops
+from helpers import double_excitation_depth_formula, ladder_ops, phase_distance
 from omp2sim.circuits import (
     Circuit,
     Gate,
@@ -15,16 +15,14 @@ from omp2sim.circuits import (
     cnot_depth,
     compile_orbital_rotation,
     double_excitation,
-    double_excitation_depth_formula,
     lower_circuit,
     lower_multi_cry,
     multi_cry,
     prep_reference,
     single_excitation,
-    single_particle_action,
     x,
 )
-from omp2sim.oracle import circuit_unitary, phase_distance
+from omp2sim.oracle import circuit_unitary, single_particle_action
 
 
 def dense_single(n, p, alpha):
@@ -178,10 +176,3 @@ def test_adjacent_block_depth_totals():
         d = double_excitation(1, 2, ne + 1, ne + 2, 0.2)
         combined = cnot_depth(Circuit(n, d + rect + rect)).cnot_depth
         assert combined == 6 * n + double_excitation_depth_formula(1, 2, ne + 1, ne + 2)
-
-
-def test_gate_text_round_trip():
-    g = multi_cry((1, 3), 2, 0.25)
-    assert "MULTI_CRY" in g.to_text()
-    c = Circuit(3, (x(1), g))
-    assert len(c.to_text().splitlines()) == 2

@@ -41,17 +41,17 @@ def _factorized(refs, molecule):
 
 @pytest.mark.parametrize("molecule", sorted(EXPECTED_GROUPS))
 def test_group_counts(refs, molecule):
-    _, _, _, fp = _factorized(refs, molecule)
-    assert len(fp.groups) == EXPECTED_GROUPS[molecule]
-    g0, *two_body = fp.groups
+    _, _, _, groups = _factorized(refs, molecule)
+    assert len(groups) == EXPECTED_GROUPS[molecule]
+    g0, *two_body = groups
     assert g0.weight == 0.0 and not g0.factor.any()
     assert all(not g.linear.any() and g.weight != 0.0 for g in two_body)
 
 
 @pytest.mark.parametrize("molecule", sorted(EXPECTED_GROUPS))
 def test_rotations_are_special_orthogonal(refs, molecule):
-    _, _, _, fp = _factorized(refs, molecule)
-    for g in fp.groups:
+    _, _, _, groups = _factorized(refs, molecule)
+    for g in groups:
         m = g.rotation.shape[0]
         assert np.abs(g.rotation.T @ g.rotation - np.eye(m)).max() < 1e-12
         assert np.linalg.det(g.rotation) > 0.0
@@ -59,11 +59,11 @@ def test_rotations_are_special_orthogonal(refs, molecule):
 
 @pytest.mark.parametrize("molecule", sorted(EXPECTED_GROUPS))
 def test_dense_operator_rebuild(refs, molecule):
-    si, t, eri, fp = _factorized(refs, molecule)
+    si, t, eri, groups = _factorized(refs, molecule)
     direct = dense_perturbation(np.kron(t, np.eye(2)), si)
-    rebuilt = sum(dense_group_operator(g, si.n_spin) for g in fp.groups)
+    rebuilt = sum(dense_group_operator(g, si.n_spin) for g in groups)
     assert operator_norm(rebuilt - direct) < 1e-8
-    assert fp.reconstruction_error <= 1e-8
+    assert factor_supermatrix(eri, 1e-12)[2] <= 1e-8
 
 
 def test_two_body_groups_ignore_theta(refs):
@@ -73,14 +73,14 @@ def test_two_body_groups_ignore_theta(refs):
     u = expm_antisymmetric(np.array([[0.0, 0.17], [-0.17, 0.0]]))
     t0 = build_perturbation(mi.h1, eps, np.eye(2))
     t1 = build_perturbation(mi.h1, eps, u)
-    fp0 = factorize(t0, mi.eri, 1e-12)
-    fp1 = factorize(t1, mi.eri, 1e-12)
-    assert len(fp1.groups) == len(fp0.groups)
-    for g0, g1 in zip(fp0.groups[1:], fp1.groups[1:]):
+    groups0 = factorize(t0, mi.eri, 1e-12)
+    groups1 = factorize(t1, mi.eri, 1e-12)
+    assert len(groups1) == len(groups0)
+    for g0, g1 in zip(groups0[1:], groups1[1:]):
         for name in ("rotation", "linear", "factor", "weight"):
             assert np.array_equal(getattr(g1, name), getattr(g0, name))
-    assert not np.allclose(fp1.groups[0].linear, fp0.groups[0].linear)
-    rebuilt = sum(dense_group_operator(g, 4) for g in fp1.groups)
+    assert not np.allclose(groups1[0].linear, groups0[0].linear)
+    rebuilt = sum(dense_group_operator(g, 4) for g in groups1)
     assert operator_norm(rebuilt - dense_perturbation(np.kron(t1, np.eye(2)), si)) < 1e-8
 
 
@@ -88,11 +88,12 @@ def test_truncation_records_dropped_weight(refs):
     si, t, eri, _ = _factorized(refs, "h2")
     m = eri.shape[0]
     w = np.linalg.eigvalsh(eri.reshape(m * m, m * m))
-    loose = factorize(t, eri, abs(w)[np.argsort(np.abs(w))][-2] + 1e-9)
-    assert len(loose.groups) == 2  # one-body plus the single surviving eigenpair
-    assert loose.reconstruction_error > 1e-8
+    tol = abs(w)[np.argsort(np.abs(w))][-2] + 1e-9
+    loose = factorize(t, eri, tol)
+    assert len(loose) == 2  # one-body plus the single surviving eigenpair
+    assert factor_supermatrix(eri, tol)[2] > 1e-8
     direct = dense_perturbation(np.kron(t, np.eye(2)), si)
-    rebuilt = sum(dense_group_operator(g, si.n_spin) for g in loose.groups)
+    rebuilt = sum(dense_group_operator(g, si.n_spin) for g in loose)
     assert operator_norm(rebuilt - direct) > 1e-8
 
 
@@ -118,8 +119,6 @@ def test_factor_step_is_what_the_groups_measure(refs, tol):
         assert np.linalg.norm(remainder, 2) <= dropped + 1e-12, name
         reorder = 0.5 * np.einsum("prrq->pq", mi.eri - eri)
         assert np.abs(h1 - (mi.h1 - reorder)).max() <= 1e-12, name
-        t = build_perturbation(mi.h1, np.zeros(m), np.eye(m))
-        assert factorize(t, mi.eri, tol).reconstruction_error == dropped
         worst_dropped = max(worst_dropped, dropped)
     assert (worst_dropped > 1e-8) == (tol > 1e-8)  # the loose tol truncates
 
@@ -144,11 +143,11 @@ def test_two_body_requires_positive_tol(refs):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**16 - 1))
 def test_coefficient_vector_agrees_with_callable(refs, molecule, bits):
-    si, _, _, fp = _factorized(refs, molecule)
+    si, _, _, groups = _factorized(refs, molecule)
     n = si.n_spin
     idx = bits % (1 << n)
     occ = np.array([(idx >> (n - 1 - q)) & 1 for q in range(n)])
-    for g in fp.groups:
+    for g in groups:
         coeff = group_expectation_coefficients(g)
         vec = coefficient_vector(g, n)
         assert abs(coeff(occ) - vec[idx]) < 1e-12
@@ -156,8 +155,8 @@ def test_coefficient_vector_agrees_with_callable(refs, molecule, bits):
 
 def test_quadratic_diagonal_contributes_linearly(refs):
     # occupations are idempotent, so d_pp enters once per set bit
-    _, _, _, fp = _factorized(refs, "h2")
-    g = fp.groups[1]
+    _, _, _, groups = _factorized(refs, "h2")
+    g = groups[1]
     occ = np.array([1, 0, 0, 0])
     expected = 0.5 * g.weight * g.factor[0] ** 2
     assert abs(group_expectation_coefficients(g)(occ) - expected) < 1e-14

@@ -16,6 +16,7 @@ from omp2sim.chem import (
     build_perturbation,
     freeze_active_space,
     parse_fcidump,
+    spin_orbitalize,
 )
 from helpers import dense_perturbation
 from omp2sim.circuits import Circuit, compile_orbital_rotation, double_excitation, prep_reference
@@ -105,10 +106,10 @@ def test_theta_rejects_non_finite_values(value):
 
 
 @pytest.mark.parametrize("mode", ["exact", "shots"])
-@pytest.mark.parametrize("maxiter", [-1, 2.5, "3", None])
+@pytest.mark.parametrize("maxiter", [-1, 2.5, "3", None, True])
 def test_optimize_rejects_a_bad_maxiter(mode, maxiter):
     # maxiter=-1 used to end exact mode in UnboundLocalError, and shots mode
-    # ran two evaluations
+    # ran two evaluations; maxiter=True, a numbers.Integral, ran one iteration
     mi = parse_fcidump(fixture_path("h2_1.4.fcidump"))
     est = Estimator(mi, EstimatorConfig(mode=mode, shots=100))
     message = f"maxiter must be a non-negative integer, got {maxiter!r}"
@@ -158,10 +159,20 @@ def test_estimator_config_validation():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("shots", 1.5), ("shots", math.nan), ("trajectories", 2.5), ("seed", 2.7), ("seed", "3")],
+    [
+        ("shots", 1.5),
+        ("shots", math.nan),
+        ("trajectories", 2.5),
+        ("seed", 2.7),
+        ("seed", "3"),
+        ("shots", True),
+        ("trajectories", True),
+        ("seed", False),
+    ],
 )
 def test_estimator_config_rejects_non_integral_counts(field, value):
-    # shots=1.5 used to fail mid-evaluation in rng.random, and seed=2.7 ran as seed 2
+    # shots=1.5 used to fail mid-evaluation in rng.random, seed=2.7 ran as
+    # seed 2, and shots=True, a numbers.Integral, ran one shot
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         EstimatorConfig(mode="shots", **{field: value})
 
@@ -215,11 +226,12 @@ def test_full_space_lih_matches_canonical_mp2():
     est = Estimator(mi)
     assert est.n_qubits == 12
     bd = est.mp2_energy(ThetaParams.zeros(est.n_qubits, mi.n_electrons))
-    e_hf = hartree_fock_energy(est.si, mi.e_core, mi.n_electrons)
-    assert abs(bd.e2 - canonical_mp2(est.si, est.eps, mi.n_electrons)) <= 1e-8
+    si = spin_orbitalize(mi)
+    e_hf = hartree_fock_energy(si, mi.e_core, mi.n_electrons)
+    assert abs(bd.e2 - canonical_mp2(si, est.eps, mi.n_electrons)) <= 1e-8
     assert abs(bd.e0 + bd.e1 + mi.e_core - e_hf) <= 1e-8
     # second order lands between the variational FCI floor and HF
-    e_fci = fci_energy(est.si, mi.e_core, mi.n_electrons)
+    e_fci = fci_energy(si, mi.e_core, mi.n_electrons)
     assert e_fci <= bd.total + mi.e_core <= e_hf
 
 
@@ -236,7 +248,7 @@ def test_residual_matches_dense_matrix_element(refs, seed):
     n = est.n_qubits
     u = expm(theta.to_matrix())
     t = build_perturbation(mi.h1, est.eps[0::2], u)
-    v_dense = dense_perturbation(np.kron(t, np.eye(2)), est.si)
+    v_dense = dense_perturbation(np.kron(t, np.eye(2)), spin_orbitalize(mi))
     prep = prep_reference(n, mi.n_electrons)
     u_circ = compile_orbital_rotation(np.kron(u, np.eye(2)))
     base = circuit_unitary(prep)[:, 0]

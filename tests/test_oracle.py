@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import load_point
-from helpers import dense_perturbation
+from helpers import dense_perturbation, phase_distance
 from omp2sim import oracle
 from omp2sim.chem import orbital_energies, spin_orbitalize
 from omp2sim.circuits import Circuit, cnot, cz, h, multi_cry, rz, x
@@ -18,7 +18,6 @@ from omp2sim.oracle import (
     fci_energy,
     fixture_path,
     hartree_fock_energy,
-    phase_distance,
 )
 
 
