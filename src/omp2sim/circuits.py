@@ -3,7 +3,10 @@
 Gate alphabet: X, H, RY, RZ, CNOT, CZ, MULTI_CRY.  Depth is counted over
 2-qubit entangling gates only, after lowering multi-controlled rotations
 to their CRY/CNOT network; a single-control MULTI_CRY is itself an
-atomic 2-qubit gate.  Single-qubit gates are free.
+atomic 2-qubit gate.  Single-qubit gates are free.  The lowering is the
+Gray-code network of Barenco et al., PRA 52, 3457 (1995): k controls give
+2^k - 1 CRYs by +-angle / 2^(k-1), one per nonzero k-bit Gray code, and
+2^k - 2 CNOTs, all in sequence, so CNOT depth 2^(k+1) - 3.
 
 Builders target the fermionic generators under the Jordan-Wigner
 convention of module jw (qubit p = spin orbital p, |1> = occupied):
@@ -37,7 +40,7 @@ TWO_QUBIT_KINDS = frozenset({"CNOT", "CZ"})
 @dataclass(frozen=True)
 class Gate:
     kind: str
-    qubits: tuple[int, ...]  # CNOT: (control, target); MULTI_CRY: (*controls, target)
+    qubits: tuple[int, ...]  # (*controls, target) for every kind
     angle: float | None = None
 
     def __post_init__(self):
@@ -55,11 +58,7 @@ class Gate:
 
     @property
     def controls(self) -> tuple[int, ...]:
-        if self.kind == "MULTI_CRY":
-            return self.qubits[:-1]
-        if self.kind == "CNOT":
-            return self.qubits[:1]
-        return ()
+        return self.qubits[:-1]
 
     @property
     def target(self) -> int:
@@ -158,41 +157,29 @@ def double_excitation(i: int, j: int, a: int, b: int, omega: float) -> tuple[Gat
 
 
 def lower_multi_cry(gate: Gate) -> list[Gate]:
-    """Rewrite MULTI_CRY into single-control CRY (atomic) plus CNOTs."""
+    """Rewrite MULTI_CRY into single-control CRY (atomic) plus CNOTs.
+
+    The Gray-code network of Barenco et al., PRA 52, 3457 (1995), for any
+    number k of controls: one RY(+-angle / 2^(k-1)) on the target per
+    nonzero k-bit Gray code, in Gray order, under the code's highest
+    control, with + for an odd number of controls in the code.  One CNOT
+    between codes leaves that control holding the parity of the code's
+    controls, and the last code restores it.
+    """
     if gate.kind != "MULTI_CRY":
         return [gate]
-    controls, target, angle = gate.controls, gate.target, gate.angle
-    if len(controls) == 1:
-        return [gate]
-    if len(controls) == 2:
-        c1, c2 = controls
-        half = angle / 2.0
-        return [
-            multi_cry((c1,), target, half),
-            cnot(c1, c2),
-            multi_cry((c2,), target, -half),
-            cnot(c1, c2),
-            multi_cry((c2,), target, half),
-        ]
-    if len(controls) == 3:
-        c1, c2, c3 = controls
-        q = angle / 4.0
-        return [
-            multi_cry((c1,), target, q),
-            cnot(c1, c2),
-            multi_cry((c2,), target, -q),
-            cnot(c1, c2),
-            multi_cry((c2,), target, q),
-            cnot(c2, c3),
-            multi_cry((c3,), target, -q),
-            cnot(c1, c3),
-            multi_cry((c3,), target, q),
-            cnot(c2, c3),
-            multi_cry((c3,), target, -q),
-            cnot(c1, c3),
-            multi_cry((c3,), target, q),
-        ]
-    raise ValueError("MULTI_CRY lowering implemented for up to 3 controls")
+    controls, target = gate.controls, gate.target
+    step = gate.angle / 2 ** (len(controls) - 1)
+    gates = []
+    for m in range(1, 1 << len(controls)):
+        code = m ^ (m >> 1)
+        high = code.bit_length() - 1
+        if m > 1:
+            # the control whose bit flips, or the old highest when the flip adds a new one
+            flip = (m & -m).bit_length() - 1
+            gates.append(cnot(controls[min(flip, high - 1)], controls[high]))
+        gates.append(multi_cry((controls[high],), target, step if code.bit_count() % 2 else -step))
+    return gates
 
 
 def lower_circuit(c: Circuit) -> Circuit:

@@ -300,7 +300,7 @@ class Estimator:
 
     @cached_property
     def _static_groups(self):
-        """The two-body groups, whose measurement bases only circuits need."""
+        """The two-body groups, which do not depend on theta."""
         return two_body_groups(*self._factors)
 
     @cached_property
@@ -310,18 +310,19 @@ class Estimator:
 
     @cached_property
     def _column_gates(self) -> list[tuple]:
-        """The gates that prepare each column: the noisy path and the depth accounting."""
-        prep = prep_reference(self.n_qubits, self.n_electrons)
-        return [prep.gates] + [
-            prep.gates + double_excitation(i, j, a, b, omega)
-            for i, j, a, b in self.doubles.tolist()
+        """The lowered gates that prepare each column: the noisy path and the depth accounting."""
+        prep = prep_reference(self.n_qubits, self.n_electrons).gates
+        return [prep] + [
+            prep + lower_circuit(Circuit(self.n_qubits, double_excitation(*d, omega))).gates
+            for d in self.doubles.tolist()
             for omega in _OMEGAS
         ]
 
     # -- measurement plumbing ------------------------------------------------
 
     def _groups_at(self, u: np.ndarray):
-        """Every group at u, group 0 first: the measurement bases, which only circuits need."""
+        """Every group at u, group 0 first.  Shots mode reads their rotations:
+        noisy shots as circuits, noiseless ones through `_rotated_determinants`."""
         t = build_perturbation(self.mi.h1, self.eps[0::2], u)
         return (one_body_group(t, self.mi.eri), *self._static_groups)
 
@@ -426,8 +427,8 @@ class Estimator:
     def _noisy_shots(self, col: int, l: int, suffix: tuple) -> np.ndarray:
         """Raw counts: cfg.shots split over trajectories, each run and sampled on its own stream."""
         cfg = self.cfg
-        # lowered once here, so run's own lowering only scans the gates
-        full = lower_circuit(Circuit(self.n_qubits, self._column_gates[col] + suffix))
+        # the columns are lowered, so run's own lowering only scans the gates
+        full = Circuit(self.n_qubits, self._column_gates[col] + suffix)
         per = np.full(cfg.trajectories, cfg.shots // cfg.trajectories)
         per[: cfg.shots % cfg.trajectories] += 1
         counts = np.zeros(1 << self.n_qubits, dtype=np.int64)

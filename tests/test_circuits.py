@@ -16,7 +16,6 @@ from omp2sim.circuits import (
     compile_orbital_rotation,
     double_excitation,
     lower_circuit,
-    lower_multi_cry,
     multi_cry,
     prep_reference,
     single_excitation,
@@ -98,7 +97,7 @@ def test_double_excitation_rejects_bad_order():
 
 
 def test_lower_multi_cry_equivalence():
-    for n_ctrl in (1, 2, 3):
+    for n_ctrl in (1, 2, 3, 4, 5):
         n = n_ctrl + 1
         g = multi_cry(tuple(range(2, n_ctrl + 2)), 1, 0.913)
         c = Circuit(n, (g,))
@@ -113,18 +112,49 @@ def test_lower_multi_cry_equivalence():
         assert (lowered is c) == (n_ctrl == 1)
 
 
+def test_lower_multi_cry_matches_pinned_sequences():
+    # the 2- and 3-control networks as literals, gate for gate and angle for
+    # angle: the noisy path runs exactly these gates
+    half, q = 0.913 / 2.0, 0.913 / 4.0
+    pinned = {
+        (2, 3): (
+            multi_cry((2,), 4, half),
+            cnot(2, 3),
+            multi_cry((3,), 4, -half),
+            cnot(2, 3),
+            multi_cry((3,), 4, half),
+        ),
+        (5, 2, 3): (
+            multi_cry((5,), 1, q),
+            cnot(5, 2),
+            multi_cry((2,), 1, -q),
+            cnot(5, 2),
+            multi_cry((2,), 1, q),
+            cnot(2, 3),
+            multi_cry((3,), 1, -q),
+            cnot(5, 3),
+            multi_cry((3,), 1, q),
+            cnot(2, 3),
+            multi_cry((3,), 1, -q),
+            cnot(5, 3),
+            multi_cry((3,), 1, q),
+        ),
+    }
+    for controls, gates in pinned.items():
+        target = gates[0].target
+        lowered = lower_circuit(Circuit(5, (multi_cry(controls, target, 0.913),))).gates
+        assert lowered == gates  # dataclass equality: kind, qubits and exact angle
+
+
 def test_lower_multi_cry_depth():
+    g4 = multi_cry((1, 2, 3, 4), 5, 0.4)
+    assert cnot_depth(Circuit(5, (g4,))).cnot_depth == 29  # 2^(k+1) - 3
     g = multi_cry((1, 2, 3), 4, 0.4)
     assert cnot_depth(Circuit(4, (g,))).cnot_depth == 13
     g2 = multi_cry((1, 2), 3, 0.4)
     assert cnot_depth(Circuit(3, (g2,))).cnot_depth == 5
     g1 = multi_cry((1,), 2, 0.4)
     assert cnot_depth(Circuit(2, (g1,))).cnot_depth == 1
-
-
-def test_lower_multi_cry_rejects_many_controls():
-    with pytest.raises(ValueError):
-        lower_multi_cry(multi_cry((1, 2, 3, 4), 5, 0.1))
 
 
 @settings(max_examples=20, deadline=None)

@@ -294,6 +294,33 @@ def test_energy_without_reference_runs(tmp_path):
     assert row["status"] == "ok"
 
 
+def test_energy_at_a_distance_the_reference_lacks(tmp_path, refs):
+    # a known molecule off the reference grid: its row, with the reference columns empty
+    with pytest.raises(KeyError):
+        refs.molecules["h2"].point_at(1.5)
+    off_grid = tmp_path / "h2_1.5.fcidump"
+    shutil.copy(H2_FIXTURE, off_grid)
+    out = tmp_path / "row.csv"
+    assert run_cli("energy", "--fixture", str(off_grid), "--out", str(out)) == EXIT_OK
+    row = read_csv(out)[0]
+    assert (row["molecule"], row["distance_bohr"], row["status"]) == ("h2", "1.5000000000", "ok")
+    for key in ("e_hf_ref", "e_mp2_ref", "e_omp2_ref", "e_fci_ref"):
+        assert row[key] == ""
+
+
+def test_curve_exits_4_when_any_row_does_not_converge(tmp_path, monkeypatch):
+    for name in ("h2_1.4.fcidump", "h2_1.6.fcidump"):
+        shutil.copy(fixture_path(name), tmp_path / name)
+    lbfgs = omp2sim.omp2._lbfgs
+    converged = iter([False, True])  # the rows run in file order
+    monkeypatch.setattr(
+        omp2sim.omp2, "_lbfgs", lambda *args: lbfgs(*args)._replace(success=next(converged))
+    )
+    out = tmp_path / "curve.csv"
+    assert run_cli("curve", "--fixture-dir", str(tmp_path), "--out", str(out)) == EXIT_CONVERGENCE
+    assert [r["status"] for r in read_csv(out)] == ["no_convergence", "ok"]
+
+
 def test_curve_sorted_and_filtered(tmp_path, refs):
     fixtures = fixture_path("h2_1.4.fcidump").parent
     out = tmp_path / "curve.csv"
@@ -608,6 +635,9 @@ def test_seed_changes_shot_noise(tmp_path):
         ("noise_study_h4_noiseless_seed5.json",
          ("noise-study", "--fixture", str(fixture_path("h4_2.6.fcidump")),
           "--shots", "2000", "--seed", "5", "--format", "json")),
+        # the CSV branch of resources: depths and counts of the lowered columns
+        ("resources_h4_2.6.csv",
+         ("resources", "--fixture", str(fixture_path("h4_2.6.fcidump")))),
     ],
 )
 def test_seeded_output_matches_golden(tmp_path, golden, argv):

@@ -21,7 +21,7 @@ from omp2sim.chem import (
 from helpers import dense_perturbation
 from omp2sim.circuits import Circuit, compile_orbital_rotation, double_excitation, prep_reference
 from omp2sim.lowrank import one_body_group
-from omp2sim import jw, lowrank, omp2, simulator
+from omp2sim import circuits, jw, lowrank, omp2, simulator
 from omp2sim.omp2 import (
     EnergyBreakdown,
     Estimator,
@@ -150,6 +150,8 @@ def test_estimator_config_validation():
         EstimatorConfig(mode="exact", noise=NoiseModel(0.0, 0.0, 0.1))
     with pytest.raises(ValueError):
         EstimatorConfig(mode="shots", shots=0)
+    with pytest.raises(ValueError, match="trajectories must be positive"):
+        EstimatorConfig(trajectories=0)
     with pytest.raises(ValueError, match="postselection requires shots mode"):
         EstimatorConfig(mode="exact", postselect=True)
     with pytest.raises(ValueError, match="seed"):
@@ -656,6 +658,28 @@ def test_resource_summary_smallest_case(refs):
     assert rs.circuits_per_evaluation == 12
     assert rs.reference_depth == 24
     assert rs.residual_depth_max == 41
+
+
+def test_columns_are_lowered_once(refs, monkeypatch):
+    # once _column_gates is built, the noisy path and the depth accounting
+    # find nothing left to lower: every lower_circuit call returns its argument
+    mi, _ = load_point(refs, "h2", 1.4)
+    noise = load_noise_presets()["ibm_lima"]
+    est = Estimator(mi, EstimatorConfig(mode="shots", shots=8, seed=1, noise=noise, trajectories=2))
+    est._column_gates
+    original = circuits.lower_circuit
+    returned_itself = []
+
+    def spy(c):
+        lowered = original(c)
+        returned_itself.append(lowered is c)
+        return lowered
+
+    for module in (circuits, simulator, omp2):  # wherever it is looked up
+        monkeypatch.setattr(module, "lower_circuit", spy)
+    est.mp2_energy(ThetaParams.zeros(4, mi.n_electrons))
+    est.resource_summary()
+    assert returned_itself and all(returned_itself)
 
 
 def test_shot_estimates_are_reproducible(refs):
