@@ -2,8 +2,9 @@
 
 Reads FCIDUMP files into spatial-orbital integral tensors, applies
 frozen-core / deleted-virtual reduction, expands to spin orbitals, and
-builds the orbital energies and the one-body perturbation matrix that
-the rest of the pipeline consumes.
+builds the one-body perturbation matrix and the closed-shell orbital
+energies, eps_p = h_pp + sum over the occupied spatial i of
+[2 (pp|ii) - (pi|ip)], that the rest of the pipeline consumes.
 
 Conventions (fixed here, relied on everywhere else):
   * spatial ERI stored chemist style, (pq|rs), full 8-fold symmetry;
@@ -242,17 +243,16 @@ def spin_orbitalize(mi: MolecularIntegrals) -> SpinIntegrals:
 
 
 def orbital_energies(si: SpinIntegrals, n_electrons: int) -> np.ndarray:
-    """eps_p = h_pp + sum over occupied i of (h_piip - h_pipi)."""
-    n = si.n_spin
-    eps = np.empty(n)
-    for p in range(1, n + 1):
-        val = si.h1s[p - 1, p - 1]
-        for i in range(1, n_electrons + 1):
-            val += si.v2s(p, i, i, p) - si.v2s(p, i, p, i)
-        eps[p - 1] = val
-    if np.abs(eps[0::2] - eps[1::2]).max() > 1e-10:
-        raise ValueError("spin degeneracy violated")
-    if n_electrons and n_electrons < n:
+    """The closed-shell orbital energies, one per spin orbital: eps_p = h_pp +
+    sum over the occupied spatial i of [2 (pp|ii) - (pi|ip)], computed once per
+    spatial orbital p, so alpha and beta hold the same value by construction."""
+    if n_electrons % 2:
+        raise ValueError(f"closed-shell orbital energies need even n_electrons, got {n_electrons}")
+    occ = slice(n_electrons // 2)
+    coulomb = np.einsum("ppii->p", si.eri_spatial[:, :, occ, occ])
+    exchange = np.einsum("piip->p", si.eri_spatial[:, occ, occ, :])
+    eps = np.repeat(np.diagonal(si.h1s)[0::2] + 2.0 * coulomb - exchange, 2)
+    if 0 < n_electrons < si.n_spin:
         if eps[:n_electrons].max() > eps[n_electrons:].min() + 1e-12:
             warnings.warn("orbital energies are not aufbau ordered", stacklevel=2)
     eps.setflags(write=False)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 import warnings
@@ -191,6 +190,8 @@ def cmd_energy(args) -> int:
 
 def cmd_curve(args) -> int:
     # --jobs is accepted, but rows run serially: threads were measured slower
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be positive, got {args.jobs}")
     cfg = _estimator_config(args)
     refs = ReferenceValues.load()
     fixture_dir = Path(args.fixture_dir)
@@ -275,32 +276,16 @@ def _reference_fidelity(est: Estimator):
     }
 
 
-def _bounded(kind, low, strict=True):
-    """argparse type: kind(text), rejected unless finite and > low (>= low if not strict)."""
-
-    def parse(text: str):
-        value = kind(text)
-        if not (value > low if strict else value >= low) or value == math.inf:  # nan fails too
-            bound = "above" if strict else "at least"
-            raise argparse.ArgumentTypeError(f"must be a finite number {bound} {low}, got {text}")
-        return value
-
-    parse.__name__ = kind.__name__  # argparse names the type in its own messages
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--mode", choices=("exact", "shots"), default="exact")
-    common.add_argument("--shots", type=_bounded(int, 0), default=100_000)
+    common.add_argument("--shots", type=int, default=100_000)
     common.add_argument(
         "--noise", choices=sorted(load_noise_presets()), default=None, help="noise preset name"
     )
     common.add_argument("--postselect", action="store_true")
-    common.add_argument(
-        "--tol", type=_bounded(float, 0), default=1e-12, help="factorization truncation"
-    )
-    common.add_argument("--seed", type=_bounded(int, 0, strict=False), default=None)
+    common.add_argument("--tol", type=float, default=1e-12, help="factorization truncation")
+    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -314,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", parents=[common], help="optimize every fixture in a directory")
     p.add_argument("--fixture-dir", required=True)
     p.add_argument("--molecule", default=None)
-    p.add_argument("--jobs", type=_bounded(int, 0), default=1, help="accepted; rows run serially")
+    p.add_argument("--jobs", type=int, default=1, help="accepted; rows run serially")
     p.set_defaults(fn=cmd_curve)
 
     p = sub.add_parser("resources", parents=[common], help="circuit counts and depths")
@@ -325,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         "noise-study", parents=[common], help="theta = 0 energies under a noise preset"
     )
     p.add_argument("--fixture", required=True)
-    p.add_argument("--trajectories", type=_bounded(int, 0), default=16)
+    p.add_argument("--trajectories", type=int, default=16)
     p.set_defaults(fn=cmd_noise_study)
 
     return parser

@@ -266,9 +266,21 @@ class Estimator:
         self.e_core = mi.e_core
         self.e0 = float(self.eps[: self.n_electrons].sum())
         self.doubles = enumerate_doubles(self.n_qubits, self.n_electrons)
-        e_i, e_j, e_a, e_b = self.eps[self.doubles.T - 1]
-        self._deltas = e_i + e_j - e_a - e_b
+        # each double's spatial (i, j, a, b), a and b counted from the first
+        # virtual, and the spins that pair (ia|jb) (direct) and (ib|ja)
+        # (exchange); a double with neither changes S_z
+        orbital, spin = np.divmod(self.doubles.T - 1, 2)
+        self._orbitals = orbital - np.array([[0], [0], [1], [1]]) * (self.n_electrons // 2)
+        self._direct = (spin[0] == spin[2]) & (spin[1] == spin[3])
+        self._exchange = (spin[0] == spin[3]) & (spin[1] == spin[2])
+        # the one Delta table, ((eps_i + eps_j) - eps_a) - eps_b over spatial (i, a, j, b):
+        # each double reads its entry, the gradient the table, inf where skipped
+        e_occ, e_virt = np.split(self.eps[0::2], [self.n_electrons // 2])
+        delta = e_occ[:, None, None, None] + e_occ[:, None] - e_virt[:, None, None] - e_virt
+        i, j, a, b = self._orbitals
+        self._deltas = delta[i, a, j, b]
         self._skip = np.abs(self._deltas) < DEGENERACY_TOL
+        self._pair_deltas = np.where(np.abs(delta) < DEGENERACY_TOL, np.inf, delta)
         if self._skip.any():
             warnings.warn(
                 "degenerate excitation denominators; those doubles are skipped",
@@ -285,17 +297,6 @@ class Estimator:
                 "the energies leave out the two-electron interaction",
                 stacklevel=2,
             )
-        # each double's spatial (i, j, a, b), a and b counted from the first
-        # virtual, and the spins that pair (ia|jb) (direct) and (ib|ja)
-        # (exchange); a double with neither changes S_z
-        orbital, spin = np.divmod(self.doubles.T - 1, 2)
-        self._orbitals = orbital - np.array([[0], [0], [1], [1]]) * (self.n_electrons // 2)
-        self._direct = (spin[0] == spin[2]) & (spin[1] == spin[3])
-        self._exchange = (spin[0] == spin[3]) & (spin[1] == spin[2])
-        # Delta of each spatial (i, a, j, b) for the gradient, inf where skipped
-        e_occ, e_virt = np.split(self.eps[0::2], [self.n_electrons // 2])
-        delta = e_occ[:, None, None, None] - e_virt[:, None, None] + e_occ[:, None] - e_virt
-        self._pair_deltas = np.where(np.abs(delta) < DEGENERACY_TOL, np.inf, delta)
         self.n_evaluations = 0
 
     @cached_property

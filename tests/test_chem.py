@@ -160,6 +160,40 @@ def test_orbital_energies_match_reference(refs):
         assert np.allclose(eps[1::2], pt.orbital_energies, atol=1e-9)
 
 
+def _orbital_energies_one_at_a_time(mi):
+    """eps_p = h_pp + sum over the occupied spatial i of [2 (pp|ii) - (pi|ip)], by loops."""
+    eps = []
+    for p in range(mi.n_spatial):
+        value = mi.h1[p, p]
+        for i in range(mi.n_electrons // 2):
+            value += 2.0 * mi.eri[p, p, i, i] - mi.eri[p, i, i, p]
+        eps.append(value)
+    return np.array(eps)
+
+
+def test_orbital_energies_match_a_plain_loop():
+    for path in sorted(fixture_path("h2_1.4.fcidump").parent.glob("*.fcidump")):
+        mi = parse_fcidump(path)
+        eps = orbital_energies(spin_orbitalize(mi), mi.n_electrons)
+        expected = np.repeat(_orbital_energies_one_at_a_time(mi), 2)
+        assert np.abs(eps - expected).max() <= 1e-12, path.name
+
+
+def test_orbital_energies_need_a_closed_shell():
+    with pytest.raises(ValueError, match="even n_electrons"):
+        orbital_energies(spin_orbitalize(_H3P), 3)
+
+
+def test_orbital_energies_warn_out_of_aufbau_order():
+    mi = MolecularIntegrals(
+        n_spatial=2, e_core=0.0, h1=np.diag([1.0, -1.0]), eri=np.zeros((2, 2, 2, 2)),
+        n_electrons=2,
+    )
+    with pytest.warns(UserWarning, match="not aufbau ordered"):
+        eps = orbital_energies(spin_orbitalize(mi), 2)
+    assert np.array_equal(eps, [1.0, 1.0, -1.0, -1.0])
+
+
 def test_freeze_active_space_preserves_hf(refs):
     pt = refs.molecules["lih"].points[5]
     full = parse_fcidump(fixture_path(pt.fcidump))

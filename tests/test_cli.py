@@ -308,6 +308,31 @@ def test_energy_at_a_distance_the_reference_lacks(tmp_path, refs):
         assert row[key] == ""
 
 
+@pytest.mark.parametrize(
+    "command,flag,value,setting",
+    [
+        ("energy", "--shots", "0", "shots"),
+        ("noise-study", "--trajectories", "0", "trajectories"),
+        ("energy", "--seed", "-1", "seed"),
+        ("energy", "--tol", "nan", "truncation_tol"),
+        ("curve", "--jobs", "0", "--jobs"),
+    ],
+)
+def test_a_setting_out_of_range_is_one_error_line(tmp_path, capsys, command, flag, value, setting):
+    # the bounds live in EstimatorConfig (--jobs, which has no field, in
+    # cmd_curve), so argparse prints no usage block above the error
+    if command == "curve":
+        target = ["--fixture-dir", str(Path(H2_FIXTURE).parent), "--molecule", "h2"]
+    else:
+        target = ["--fixture", H2_FIXTURE]
+    out = tmp_path / "row.csv"
+    assert run_cli(command, *target, flag, value, "--out", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert setting in err and "usage:" not in err
+    assert not out.exists()
+
+
 def test_curve_exits_4_when_any_row_does_not_converge(tmp_path, monkeypatch):
     for name in ("h2_1.4.fcidump", "h2_1.6.fcidump"):
         shutil.copy(fixture_path(name), tmp_path / name)

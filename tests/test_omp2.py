@@ -434,6 +434,45 @@ def test_sz_changing_doubles_have_no_residual(refs):
     assert counts["lih_3.1.fcidump"] == (92, 168)
 
 
+def _packaged_problems(refs):
+    """(name, integrals) of every packaged fixture as dumped, then of each LiH
+    fixture in the active space the CLI freezes."""
+    paths = sorted(Path(fixture_path("h2_1.4.fcidump")).parent.glob("*.fcidump"))
+    problems = [(path.name, parse_fcidump(path)) for path in paths]
+    lih = refs.molecules["lih"]
+    problems += [
+        (f"{pt.fcidump} active", load_point(refs, "lih", pt.distance_bohr)[0]) for pt in lih.points
+    ]
+    assert len(problems) == 69 + 20
+    return problems
+
+
+def test_alpha_and_beta_orbital_energies_are_equal(refs):
+    for name, mi in _packaged_problems(refs):
+        est = Estimator(mi)
+        assert np.array_equal(est.eps[0::2], est.eps[1::2]), name
+
+
+def test_doubles_read_the_one_delta_table(refs):
+    # h1 = diag(-1, 0, 0, 1) and no eri: 2 eps_1 = 2 eps_2 makes the doubles
+    # (1, 1) -> (2, 2) degenerate, and no others
+    degenerate = MolecularIntegrals(
+        n_spatial=4, e_core=0.0, h1=np.diag([-1.0, 0.0, 0.0, 1.0]), eri=np.zeros((4,) * 4),
+        n_electrons=4,
+    )
+    with pytest.warns(UserWarning, match="degenerate excitation denominators"):
+        est = Estimator(degenerate)
+    assert 0 < est._skip.sum() < len(est.doubles)
+    for name, est in [("degenerate", est)] + [
+        (name, Estimator(mi)) for name, mi in _packaged_problems(refs)
+    ]:
+        i, j, a, b = est._orbitals
+        table = est._pair_deltas[i, a, j, b]
+        finite = np.isfinite(table)
+        assert np.array_equal(est._deltas[finite], table[finite]), name
+        assert np.array_equal(est._skip, ~finite), name
+
+
 def test_large_angles_match_the_closed_form():
     # angles of order 1e5 rad on full-space LiH: both spin channels must
     # rotate by the one spatial u however much rounding exp(kappa) carries
@@ -550,6 +589,35 @@ def test_lbfgs_reports_running_out_of_iterations(refs):
     assert bd.diagnostics["converged"] is False
     assert bd.diagnostics["n_iterations"] == 1
     assert "1 iterations" in bd.diagnostics["optimizer_message"]
+
+
+def _rises_at_any_move(x0):
+    """f = 0 at x0 and 1 anywhere else, with a gradient of ones that claims
+    descent along -1.  No trial step passes, however short: a smooth f would
+    let a tiny enough step through within the Armijo slack."""
+
+    def fun(x):
+        return (0.0 if np.array_equal(x, x0) else 1.0), np.ones(len(x0))
+
+    return fun
+
+
+def test_lbfgs_reports_a_line_search_without_decrease(refs, monkeypatch):
+    message = "line search found no decrease at max|gradient| 1.0e+00"
+    res = omp2._lbfgs(_rises_at_any_move(np.zeros(3)), np.zeros(3), 200)
+    assert (res.success, res.nit, res.message) == (False, 0, message)
+    mi, _ = load_point(refs, "h4", 2.6)
+    est = Estimator(mi)
+    fun = _rises_at_any_move(np.zeros(len(ThetaParams.zeros(est.n_qubits, est.n_electrons).values)))
+
+    def mp2_energy(theta):
+        value, gradient = fun(np.array(theta.values))
+        return EnergyBreakdown(value, 0.0, 0.0, 0.0, {"gradient": gradient})
+
+    monkeypatch.setattr(est, "mp2_energy", mp2_energy)
+    _, bd = est.optimize()
+    assert bd.diagnostics["converged"] is False
+    assert bd.diagnostics["optimizer_message"] == message
 
 
 @settings(max_examples=60, deadline=None)
