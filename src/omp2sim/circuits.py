@@ -259,10 +259,7 @@ def _givens(n: int, p: int, angle: float) -> np.ndarray:
     # block is [[c, s], [-s, c]], 1-based p
     g = np.eye(n)
     c, s = math.cos(angle), math.sin(angle)
-    g[p - 1, p - 1] = c
-    g[p - 1, p] = s
-    g[p, p - 1] = -s
-    g[p, p] = c
+    g[p - 1 : p + 1, p - 1 : p + 1] = ((c, s), (-s, c))
     return g
 
 

@@ -48,23 +48,9 @@ EXIT_CAPACITY = 5
 
 _FIXTURE_RE = re.compile(r"^(?P<mol>[a-z0-9]+)_(?P<dist>[0-9]+\.[0-9]+)$")
 
-_CSV_COLUMNS = (
-    "molecule",
-    "distance_bohr",
-    "e_hf_ref",
-    "e_mp2_ref",
-    "e_omp2_ref",
-    "e_fci_ref",
-    "e0",
-    "e1",
-    "e2",
-    "e_total",
-    "variance",
-    "shots",
-    "noise_preset",
-    "postselected",
-    "kept_fraction_mean",
-    "status",
+_CSV_COLUMNS = tuple(
+    "molecule distance_bohr e_hf_ref e_mp2_ref e_omp2_ref e_fci_ref e0 e1 e2 e_total "
+    "variance shots noise_preset postselected kept_fraction_mean status".split()
 )
 
 

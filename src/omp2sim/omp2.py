@@ -3,10 +3,12 @@
 The energy splits as E = E0 + E1 + E2 against the frozen reference
 spectrum.  E0 is the occupied-orbital energy sum.  E1 is the expectation
 of the perturbation over the rotated reference, measured group by group
-after each diagonalizing rotation.  E2 = sum r^2 / Delta over the doubles,
-each residual r = <ref| V |double> extracted from three expectation
-values: the same state interfered with one double excitation at quarter
-and half turn.
+after each diagonalizing rotation.  E2 = sum (r^2 - var_r) / Delta over
+the doubles, each residual r = <ref| V |double> extracted from three
+expectation values: the same state interfered with one double excitation
+at quarter and half turn.  var_r, the plug-in variance of r (0 in exact
+mode), takes out the bias of r^2.  The doubles that change S_z, whose
+residual is 0 at every theta, stay out of E2.
 
 All states are prepared by the same template: occupation prep, an
 optional double excitation, the orbital-rotation circuit U(theta), and
@@ -35,8 +37,10 @@ Noiseless shots rotate determinants: each group rotates the reference
 and one determinant per double once, by O^T u (O the group's measurement
 basis, group 0's diagonalized at u), in the n_e-electron sector
 (`simulator.rotate_determinants`, pinned to the gate kernel by the test
-suite, and the exact path's test reference), and draws each column from
-(c R|ref> + s R|D>)^2 over the sector rows.
+suite, and the exact path's test reference), and draws every column from
+(c R|ref> + s R|D>)^2 over the sector rows, as one count matrix from the
+one stream keyed by (seed, group).  Noisy trajectories are keyed by
+(seed, column, group, trajectory).
 Neither path compiles a circuit.  The gates run only on the noisy path,
 which alone holds 2^N amplitudes, counts and coefficients, and they back
 the depth and resource accounting.  Postselection discards outcomes of the
@@ -50,8 +54,9 @@ the gradient, max |g| <= 1e-9, not on the change in energy: the e1/e2
 split is not stationary at the optimum, and this fixes it to about 1e-11,
 below the 1e-10 the CLI prints.  Shots mode runs the package's
 Nelder-Mead (`_nelder_mead`) on the estimates, since a noiseless gradient
-must not steer a noisy estimate.  With the closed-form orbital exponentials
-of `chem`, both modes run on numpy alone.
+must not steer a noisy estimate, and reports a fresh evaluation at the
+optimum, drawn on stream keys of its own.  With the closed-form orbital
+exponentials of `chem`, both modes run on numpy alone.
 """
 
 from __future__ import annotations
@@ -109,6 +114,7 @@ MAX_QUBITS = 12
 _OMEGAS = (np.pi / 4, np.pi / 2)  # the quarter and half turn of each double
 _STREAM_SAMPLE = 0x5A
 _STREAM_TRAJECTORY = 0x7A
+_STREAM_FINAL = 0xF1  # appended to the keys of optimize's final shots evaluation
 
 _LBFGS_MEMORY = 10
 _LBFGS_GTOL = 1e-9  # on max |gradient|
@@ -280,6 +286,8 @@ class Estimator:
         i, j, a, b = self._orbitals
         self._deltas = delta[i, a, j, b]
         self._skip = np.abs(self._deltas) < DEGENERACY_TOL
+        # E2 sums the doubles that are neither skipped nor S_z-changing
+        self._keep = ~self._skip & (self._direct | self._exchange)
         self._pair_deltas = np.where(np.abs(delta) < DEGENERACY_TOL, np.inf, delta)
         if self._skip.any():
             warnings.warn(
@@ -369,75 +377,67 @@ class Estimator:
         bd.diagnostics["gradient"] = (grad - grad.T)[:n_occ, n_occ:].ravel()
         return bd
 
-    def _shot_residuals(self, u: np.ndarray):
-        """`_column_residuals` of the raw counts, and of the kept ones with the
-        mean kept fraction if postselecting, else None: postselection discards
-        outcomes of the same draws."""
+    def _shots_breakdown(self, u: np.ndarray, final: bool = False) -> EnergyBreakdown:
+        """The breakdown of the shots at u.  Postselecting, it is the kept
+        shots', with all shots' under diagnostics["raw"]: postselection
+        discards outcomes of the same draws."""
         cfg = self.cfg
         n_cols = self._probes.det.size
-        raw = np.zeros((2, n_cols))
-        kept_sums = np.zeros((2, n_cols))
+        moments = np.zeros((2, n_cols * (1 + cfg.postselect)))  # summed over groups
         kept_fractions = []
-        for l, (coeff, column_counts) in enumerate(self._shot_counts(u)):
-            for col, counts in enumerate(column_counts):
-                raw[:, col] += expectation_with_variance(counts, coeff)
-                if not cfg.postselect:
-                    continue
-                if cfg.noise is not None:  # noiseless counts never leave the sector
-                    counts = postselect(counts, self.n_electrons)
-                kept = int(counts.sum())
-                kept_fractions.append(kept / cfg.shots)
-                if not kept:
+        for l, (coeff, counts) in enumerate(self._shot_counts(u, final)):
+            if cfg.postselect:
+                # noiseless counts never leave the sector
+                kept = counts if cfg.noise is None else postselect(counts, self.n_electrons)
+                n_kept = kept.sum(axis=1)
+                if not n_kept.all():
                     raise RejectedShotsError(
-                        f"postselection rejected all {cfg.shots} shots of circuit "
-                        f"column {col} in measurement group {l}"
+                        f"postselection rejected all {cfg.shots} shots of circuit column "
+                        f"{np.flatnonzero(n_kept == 0)[0]} in measurement group {l}"
                     )
-                kept_sums[:, col] += expectation_with_variance(counts, coeff)
+                kept_fractions.append(n_kept / cfg.shots)
+                counts = np.concatenate([counts, kept])  # the raw rows, then the kept ones
+            moments += expectation_with_variance(counts, coeff)
+        raw = self._assemble(*self._column_residuals(*moments[:, :n_cols]))
         if not cfg.postselect:
-            return self._column_residuals(*raw), None
-        kept_mean = float(np.mean(kept_fractions))
-        return self._column_residuals(*raw), (*self._column_residuals(*kept_sums), kept_mean)
+            return raw
+        kept_mean = float(np.concatenate(kept_fractions).mean())
+        bd = self._assemble(*self._column_residuals(*moments[:, n_cols:]), kept_mean)
+        bd.diagnostics["raw"] = raw
+        return bd
 
-    def _shot_counts(self, u: np.ndarray):
-        """Yield, per group, its coefficients and one count array per column.
+    def _shot_counts(self, u: np.ndarray, final: bool):
+        """Yield, per group, its coefficients and a (columns x outcomes) count matrix.
 
         Noiseless counts never leave the sector, so they and the coefficients
-        are indexed by sector row; noisy ones by basis state.
+        are indexed by sector row; noisy ones by basis state.  Group l's
+        noiseless columns draw from the one stream (seed, group l); final
+        appends a key of its own to every stream.
         """
         cfg = self.cfg
         p = self._probes
+        tail = (_STREAM_FINAL,) if final else ()
         if cfg.noise is not None:
             u_gates = compile_orbital_rotation(np.kron(u, np.eye(2))).gates
+            # cfg.shots split over the trajectories, each run and sampled on its own stream
+            per = np.full(cfg.trajectories, cfg.shots // cfg.trajectories)
+            per[: cfg.shots % cfg.trajectories] += 1
             for l, g in enumerate(self._groups_at(u)):
                 suffix = u_gates + _measurement_circuit(g).gates
-                yield coefficient_vector(g, self.n_qubits), (
-                    self._noisy_shots(col, l, suffix) for col in range(p.det.size)
-                )
+                counts = np.zeros((p.det.size, 1 << self.n_qubits), dtype=np.int64)
+                for col, row in enumerate(counts):
+                    # the columns are lowered, so run's own lowering only scans the gates
+                    full = Circuit(self.n_qubits, self._column_gates[col] + suffix)
+                    for t in np.flatnonzero(per):
+                        rng = rng_stream(cfg.seed, _STREAM_TRAJECTORY, col, l, t, *tail)
+                        row += sample(run(full, cfg.noise, rng), int(per[t]), cfg.noise, rng=rng)
+                yield coefficient_vector(g, self.n_qubits), counts
             return
         for l, (coeff, x) in enumerate(self._rotated_determinants(u)):
-            # a column's probabilities exist only while it is drawn
-            yield coeff, (
-                draw_counts(
-                    (c * x[:, 0] + s * x[:, d]) ** 2,
-                    cfg.shots,
-                    rng_stream(cfg.seed, _STREAM_SAMPLE, col, l),
-                )
-                for col, (d, c, s) in enumerate(zip(p.det, p.cos, p.sin))
-            )
-
-    def _noisy_shots(self, col: int, l: int, suffix: tuple) -> np.ndarray:
-        """Raw counts: cfg.shots split over trajectories, each run and sampled on its own stream."""
-        cfg = self.cfg
-        # the columns are lowered, so run's own lowering only scans the gates
-        full = Circuit(self.n_qubits, self._column_gates[col] + suffix)
-        per = np.full(cfg.trajectories, cfg.shots // cfg.trajectories)
-        per[: cfg.shots % cfg.trajectories] += 1
-        counts = np.zeros(1 << self.n_qubits, dtype=np.int64)
-        for t in np.flatnonzero(per):
-            rng = rng_stream(cfg.seed, _STREAM_TRAJECTORY, col, l, t)
-            state = run(full, noise=cfg.noise, rng=rng)
-            counts += sample(state, int(per[t]), noise=cfg.noise, rng=rng)
-        return counts
+            x = x.T  # one row per probe determinant
+            probs = (p.cos[:, None] * x[0] + p.sin[:, None] * x[p.det]) ** 2
+            rng = rng_stream(cfg.seed, _STREAM_SAMPLE, l, *tail)
+            yield coeff, draw_counts(probs, cfg.shots, rng)
 
     def _column_residuals(self, e_cols, var_cols):
         """(e1, var_e1, r, var_r) from the column energies and variances:
@@ -451,18 +451,20 @@ class Estimator:
 
     def _assemble(self, e1, var_e1, r, var_r, kept_mean=None) -> EnergyBreakdown:
         """The breakdown of e1 and the residuals r, variances var_r, one per row
-        of `doubles`.  E2 and its variance leave out the skipped doubles; the
-        diagnostics keep r and var_r whole, arrays indexed like `doubles`."""
-        keep = ~self._skip
-        kept_r, delta = r[keep], self._deltas[keep]
+        of `doubles`.  E2 = sum (r^2 - var_r) / Delta, since r^2 is the squared
+        residual plus var_r on average, over the doubles that are neither
+        skipped nor S_z-changing; the diagnostics keep r and var_r whole,
+        arrays indexed like `doubles`."""
+        kept_r, kept_var, delta = r[self._keep], var_r[self._keep], self._deltas[self._keep]
         # left to right from 0.0, not pairwise as np.sum adds: seeded output keeps its digits
-        e2 = np.cumsum(np.append(0.0, kept_r * kept_r / delta))[-1]
-        var_e2 = np.cumsum(np.append(0.0, (2.0 * kept_r / delta) ** 2 * var_r[keep]))[-1]
+        e2 = np.cumsum(np.append(0.0, (kept_r * kept_r - kept_var) / delta))[-1]
+        var_e2 = np.cumsum(np.append(0.0, (2.0 * kept_r / delta) ** 2 * kept_var))[-1]
         diagnostics = {
             "residuals": r,
             "residual_variances": var_r,
             "var_e1": var_e1,
             "skipped_doubles": int(self._skip.sum()),
+            "sz_changing_doubles": int((~(self._direct | self._exchange)).sum()),
             "kept_fraction_mean": kept_mean,
         }
         variance = float(var_e1 + var_e2)
@@ -489,14 +491,15 @@ class Estimator:
         u = expm_antisymmetric(kappa)
         if self.cfg.mode == "exact":
             return self._exact_breakdown(kappa, u)
-        raw, kept = self._shot_residuals(u)
-        bd = self._assemble(*(kept or raw))
-        if kept is not None:
-            bd.diagnostics["raw"] = self._assemble(*raw)
-        return bd
+        return self._shots_breakdown(u)
 
     def optimize(self, maxiter: int = 200) -> tuple[ThetaParams, EnergyBreakdown]:
-        """Minimize the total electronic energy over the rotation angles."""
+        """Minimize the total electronic energy over the rotation angles.
+
+        Shots mode reports a fresh evaluation at the optimum on stream keys
+        of its own, not the stored one, the lowest and so biased-low noisy
+        estimate Nelder-Mead compared; n_evaluations leaves it out.
+        """
         if isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral) or maxiter < 0:
             raise ValueError(f"maxiter must be a non-negative integer, got {maxiter!r}")
         theta0 = ThetaParams.zeros(self.n_qubits, self.n_electrons)
@@ -510,10 +513,10 @@ class Estimator:
         minimize = _lbfgs if self.cfg.mode == "exact" else _nelder_mead
         res = minimize(fun, np.zeros(len(theta0.values)), maxiter)
         theta = theta0.with_values(res.x)
-        # both minimizers return a point they evaluated; every sample and
-        # trajectory stream is keyed by (seed, column, group, trajectory), so
-        # its stored evaluation equals a fresh one
-        bd = evaluated[theta.values]
+        if self.cfg.mode == "exact":
+            bd = evaluated[theta.values]  # _lbfgs returns a point it evaluated
+        else:
+            bd = self._shots_breakdown(expm_antisymmetric(theta.to_matrix()), final=True)
         bd.diagnostics.update(
             converged=bool(res.success),
             n_iterations=int(res.nit),

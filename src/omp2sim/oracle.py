@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -177,31 +177,21 @@ def fci_energy(si: SpinIntegrals, e_core: float, n_electrons: int) -> float:
 def hartree_fock_energy(si: SpinIntegrals, e_core: float, n_electrons: int) -> float:
     occ = range(1, n_electrons + 1)
     e = sum(si.h1s[i - 1, i - 1] for i in occ)
-    for i in occ:
-        for j in occ:
-            e += 0.5 * (si.v2s(i, j, j, i) - si.v2s(i, j, i, j))
+    for i, j in product(occ, occ):
+        e += 0.5 * (si.v2s(i, j, j, i) - si.v2s(i, j, i, j))
     return float(e) + e_core
 
 
 def canonical_mp2(si: SpinIntegrals, eps: np.ndarray, n_electrons: int) -> float:
     """Closed-form second-order correlation from antisymmetrized elements."""
-    n = si.n_spin
-    occ = range(1, n_electrons + 1)
-    virt = range(n_electrons + 1, n + 1)
     e2 = 0.0
-    for i in occ:
-        for j in occ:
-            if j <= i:
+    for i, j in combinations(range(1, n_electrons + 1), 2):
+        for a, b in combinations(range(n_electrons + 1, si.n_spin + 1), 2):
+            num = si.v2s(i, j, b, a) - si.v2s(i, j, a, b)
+            if abs(num) < 1e-14:
                 continue
-            for a in virt:
-                for b in virt:
-                    if b <= a:
-                        continue
-                    num = si.v2s(i, j, b, a) - si.v2s(i, j, a, b)
-                    if abs(num) < 1e-14:
-                        continue
-                    denom = eps[i - 1] + eps[j - 1] - eps[a - 1] - eps[b - 1]
-                    e2 += num * num / denom
+            denom = eps[i - 1] + eps[j - 1] - eps[a - 1] - eps[b - 1]
+            e2 += num * num / denom
     return float(e2)
 
 
@@ -246,9 +236,7 @@ def _dense_gate(g: Gate, n_qubits: int) -> np.ndarray:
         mat[cols, cols] = np.where(both, -1.0, 1.0)
     elif g.kind == "MULTI_CRY":
         t_b = bit(g.target)
-        ctrl_mask = 0
-        for q in g.controls:
-            ctrl_mask |= bit(q)
+        ctrl_mask = sum(bit(q) for q in g.controls)
         active = (cols & ctrl_mask) == ctrl_mask
         c, s = np.cos(g.angle / 2.0), np.sin(g.angle / 2.0)
         set_mask = (cols & t_b) > 0

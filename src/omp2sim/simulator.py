@@ -38,12 +38,15 @@ amplitudes, `sample` returns shot counts indexed like those amplitudes,
 and `postselect` returns the counts with every outcome of another
 electron number zeroed, so the kept fraction is kept shots over all
 shots.  Every count array, noisy or noiseless, comes from `draw_counts`,
-one inverse-CDF lookup per shot.  Postselection reads what was drawn and
-runs nothing again: `trajectory_fidelity` gives the raw and the
-postselected fidelity of one set of trajectories.  Every stochastic
-routine takes its generator or seed from the caller, and every generator
-derives from (seed, stream key), so counts are bit-reproducible
-regardless of execution order.
+one inverse-CDF lookup per shot, and it, `postselect` and
+`expectation_with_variance` also take one row per circuit.  Postselection
+reads what was drawn and runs nothing again: `trajectory_fidelity` gives
+the raw and the postselected fidelity of one set of trajectories.  Every
+stochastic routine takes its generator or seed from the caller, and every
+generator derives from (seed, stream key), so counts are bit-reproducible
+regardless of execution order: the estimator draws each group's noiseless
+count matrix from the stream (seed, group), and each noisy trajectory from
+(seed, column, group, trajectory).
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .jw import hamming_weights, occupations, spin_strings
 
 SEED_ENV_VAR = "OMP2SIM_SEED"
 _ROW_CHUNK = 1024  # sector rows per step of rotate_determinants
+_DRAW_BLOCK = 1 << 22  # uniforms per step of draw_counts, 32 MB
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -301,43 +305,60 @@ def sample(
 
 
 def draw_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Counts of shots draws from the distribution proportional to probs.
+    """Counts of shots draws from the distribution proportional to probs, or
+    to each row of probs, one row per circuit; rows draw from rng in order.
 
     Each shot is one uniform number x in [0, cdf[-1]) that picks the first
     outcome whose cumulative sum exceeds it (inverse CDF): an outcome of
     probability zero is never drawn, and a probability that roundoff moves
     between 0 and 1e-30 changes no other outcome's count.  The counts are
     bincount(searchsorted(cdf, x, side="right")); with the draws sorted,
-    that is one search per outcome instead of one per shot.
+    that is one search per outcome instead of one per shot.  Row k's sums
+    and draws are lifted by 2k times the largest row sum, so one search
+    serves a block of rows; equal sums stay equal, and row 0 is not moved.
     """
-    cdf = np.cumsum(probs)
-    draws = np.sort(rng.random(shots) * cdf[-1])
-    ends = np.searchsorted(draws, cdf)  # the draws below each cumulative sum
-    return ends - np.append(0, ends[:-1])  # np.diff(ends, prepend=0) at half its cost
+    cdf = np.cumsum(probs, axis=-1)
+    rows = cdf.reshape(-1, cdf.shape[-1])
+    counts = np.empty(rows.shape, dtype=np.int64)
+    step = max(1, _DRAW_BLOCK // shots)
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        totals = block[:, -1:]
+        k = np.arange(len(block))[:, None]
+        lift = 2.0 * totals.max() * k
+        keys = block + lift
+        draws = rng.random((len(block), shots)) * totals
+        draws.sort(axis=1)
+        draws += lift
+        # roundoff can round a draw up to its row's sum: just below it, the
+        # draw picks the row's last outcome of nonzero probability
+        np.minimum(draws, np.nextafter(keys[:, -1:], -np.inf), out=draws)
+        ends = np.searchsorted(draws.ravel(), keys.ravel()).reshape(block.shape)
+        counts[start : start + step] = np.diff(ends - shots * k, axis=1, prepend=0)
+    return counts.reshape(cdf.shape)
 
 
 def postselect(counts: np.ndarray, n_electrons: int) -> np.ndarray:
-    """counts with every outcome of another electron number set to zero."""
-    n_qubits = counts.size.bit_length() - 1
+    """counts, one row of shot counts or one row per circuit, with every
+    outcome of another electron number set to zero."""
+    n_qubits = counts.shape[-1].bit_length() - 1
     return np.where(hamming_weights(n_qubits) == n_electrons, counts, 0)
 
 
-def expectation_with_variance(counts: np.ndarray, coeff: np.ndarray) -> tuple[float, float]:
+def expectation_with_variance(counts: np.ndarray, coeff: np.ndarray):
     """Empirical mean of coeff over the counts and its squared standard error.
 
-    coeff holds one value per basis state, indexed like counts.
+    counts is one row of shot counts, or one row per circuit; coeff holds
+    one value per outcome, indexed like a row.  One row gives two scalars,
+    a matrix two arrays with one entry per row.  The variance of the
+    values is the plug-in one, over the n shots and not n - 1.
     """
-    # summing only the observed outcomes, in basis order, fixes the float
-    # rounding that seeded output is compared against byte for byte
-    seen = np.flatnonzero(counts)
-    if not seen.size:
+    weights = np.asarray(counts, dtype=float)
+    total = weights.sum(axis=-1)
+    if not np.all(total):
         raise ValueError("no shots to average (all shots rejected?)")
-    values = coeff[seen]
-    weights = counts[seen].astype(float)
-    total = weights.sum()
-    mean = float(np.dot(weights, values) / total)
-    var = float(np.dot(weights, (values - mean) ** 2) / total)
-    return mean, var / total
+    mean = (weights * coeff).sum(axis=-1) / total
+    return mean, (weights * (coeff - mean[..., None]) ** 2).sum(axis=-1) / total / total
 
 
 def trajectory_fidelity(

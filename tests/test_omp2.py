@@ -429,6 +429,7 @@ def test_sz_changing_doubles_have_no_residual(refs):
         for theta in _thetas(est, rng):
             bd, ref = est.mp2_energy(theta), _sector_reference(est, theta)
             assert np.all(bd.diagnostics["residuals"][changes_sz] == 0.0)
+            assert bd.diagnostics["sz_changing_doubles"] == changes_sz.sum()
             assert np.abs(ref.diagnostics["residuals"][changes_sz]).max(initial=0.0) <= 1e-14
     assert counts["h4_2.6.fcidump"] == (18, 36)
     assert counts["lih_3.1.fcidump"] == (92, 168)
@@ -520,9 +521,12 @@ def test_shots_optimize_never_calls_the_gradient(refs, monkeypatch):
     assert "gradient" not in bd.diagnostics
     postselecting = Estimator(mi, replace(cfg, postselect=True))
     assert "gradient" not in postselecting.mp2_energy(theta).diagnostics
-    # the optimum's stored evaluation equals a fresh one: streams are keyed
-    # by seed, column and group, not by how many evaluations came before
-    assert Estimator(mi, cfg).mp2_energy(theta) == bd
+    # the breakdown returned is a fresh evaluation at the optimum on keys of
+    # its own, not the stored one, the lowest estimate Nelder-Mead compared;
+    # streams are keyed by seed and group, not by the evaluations before
+    fresh = Estimator(mi, cfg)
+    assert fresh._shots_breakdown(omp2.expm_antisymmetric(theta.to_matrix()), final=True) == bd
+    assert fresh.mp2_energy(theta) != bd
 
 
 def test_optimize_does_not_rerun_the_optimum(refs):
@@ -770,6 +774,92 @@ def test_shot_estimate_consistent_with_exact(refs):
     assert noisy.variance > 0.0
     pull = abs(noisy.total - exact.total) / np.sqrt(noisy.variance)
     assert pull < 4.0
+
+
+def _assert_unbiased(values, exact, what):
+    """The mean of values lies within 3 standard errors of exact."""
+    values = np.asarray(values)
+    stderr = values.std(ddof=1) / math.sqrt(values.size)
+    pull = (values.mean() - exact) / stderr
+    assert abs(pull) <= 3.0, f"{what}: mean {values.mean():.6f}, exact {exact:.6f}, pull {pull:+.2f}"
+
+
+@pytest.mark.parametrize("fixture", ["h4_2.6", "lih_3.1"])
+def test_shot_energies_are_unbiased(fixture):
+    # r^2 overestimates the squared residual by var(r), so sum r^2 / Delta
+    # used to sit 5 standard errors low on H4, and six times the exact e2 on
+    # full-space LiH (12 qubits), where most doubles change S_z
+    mi = parse_fcidump(fixture_path(f"{fixture}.fcidump"))
+    theta = ThetaParams.zeros(2 * mi.n_spatial, mi.n_electrons)
+    exact = Estimator(mi).mp2_energy(theta)
+    runs = [
+        Estimator(mi, EstimatorConfig(mode="shots", shots=2000, seed=seed)).mp2_energy(theta)
+        for seed in range(1, 101)
+    ]
+    _assert_unbiased([bd.e2 for bd in runs], exact.e2, "e2")
+    _assert_unbiased([bd.total for bd in runs], exact.total, "e_total")
+
+
+def test_shots_optimize_reports_an_unbiased_energy():
+    # optimize used to return the lowest of Nelder-Mead's noisy estimates,
+    # with E2 biased low as well: over these seeds, 54 mHa below the exact
+    # energy at the returned theta on average, 4.3 standard errors
+    mi = parse_fcidump(fixture_path("h4_2.6.fcidump"))
+    exact = Estimator(mi)
+    gaps = []
+    for seed in range(1, 13):
+        theta, bd = Estimator(mi, EstimatorConfig(mode="shots", shots=500, seed=seed)).optimize()
+        gaps.append(bd.total - exact.mp2_energy(theta).total)
+    _assert_unbiased(gaps, 0.0, "e_total - exact at the returned theta")
+
+
+def test_shot_e2_is_the_bias_corrected_sum(refs):
+    # E2 = sum (r^2 - var_r) / Delta over the doubles that conserve S_z and
+    # have a non-degenerate denominator, read from the breakdown's diagnostics
+    mi, _ = load_point(refs, "h4", 2.6)
+    est = Estimator(mi, EstimatorConfig(mode="shots", shots=2000, seed=3))
+    bd = est.mp2_energy(ThetaParams.zeros(est.n_qubits, est.n_electrons))
+    r, var_r = bd.diagnostics["residuals"], bd.diagnostics["residual_variances"]
+    spins = (est.doubles - 1) % 2
+    sz_conserving = spins[:, :2].sum(axis=1) == spins[:, 2:].sum(axis=1)
+    eps = est.eps
+    delta = eps[est.doubles[:, 0] - 1] + eps[est.doubles[:, 1] - 1]
+    delta -= eps[est.doubles[:, 2] - 1] + eps[est.doubles[:, 3] - 1]
+    keep = sz_conserving & (np.abs(delta) >= omp2.DEGENERACY_TOL)
+    assert bd.diagnostics["sz_changing_doubles"] == (~sz_conserving).sum() == 18
+    assert bd.diagnostics["skipped_doubles"] == 0
+    assert np.all(var_r > 0.0)
+    assert bd.e2 == pytest.approx(np.sum((r[keep] ** 2 - var_r[keep]) / delta[keep]), abs=1e-15)
+
+
+def test_noiseless_shots_draw_one_stream_per_group(refs, monkeypatch):
+    # each group's columns draw as one count matrix from one (seed, group)
+    # stream: 11 generators per H4 evaluation, where there were 803, one per
+    # column and group
+    keys = []
+
+    def spy(seed, *key):
+        keys.append((seed, *key))
+        return simulator.rng_stream(seed, *key)
+
+    monkeypatch.setattr(omp2, "rng_stream", spy)
+    mi, _ = load_point(refs, "h4", 2.6)
+    est = Estimator(mi, EstimatorConfig(mode="shots", shots=100, seed=2))
+    est.mp2_energy(ThetaParams.zeros(est.n_qubits, est.n_electrons))
+    assert est.n_groups == len(keys) == len(set(keys)) == 11
+    assert est.resource_summary().circuits_per_evaluation == 803
+
+
+def test_rejected_shots_name_the_first_empty_column_and_group(monkeypatch):
+    mi = parse_fcidump(fixture_path("h2_1.4.fcidump"))
+    est = Estimator(mi, EstimatorConfig(mode="shots", shots=12, postselect=True))
+    full = np.full((3, 6), 2)  # three columns over the six sector rows of H2
+    empty = full.copy()
+    empty[[1, 2]] = 0
+    groups = [(np.ones(6), full), (np.ones(6), empty)]
+    monkeypatch.setattr(est, "_shot_counts", lambda u, final: iter(groups))
+    with pytest.raises(omp2.RejectedShotsError, match="column 1 in measurement group 1$"):
+        est.mp2_energy(ThetaParams.zeros(4, mi.n_electrons))
 
 
 def test_noiseless_postselection_keeps_everything(refs):

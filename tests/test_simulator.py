@@ -19,6 +19,7 @@ from omp2sim.circuits import (
     rz,
     x,
 )
+from omp2sim import simulator
 from omp2sim.jw import hamming_weights, occupations
 from omp2sim.oracle import circuit_unitary
 from omp2sim.simulator import (
@@ -204,6 +205,43 @@ def test_a_roundoff_probability_moves_no_seeded_count():
     for key in range(20):
         exact = sample(amps, 1000, rng=rng_stream(3, key))
         assert np.array_equal(sample(tiny, 1000, rng=rng_stream(3, key)), exact)
+
+
+def test_draw_counts_of_a_matrix_draws_each_row(monkeypatch):
+    # one row per circuit: zeros first, last and between, and unequal sums
+    probs = np.array([
+        [0.0, 0.2, 0.0, 0.8, 0.0],
+        [0.5, 0.0, 0.0, 0.0, 0.5],
+        [0.0, 0.0, 0.0, 0.0, 3.0],
+        [1.0, 2.0, 3.0, 4.0, 0.0],
+    ])
+    counts = draw_counts(probs, 1000, rng_stream(6))
+    assert counts.shape == probs.shape
+    assert np.all(counts.sum(axis=1) == 1000)
+    assert np.array_equal(counts > 0, probs > 0)
+    p = probs / probs.sum(axis=1, keepdims=True)
+    assert np.all(np.abs(counts / 1000 - p) <= 5.0 * np.sqrt(p * (1.0 - p) / 1000))
+    # the first row draws as a single distribution does
+    assert np.array_equal(counts[0], draw_counts(probs[0], 1000, rng_stream(6)))
+    # drawn a block of one row at a time, the rows read the same uniforms
+    monkeypatch.setattr(simulator, "_DRAW_BLOCK", 1)
+    assert np.array_equal(draw_counts(probs, 1000, rng_stream(6)), counts)
+
+
+def test_postselect_and_expectation_of_a_matrix_act_per_row():
+    counts = np.zeros((3, 16), dtype=np.int64)
+    counts[0, [0b1100, 0b1000, 0b1110]] = (60, 25, 15)
+    counts[1, [0b0011, 0b0001]] = (7, 5)
+    counts[2, [0b0101, 0b1111]] = (1, 40)
+    kept = postselect(counts, 2)
+    assert np.array_equal(kept, [postselect(row, 2) for row in counts])
+    coeff = np.linspace(-1.0, 2.0, 16)
+    means, variances = expectation_with_variance(kept, coeff)
+    assert means.shape == variances.shape == (3,)
+    for row, mean, var in zip(kept, means, variances):
+        assert (mean, var) == expectation_with_variance(row, coeff)
+    with pytest.raises(ValueError, match="no shots"):
+        expectation_with_variance(postselect(counts, 3), coeff)
 
 
 def test_full_readout_flip():
