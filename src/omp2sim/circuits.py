@@ -109,7 +109,6 @@ class Circuit:
 class ResourceReport:
     cnot_depth: int
     cnot_count: int
-    single_qubit_count: int
 
 
 def prep_reference(n_qubits: int, n_electrons: int) -> Circuit:
@@ -284,14 +283,12 @@ def cnot_depth(c: Circuit) -> ResourceReport:
     frontier: dict[int, int] = {}
     depth = 0
     cnots = 0
-    singles = 0
     for g in lowered.gates:
         if g.kind in ONE_QUBIT_KINDS:
-            singles += 1
             continue
         cnots += 1
         layer = max((frontier.get(q, 0) for q in g.qubits), default=0) + 1
         for q in g.qubits:
             frontier[q] = layer
         depth = max(depth, layer)
-    return ResourceReport(cnot_depth=depth, cnot_count=cnots, single_qubit_count=singles)
+    return ResourceReport(cnot_depth=depth, cnot_count=cnots)

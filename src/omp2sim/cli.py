@@ -1,11 +1,14 @@
 """Command line front end.
 
-Subcommands:
+Subcommands; each accepts only the options it reads (see its --help):
   energy       optimize one fixture and report the energy breakdown
   curve        optimize every fixture in a directory, one row per point
   resources    circuit counts and depths for one fixture
   noise-study  shots-mode evaluation at theta = 0 under a noise preset,
                raw and post-selected
+
+An option that sets an EstimatorConfig field takes that field's default, so
+seeded output depends on the command line alone: the seed is --seed, else 1.
 
 Fixture files follow the naming convention {molecule}_{distance:.1f}.fcidump;
 recognized molecule names pick up the packaged reference energies and the
@@ -22,7 +25,7 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +41,7 @@ from .omp2 import (
     check_capacity,
 )
 from .oracle import ReferenceValues
-from .simulator import default_seed, load_noise_presets, run, trajectory_fidelity
+from .simulator import load_noise_presets, run, trajectory_fidelity
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -98,18 +101,13 @@ def _load_problem(path: Path, refs: ReferenceValues):
     return mi, mol, dist, ref_pt
 
 
-def _estimator_config(args, **fixed) -> EstimatorConfig:
-    """One EstimatorConfig from the command line; fixed overrides its flags."""
+def _estimator_config(args) -> EstimatorConfig:
+    """The EstimatorConfig of the subcommand's options; the other fields keep their defaults."""
+    settings = {f.name: getattr(args, f.name) for f in fields(EstimatorConfig) if f.name in args}
+    if settings.get("noise") is not None:
+        settings["noise"] = load_noise_presets()[settings["noise"]]
     try:
-        settings = dict(
-            mode=args.mode,
-            shots=args.shots,
-            noise=load_noise_presets()[args.noise] if args.noise else None,
-            postselect=args.postselect,
-            truncation_tol=args.tol,
-            seed=args.seed if args.seed is not None else default_seed(),
-        )
-        return EstimatorConfig(**{**settings, **fixed})
+        return EstimatorConfig(**settings)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -202,7 +200,8 @@ def cmd_curve(args) -> int:
         for w in {str(w.message): w for w in caught}.values():
             warnings.showwarning(f"{path.name}: {w.message}", w.category, w.filename, w.lineno)
         rows.append(_energy_row(est, bd, mol, dist, ref_pt, args.noise))
-    rows.sort(key=lambda r: (r["molecule"], r["distance_bohr"]))
+    # a name with no distance sorts after its molecule's distances, in file name order
+    rows.sort(key=lambda r: (r["molecule"], r["distance_bohr"] is None, r["distance_bohr"] or 0))
     _write(_emit(rows, args.format), args.out)
     if any(r["status"] != "ok" for r in rows):
         return EXIT_CONVERGENCE
@@ -224,9 +223,8 @@ def cmd_resources(args) -> int:
 
 
 def cmd_noise_study(args) -> int:
-    # noise-study always runs in shots mode, whatever --mode says; the raw
-    # row reads the same draws as the postselected one, before the discard
-    cfg = _estimator_config(args, mode="shots", postselect=True, trajectories=args.trajectories)
+    # the raw row reads the same draws as the postselected one, before the discard
+    cfg = _estimator_config(args)
     mi, mol, dist, ref_pt = _load_problem(Path(args.fixture), ReferenceValues.load())
     est = Estimator(mi, cfg)
     bd = est.mp2_energy(ThetaParams.zeros(est.n_qubits, est.n_electrons))
@@ -263,26 +261,34 @@ def _reference_fidelity(est: Estimator):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each option is declared once, in the parent of the subcommands that read
+    # it; an option for an EstimatorConfig field has the field's name and default
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=("exact", "shots"), default="exact")
-    common.add_argument("--shots", type=int, default=100_000)
     common.add_argument(
-        "--noise", choices=sorted(load_noise_presets()), default=None, help="noise preset name"
+        "--tol", dest="truncation_tol", type=float, default=EstimatorConfig.truncation_tol
     )
-    common.add_argument("--postselect", action="store_true")
-    common.add_argument("--tol", type=float, default=1e-12, help="factorization truncation")
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--shots", type=int, default=EstimatorConfig.shots)
+    sampled.add_argument("--noise", choices=sorted(load_noise_presets()), help="noise preset name")
+    sampled.add_argument("--seed", type=int, default=EstimatorConfig.seed)
+
+    optimized = argparse.ArgumentParser(add_help=False)
+    optimized.add_argument("--mode", choices=("exact", "shots"), default=EstimatorConfig.mode)
+    optimized.add_argument("--postselect", action="store_true", default=EstimatorConfig.postselect)
 
     parser = argparse.ArgumentParser(prog="omp2sim")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("energy", parents=[common], help="optimize one fixture")
+    p = sub.add_parser("energy", parents=[optimized, sampled, common], help="optimize one fixture")
     p.add_argument("--fixture", required=True)
     p.set_defaults(fn=cmd_energy)
 
-    p = sub.add_parser("curve", parents=[common], help="optimize every fixture in a directory")
+    p = sub.add_parser(
+        "curve", parents=[optimized, sampled, common], help="optimize every fixture in a directory"
+    )
     p.add_argument("--fixture-dir", required=True)
     p.add_argument("--molecule", default=None)
     p.add_argument("--jobs", type=int, default=1, help="accepted; rows run serially")
@@ -293,11 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_resources)
 
     p = sub.add_parser(
-        "noise-study", parents=[common], help="theta = 0 energies under a noise preset"
+        "noise-study", parents=[sampled, common], help="theta = 0 energies under a noise preset"
     )
     p.add_argument("--fixture", required=True)
-    p.add_argument("--trajectories", type=int, default=16)
-    p.set_defaults(fn=cmd_noise_study)
+    p.add_argument("--trajectories", type=int, default=EstimatorConfig.trajectories)
+    # always shots mode: the raw and the postselected row of one evaluation
+    p.set_defaults(fn=cmd_noise_study, mode="shots", postselect=True)
 
     return parser
 

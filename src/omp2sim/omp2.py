@@ -39,8 +39,7 @@ basis, group 0's diagonalized at u), in the n_e-electron sector
 (`simulator.rotate_determinants`, pinned to the gate kernel by the test
 suite, and the exact path's test reference), and draws every column from
 (c R|ref> + s R|D>)^2 over the sector rows, as one count matrix from the
-one stream keyed by (seed, group).  Noisy trajectories are keyed by
-(seed, column, group, trajectory).
+group's own stream, and each noisy trajectory from a stream of its own.
 Neither path compiles a circuit.  The gates run only on the noisy path,
 which alone holds 2^N amplitudes, counts and coefficients, and they back
 the depth and resource accounting.  Postselection discards outcomes of the
@@ -97,6 +96,9 @@ from .lowrank import (
     two_body_groups,
 )
 from .simulator import (
+    STREAM_FINAL,
+    STREAM_SAMPLE,
+    STREAM_TRAJECTORY,
     NoiseModel,
     draw_counts,
     expectation_with_variance,
@@ -112,9 +114,6 @@ DEGENERACY_TOL = 1e-8
 MAX_QUBITS = 12
 
 _OMEGAS = (np.pi / 4, np.pi / 2)  # the quarter and half turn of each double
-_STREAM_SAMPLE = 0x5A
-_STREAM_TRAJECTORY = 0x7A
-_STREAM_FINAL = 0xF1  # appended to the keys of optimize's final shots evaluation
 
 _LBFGS_MEMORY = 10
 _LBFGS_GTOL = 1e-9  # on max |gradient|
@@ -416,7 +415,7 @@ class Estimator:
         """
         cfg = self.cfg
         p = self._probes
-        tail = (_STREAM_FINAL,) if final else ()
+        tail = (STREAM_FINAL,) if final else ()
         if cfg.noise is not None:
             u_gates = compile_orbital_rotation(np.kron(u, np.eye(2))).gates
             # cfg.shots split over the trajectories, each run and sampled on its own stream
@@ -429,14 +428,14 @@ class Estimator:
                     # the columns are lowered, so run's own lowering only scans the gates
                     full = Circuit(self.n_qubits, self._column_gates[col] + suffix)
                     for t in np.flatnonzero(per):
-                        rng = rng_stream(cfg.seed, _STREAM_TRAJECTORY, col, l, t, *tail)
+                        rng = rng_stream(cfg.seed, STREAM_TRAJECTORY, col, l, t, *tail)
                         row += sample(run(full, cfg.noise, rng), int(per[t]), cfg.noise, rng=rng)
                 yield coefficient_vector(g, self.n_qubits), counts
             return
         for l, (coeff, x) in enumerate(self._rotated_determinants(u)):
             x = x.T  # one row per probe determinant
             probs = (p.cos[:, None] * x[0] + p.sin[:, None] * x[p.det]) ** 2
-            rng = rng_stream(cfg.seed, _STREAM_SAMPLE, l, *tail)
+            rng = rng_stream(cfg.seed, STREAM_SAMPLE, l, *tail)
             yield coeff, draw_counts(probs, cfg.shots, rng)
 
     def _column_residuals(self, e_cols, var_cols):

@@ -44,16 +44,13 @@ reads what was drawn and runs nothing again: `trajectory_fidelity` gives
 the raw and the postselected fidelity of one set of trajectories.  Every
 stochastic routine takes its generator or seed from the caller, and every
 generator derives from (seed, stream key), so counts are bit-reproducible
-regardless of execution order: the estimator draws each group's noiseless
-count matrix from the stream (seed, group), and each noisy trajectory from
-(seed, column, group, trajectory).
+regardless of execution order; the `STREAM_*` constants name every stream.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -64,7 +61,6 @@ import numpy as np
 from .circuits import Circuit, Gate, lower_circuit
 from .jw import hamming_weights, occupations, spin_strings
 
-SEED_ENV_VAR = "OMP2SIM_SEED"
 _ROW_CHUNK = 1024  # sector rows per step of rotate_determinants
 _DRAW_BLOCK = 1 << 22  # uniforms per step of draw_counts, 32 MB
 
@@ -87,18 +83,17 @@ class FidelityEstimate:
     kept_fraction_mean: float | None = None
 
 
+# the keys of every rng_stream; seeded output depends on their values
+STREAM_SAMPLE = 0x5A  # (seed, group): a group's noiseless count matrix
+STREAM_TRAJECTORY = 0x7A  # (seed, column, group, trajectory): one noisy trajectory
+STREAM_FIDELITY = 0xF1D  # (seed, trajectory): one trajectory of trajectory_fidelity
+STREAM_FINAL = 0xF1  # appended to the keys of optimize's final shots evaluation
+
+
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, key); order-independent reproducibility."""
     squashed = tuple(int(k) & 0xFFFFFFFF for k in key)
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=squashed))
-
-
-def default_seed() -> int:
-    """The CLI's seed when --seed is not given: OMP2SIM_SEED, else 1."""
-    text = os.environ.get(SEED_ENV_VAR, "1")
-    if not text.strip().isdecimal():
-        raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {text!r}")
-    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +380,7 @@ def trajectory_fidelity(
         ideal_p = ideal_p / ideal_norm
     raw, ps, kept = np.empty((3, n_traj))
     for t in range(n_traj):
-        state = run(c, noise, rng_stream(seed, 0xF1D, t))
+        state = run(c, noise, rng_stream(seed, STREAM_FIDELITY, t))
         raw[t] = abs(np.vdot(ideal, state)) ** 2
         proj = state * mask
         kept[t] = w = float(np.linalg.norm(proj) ** 2)

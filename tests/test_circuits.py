@@ -11,6 +11,7 @@ from helpers import double_excitation_depth_formula, ladder_ops, phase_distance
 from omp2sim.circuits import (
     Circuit,
     Gate,
+    ResourceReport,
     cnot,
     cnot_depth,
     compile_orbital_rotation,
@@ -184,9 +185,7 @@ def test_cnot_depth_hand_examples():
     c = Circuit(4, (cnot(1, 2), cnot(2, 3)))
     assert cnot_depth(c).cnot_depth == 2
     c = Circuit(4, (x(1), cnot(1, 2), x(2)))
-    rep = cnot_depth(c)
-    assert rep.cnot_depth == 1
-    assert rep.single_qubit_count == 2
+    assert cnot_depth(c) == ResourceReport(cnot_depth=1, cnot_count=1)
 
 
 def test_depth_formula_matches_measured_depth():

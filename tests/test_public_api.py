@@ -20,6 +20,8 @@ def test_public_surface():
         (oracle, "phase_distance"),
         (circuits.Gate, "to_text"),
         (circuits.Circuit, "to_text"),
+        (simulator, "default_seed"),
+        (simulator, "SEED_ENV_VAR"),
     ]
     gone += [(omp2sim, name) for name in ("FactorizedPerturbation", "single_particle_action")]
     for owner, name in gone:
@@ -27,6 +29,7 @@ def test_public_surface():
     for name in ("FactorizedPerturbation", "factorize", "single_particle_action"):
         assert name not in omp2sim.__all__, name
     assert "n_trajectories" not in {f.name for f in fields(simulator.FidelityEstimate)}
+    assert "single_qubit_count" not in {f.name for f in fields(circuits.ResourceReport)}
     assert not inspect.signature(simulator.load_noise_presets).parameters
     assert "atol" not in inspect.signature(oracle.MoleculeReference.point_at).parameters
     est = omp2sim.Estimator(parse_fcidump(fixture_path("h2_1.4.fcidump")))

@@ -26,7 +26,6 @@ from omp2sim.simulator import (
     NoiseModel,
     _readout_distribution,
     apply_circuit,
-    default_seed,
     draw_counts,
     expectation_with_variance,
     load_noise_presets,
@@ -367,13 +366,6 @@ def test_trajectory_fidelity_postselection_helps():
     assert ps.kept_fraction_mean < 1.0
     assert ps.fidelity > raw.fidelity
     assert raw.stderr > 0.0
-
-
-def test_default_seed_env_override(monkeypatch):
-    monkeypatch.delenv("OMP2SIM_SEED", raising=False)
-    assert default_seed() == 1
-    monkeypatch.setenv("OMP2SIM_SEED", "77")
-    assert default_seed() == 77
 
 
 def test_noise_presets_load():
