@@ -66,9 +66,11 @@ class FixtureProblem(Exception):
 
 
 def _parse_fixture_name(path: Path):
+    """(molecule, distance) from the file name, ("unknown", None) if it does not
+    parse: the molecule every row prints and `curve --molecule` matches."""
     m = _FIXTURE_RE.match(path.stem)
     if not m:
-        return None, None
+        return "unknown", None
     return m.group("mol"), float(m.group("dist"))
 
 
@@ -77,7 +79,7 @@ def _load_problem(path: Path, refs: ReferenceValues):
     if not path.exists():
         raise FixtureProblem(f"fixture not found: {path}")
     mol, dist = _parse_fixture_name(path)
-    ref_mol = refs.molecules.get(mol) if mol else None
+    ref_mol = refs.molecules.get(mol)
     try:
         # FcidumpError and UnicodeDecodeError are ValueErrors, as are the
         # active-space checks on a file too small for the molecule's spec
@@ -115,7 +117,7 @@ def _estimator_config(args) -> EstimatorConfig:
 def _energy_row(est: Estimator, bd, mol, dist, ref_pt, preset: str | None):
     cfg = est.cfg
     return {
-        "molecule": mol or "unknown",
+        "molecule": mol,
         "distance_bohr": dist,
         "e_hf_ref": ref_pt.e_hf if ref_pt else None,
         "e_mp2_ref": ref_pt.e_mp2 if ref_pt else None,
@@ -212,7 +214,7 @@ def cmd_resources(args) -> int:
     cfg = _estimator_config(args)
     mi, mol, dist, _ = _load_problem(Path(args.fixture), ReferenceValues.load())
     summary = Estimator(mi, cfg).resource_summary()
-    doc = {"schema": 1, "molecule": mol or "unknown", "distance_bohr": dist, **asdict(summary)}
+    doc = {"schema": 1, "molecule": mol, "distance_bohr": dist, **asdict(summary)}
     if args.format == "json":
         _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     else:

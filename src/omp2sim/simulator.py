@@ -37,14 +37,14 @@ States and shots are plain arrays: `run` returns the normalized 2^N
 amplitudes, `sample` returns shot counts indexed like those amplitudes,
 and `postselect` returns the counts with every outcome of another
 electron number zeroed, so the kept fraction is kept shots over all
-shots.  Every count array, noisy or noiseless, comes from `draw_counts`,
-one inverse-CDF lookup per shot, and it, `postselect` and
-`expectation_with_variance` also take one row per circuit.  Postselection
-reads what was drawn and runs nothing again: `trajectory_fidelity` gives
-the raw and the postselected fidelity of one set of trajectories.  Every
-stochastic routine takes its generator or seed from the caller, and every
-generator derives from (seed, stream key), so counts are bit-reproducible
-regardless of execution order; the `STREAM_*` constants name every stream.
+shots.  Every count array, noisy or noiseless, is one multinomial draw
+per row in `draw_counts`; it, `postselect` and `expectation_with_variance`
+take one row per circuit.  Postselection reads what was drawn and runs
+nothing again: `trajectory_fidelity` gives the raw and the postselected
+fidelity of one set of trajectories.  Every stochastic routine takes its
+generator or seed from the caller, and every generator derives from (seed,
+stream key), so counts are bit-reproducible regardless of execution order;
+the `STREAM_*` constants name every stream.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .circuits import Circuit, Gate, lower_circuit
 from .jw import hamming_weights, occupations, spin_strings
 
 _ROW_CHUNK = 1024  # sector rows per step of rotate_determinants
-_DRAW_BLOCK = 1 << 22  # uniforms per step of draw_counts, 32 MB
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -303,34 +302,31 @@ def draw_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.n
     """Counts of shots draws from the distribution proportional to probs, or
     to each row of probs, one row per circuit; rows draw from rng in order.
 
-    Each shot is one uniform number x in [0, cdf[-1]) that picks the first
-    outcome whose cumulative sum exceeds it (inverse CDF): an outcome of
-    probability zero is never drawn, and a probability that roundoff moves
-    between 0 and 1e-30 changes no other outcome's count.  The counts are
-    bincount(searchsorted(cdf, x, side="right")); with the draws sorted,
-    that is one search per outcome instead of one per shot.  Row k's sums
-    and draws are lifted by 2k times the largest row sum, so one search
-    serves a block of rows; equal sums stay equal, and row 0 is not moved.
+    One multinomial draw per row, by one conditional binomial per outcome
+    (Devroye, Non-Uniform Random Variate Generation, Springer 1986, ch. XI),
+    so the cost grows with the outcomes, not the shots.  A probability below
+    1e-20 of its row's sum is set to 0 and never drawn, so roundoff that
+    moves one between 0 and 1e-30 changes no count; the mass so dropped,
+    below n_outcomes * 1e-20 of the row's, goes to the row's largest
+    outcome.  That outcome is drawn last, as the last takes every shot the
+    binomials leave, so an outcome of probability 0 is never drawn.  A row
+    with a non-finite sum, a negative entry or a zero sum raises ValueError.
     """
-    cdf = np.cumsum(probs, axis=-1)
-    rows = cdf.reshape(-1, cdf.shape[-1])
-    counts = np.empty(rows.shape, dtype=np.int64)
-    step = max(1, _DRAW_BLOCK // shots)
-    for start in range(0, len(rows), step):
-        block = rows[start : start + step]
-        totals = block[:, -1:]
-        k = np.arange(len(block))[:, None]
-        lift = 2.0 * totals.max() * k
-        keys = block + lift
-        draws = rng.random((len(block), shots)) * totals
-        draws.sort(axis=1)
-        draws += lift
-        # roundoff can round a draw up to its row's sum: just below it, the
-        # draw picks the row's last outcome of nonzero probability
-        np.minimum(draws, np.nextafter(keys[:, -1:], -np.inf), out=draws)
-        ends = np.searchsorted(draws.ravel(), keys.ravel()).reshape(block.shape)
-        counts[start : start + step] = np.diff(ends - shots * k, axis=1, prepend=0)
-    return counts.reshape(cdf.shape)
+    rows = np.array(probs, dtype=float).reshape(-1, np.shape(probs)[-1])
+    sums = rows.sum(axis=1)
+    for bad, reason in (
+        (~np.isfinite(sums), "has a non-finite sum"),
+        ((rows < 0.0).any(axis=1), "has a negative entry"),
+        (sums == 0.0, "sums to zero"),
+    ):
+        if bad.any():
+            raise ValueError(f"probability row {np.flatnonzero(bad)[0]} {reason}")
+    rows[rows < 1e-20 * sums[:, None]] = 0.0
+    k, top, last = np.arange(len(rows)), rows.argmax(axis=1), rows.shape[1] - 1
+    rows[k, top], rows[k, last] = rows[k, last], rows[k, top]
+    counts = rng.multinomial(shots, rows / sums[:, None])
+    counts[k, top], counts[k, last] = counts[k, last], counts[k, top]
+    return counts.reshape(np.shape(probs))
 
 
 def postselect(counts: np.ndarray, n_electrons: int) -> np.ndarray:

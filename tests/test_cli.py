@@ -401,6 +401,21 @@ def test_curve_orders_rows_whose_name_gives_no_distance(tmp_path):
     assert [r["e_total"] for r in rows] == [h2[f"{d}000000000"] for d in ("1.8", "1.4", "1.6")]
 
 
+def test_curve_molecule_filter_matches_the_printed_label(tmp_path):
+    # a.fcidump does not parse and prints as unknown, so --molecule unknown keeps it
+    for src, name in (("h2_1.4", "a"), ("h2_1.8", "unknown_1.8"), ("h2_1.6", "h2_1.6")):
+        shutil.copy(fixture_path(f"{src}.fcidump"), tmp_path / f"{name}.fcidump")
+    every, unknown = tmp_path / "every.csv", tmp_path / "unknown.csv"
+    assert run_cli("curve", "--fixture-dir", str(tmp_path), "--out", str(every)) == EXIT_OK
+    base = ("curve", "--fixture-dir", str(tmp_path), "--molecule", "unknown")
+    assert run_cli(*base, "--out", str(unknown)) == EXIT_OK
+    rows = read_csv(unknown)
+    assert [r for r in read_csv(every) if r["molecule"] == "unknown"] == rows
+    assert [(r["molecule"], r["distance_bohr"]) for r in rows] == [
+        ("unknown", "1.8000000000"), ("unknown", "")
+    ]
+
+
 def test_curve_jobs_do_not_change_output(tmp_path):
     fixtures = fixture_path("h2_1.4.fcidump").parent
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -702,6 +717,10 @@ def test_seed_changes_shot_noise(tmp_path):
         # the CSV branch of resources: depths and counts of the lowered columns
         ("resources_h4_2.6.csv",
          ("resources", "--fixture", str(fixture_path("h4_2.6.fcidump")))),
+        # no --shots: the default 100 000, the shot count a default run draws
+        ("noise_study_h4_default_shots_seed5.json",
+         ("noise-study", "--fixture", str(fixture_path("h4_2.6.fcidump")),
+          "--seed", "5", "--format", "json")),
     ],
 )
 def test_seeded_output_matches_golden(tmp_path, golden, argv):

@@ -19,7 +19,6 @@ from omp2sim.circuits import (
     rz,
     x,
 )
-from omp2sim import simulator
 from omp2sim.jw import hamming_weights, occupations
 from omp2sim.oracle import circuit_unitary
 from omp2sim.simulator import (
@@ -206,7 +205,7 @@ def test_a_roundoff_probability_moves_no_seeded_count():
         assert np.array_equal(sample(tiny, 1000, rng=rng_stream(3, key)), exact)
 
 
-def test_draw_counts_of_a_matrix_draws_each_row(monkeypatch):
+def test_draw_counts_of_a_matrix_draws_each_row():
     # one row per circuit: zeros first, last and between, and unequal sums
     probs = np.array([
         [0.0, 0.2, 0.0, 0.8, 0.0],
@@ -222,9 +221,53 @@ def test_draw_counts_of_a_matrix_draws_each_row(monkeypatch):
     assert np.all(np.abs(counts / 1000 - p) <= 5.0 * np.sqrt(p * (1.0 - p) / 1000))
     # the first row draws as a single distribution does
     assert np.array_equal(counts[0], draw_counts(probs[0], 1000, rng_stream(6)))
-    # drawn a block of one row at a time, the rows read the same uniforms
-    monkeypatch.setattr(simulator, "_DRAW_BLOCK", 1)
-    assert np.array_equal(draw_counts(probs, 1000, rng_stream(6)), counts)
+
+
+def test_draw_counts_rejects_an_invalid_row():
+    ok = [0.25, 0.75, 0.0]
+    for bad, reason in (
+        ([0.0, np.nan, 0.5], "row 1 has a non-finite sum"),
+        ([np.inf, 0.0, 0.5], "row 1 has a non-finite sum"),
+        ([5.0, -2.0, 7.0], "row 1 has a negative entry"),
+        # far below the 1e-20 that draws nothing, but never silently dropped
+        ([1.0, -1e-300, 0.0], "row 1 has a negative entry"),
+        ([0.0, 0.0, 0.0], "row 1 sums to zero"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            draw_counts(np.array([ok, bad]), 10, rng_stream(1))
+    with pytest.raises(ValueError, match="row 0 sums to zero"):
+        sample(np.zeros(4), 10, rng=rng_stream(1))
+    with pytest.raises(ValueError, match="row 0 has a non-finite sum"):
+        sample(np.array([0.5, np.nan, 0.5, 0.5]), 10, NoiseModel(0, 0, 0.01), rng=rng_stream(1))
+
+
+def test_draw_counts_costs_outcomes_not_shots():
+    # 10**12 shots in one call: the counts sum exactly, and the zeros stay zero
+    probs = np.array([[0.0, 0.1, 0.0, 0.6, 0.3, 0.0], [0.5, 0.0, 0.0, 0.0, 0.0, 0.5]])
+    shots = 10**12
+    counts = draw_counts(probs, shots, rng_stream(7))
+    assert np.all(counts.sum(axis=1) == shots)
+    assert np.array_equal(counts > 0, probs > 0)
+    assert np.all(np.abs(counts / shots - probs) <= 5.0 * np.sqrt(probs / shots))
+
+
+def test_draw_counts_never_draws_a_zero_even_after_roundoff():
+    # the binomials leave the roundoff of 1 - sum(p) to the last outcome drawn;
+    # with 10**15 shots a zero there would be drawn in about one row of twenty
+    gen = np.random.default_rng(12)
+    probs = gen.random((400, 24)) * (gen.random((400, 24)) < 0.5)
+    probs[:, -1] = 0.0
+    probs[:, 0] += 0.01  # no row sums to zero
+    counts = draw_counts(probs, 10**15, rng_stream(8))
+    assert np.all(counts.sum(axis=1) == 10**15)
+    assert not np.any(counts[probs == 0.0])
+
+
+def test_a_scaled_row_draws_the_same_counts():
+    probs = np.array([[0.0, 0.2, 1e-25, 0.8, 0.0], [1.0, 2.0, 3.0, 4.0, 1e-19]])
+    counts = draw_counts(probs, 1000, rng_stream(9))
+    for scale in (2.0**-900, 2.0**900):
+        assert np.array_equal(draw_counts(probs * scale, 1000, rng_stream(9)), counts)
 
 
 def test_postselect_and_expectation_of_a_matrix_act_per_row():
