@@ -21,6 +21,8 @@ or postselection rejected every shot of a circuit), 5 over capacity.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import re
 import sys
@@ -42,6 +44,19 @@ from .omp2 import (
 )
 from .oracle import ReferenceValues
 from .simulator import load_noise_presets, run, trajectory_fidelity
+
+# A command-line run ends with its process.  Without this hook, CPython's
+# finalization then collects and frees, one by one, the reference cycles of
+# every function, class and module dict that numpy and the standard library
+# made.  gc.freeze moves every tracked object into the permanent generation
+# just before that step, so the final collections skip them and the OS
+# reclaims the memory: on a 2-vCPU host exit takes 18 ms without the hook and
+# 5 ms with it, where an exact LiH evaluation takes under 1 ms.  The hook
+# runs only at exit, after main has returned: collection during a run is
+# untouched, the interpreter still flushes stdout and stderr afterwards, and
+# every other exit handler still runs.  Only the command line registers it;
+# `import omp2sim` leaves a host process its own teardown.
+atexit.register(gc.freeze)
 
 EXIT_OK = 0
 EXIT_USAGE = 2

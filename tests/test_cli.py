@@ -678,6 +678,40 @@ def test_output_does_not_depend_on_blas_threads(tmp_path):
         assert len(outputs) == 1 and b"" not in outputs, argv
 
 
+_FREEZE_AT_EXIT = """
+import atexit, gc
+# registered before the import, so it runs after the handlers the import registers
+atexit.register(lambda: print(gc.get_freeze_count()))
+import {module}
+"""
+
+
+@pytest.mark.parametrize("module", ["omp2sim.cli", "omp2sim"])
+def test_only_the_command_line_skips_freeing_at_exit(module):
+    done = subprocess.run(
+        [sys.executable, "-c", _FREEZE_AT_EXIT.format(module=module)],
+        env=_fresh_env(), capture_output=True, text=True, check=True,
+    )
+    # the console script freezes every object before the final collections;
+    # a process that only imports the library keeps its own teardown
+    frozen = int(done.stdout)
+    assert frozen > 0 if module == "omp2sim.cli" else frozen == 0
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_output_survives_the_exit(tmp_path, to_file):
+    for path in Path(H2_FIXTURE).parent.glob("h4_*.fcidump"):
+        shutil.copyfile(path, tmp_path / path.name)
+    out = tmp_path / "curve.csv"
+    argv = ["curve", "--fixture-dir", str(tmp_path), "--molecule", "h4", "--jobs", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "omp2sim.cli", *argv, *(["--out", str(out)] if to_file else [])],
+        env=_fresh_env(), capture_output=True, check=True,
+    )
+    written = out.read_bytes() if to_file else done.stdout
+    assert written == (GOLDEN / "curve_h4_exact.csv").read_bytes()
+
+
 def test_seed_changes_shot_noise(tmp_path):
     a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
     base = ("energy", "--fixture", H2_FIXTURE, "--mode", "shots", "--shots", "500")
