@@ -33,7 +33,7 @@ class FcidumpError(ValueError):
     """Malformed FCIDUMP content."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MolecularIntegrals:
     """Spatial-orbital integrals for one closed-shell problem."""
 
@@ -87,7 +87,7 @@ class ActiveSpaceSpec:
             raise ValueError("frozen and deleted lists overlap")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinIntegrals:
     """Spin-orbital view over the spatial tensors (alpha/beta interleaved)."""
 

@@ -1,9 +1,10 @@
 """Circuit builders and exact depth accounting.
 
-Gate alphabet: X, H, RY, RZ, CNOT, CZ, MULTI_CRY.  Depth is counted over
+Gate alphabet: X, CNOT, CZ and MULTI_CRY with at least one control, the
+gates the builders emit; every one is real.  Depth is counted over
 2-qubit entangling gates only, after lowering multi-controlled rotations
 to their CRY/CNOT network; a single-control MULTI_CRY is itself an
-atomic 2-qubit gate.  Single-qubit gates are free.  The lowering is the
+atomic 2-qubit gate.  X gates are free.  The lowering is the
 Gray-code network of Barenco et al., PRA 52, 3457 (1995): k controls give
 2^k - 1 CRYs by +-angle / 2^(k-1), one per nonzero k-bit Gray code, and
 2^k - 2 CNOTs, all in sequence, so CNOT depth 2^(k+1) - 3.
@@ -33,7 +34,7 @@ import numpy as np
 GIVENS_ZERO_TOL = 1e-14
 ORTHO_TOL = 1e-10
 
-ONE_QUBIT_KINDS = frozenset({"X", "H", "RY", "RZ"})
+ONE_QUBIT_KINDS = frozenset({"X"})
 TWO_QUBIT_KINDS = frozenset({"CNOT", "CZ"})
 
 
@@ -48,6 +49,8 @@ class Gate:
             raise ValueError("gate operands must be distinct")
         if any(q < 1 for q in self.qubits):
             raise ValueError("qubit indices are 1-based")
+        if self.kind not in ONE_QUBIT_KINDS | TWO_QUBIT_KINDS | {"MULTI_CRY"}:
+            raise ValueError(f"unknown gate kind {self.kind!r}; gates are X, CNOT, CZ, MULTI_CRY")
         n_ops = len(self.qubits)
         if self.kind in ONE_QUBIT_KINDS and n_ops != 1:
             raise ValueError(f"{self.kind} takes one operand")
@@ -67,18 +70,6 @@ class Gate:
 
 def x(q):
     return Gate("X", (q,))
-
-
-def h(q):
-    return Gate("H", (q,))
-
-
-def ry(q, angle):
-    return Gate("RY", (q,), angle)
-
-
-def rz(q, angle):
-    return Gate("RZ", (q,), angle)
 
 
 def cnot(control, target):

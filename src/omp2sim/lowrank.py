@@ -25,7 +25,7 @@ import numpy as np
 from .jw import occupations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementGroup:
     """One rotated measurement, stored as its spatial rank-one factors.
 

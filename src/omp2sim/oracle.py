@@ -4,8 +4,8 @@ Everything here is computed without the statevector simulator, the
 low-rank groups or the estimator, and with its own enumeration of basis
 states: full CI on the fixed-number sector, built term by term from the
 integrals, the closed-form second-order correlation energy, a dense
-gate-by-gate circuit unitary and its one-particle block, and the packaged
-reference energy tables.
+gate-by-gate circuit unitary, real as every gate is, and its one-particle
+block, and the packaged reference energy tables.
 """
 
 from __future__ import annotations
@@ -200,32 +200,15 @@ def canonical_mp2(si: SpinIntegrals, eps: np.ndarray, n_electrons: int) -> float
 
 
 def _dense_gate(g: Gate, n_qubits: int) -> np.ndarray:
-    """Real for every gate but RZ."""
     dim = 1 << n_qubits
     cols = np.arange(dim)
-    mat = np.zeros((dim, dim), dtype=complex if g.kind == "RZ" else float)
+    mat = np.zeros((dim, dim))
 
     def bit(q: int) -> int:
         return 1 << (n_qubits - q)
 
     if g.kind == "X":
         mat[cols ^ bit(g.qubits[0]), cols] = 1.0
-    elif g.kind == "H":
-        b = bit(g.qubits[0])
-        signs = 1.0 - 2.0 * ((cols & b) > 0)
-        mat[cols, cols] = signs / np.sqrt(2.0)
-        mat[cols ^ b, cols] = 1.0 / np.sqrt(2.0)
-    elif g.kind == "RY":
-        b = bit(g.qubits[0])
-        c, s = np.cos(g.angle / 2.0), np.sin(g.angle / 2.0)
-        mat[cols, cols] = c
-        set_mask = (cols & b) > 0
-        # |0> -> c|0> + s|1>, |1> -> c|1> - s|0>
-        mat[cols ^ b, cols] = np.where(set_mask, -s, s)
-    elif g.kind == "RZ":
-        b = bit(g.qubits[0])
-        phase = np.where((cols & b) > 0, np.exp(1j * g.angle / 2.0), np.exp(-1j * g.angle / 2.0))
-        mat[cols, cols] = phase
     elif g.kind == "CNOT":
         c_b, t_b = bit(g.qubits[0]), bit(g.qubits[1])
         rows = np.where((cols & c_b) > 0, cols ^ t_b, cols)
@@ -241,17 +224,15 @@ def _dense_gate(g: Gate, n_qubits: int) -> np.ndarray:
         c, s = np.cos(g.angle / 2.0), np.sin(g.angle / 2.0)
         set_mask = (cols & t_b) > 0
         mat[cols, cols] = np.where(active, c, 1.0)
+        # |0> -> c|0> + s|1>, |1> -> c|1> - s|0> on the target where controls are 1
         off = np.where(set_mask, -s, s)
         mat[cols[active] ^ t_b, cols[active]] = off[active]
-    else:
-        raise ValueError(f"unknown gate kind {g.kind}")
     return mat
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     if c.n_qubits > MAX_DENSE_CIRCUIT_QUBITS:
         raise ValueError("dense circuit unitary capped at 8 qubits")
-    # real until the first RZ: real products are a quarter of the work
     u = np.eye(1 << c.n_qubits)
     for g in c.gates:
         u = _dense_gate(g, c.n_qubits) @ u

@@ -15,23 +15,27 @@ the Fermionic Quantum Emulator (Rubin et al., Quantum 5, 568 (2021)).
 Determinants are given as basis states, and `jw.spin_strings` alone
 splits them into their alpha and beta strings, numbered as jw numbers
 them.  u is real, so the rotated determinants are float64.
-`apply_circuit` runs gates on all 2^N complex amplitudes; noisy circuits
-need it, because a Pauli error leaves the sector and Y is not real.
-Noiseless shots stay in the sector, so the estimator draws them over the
-sector rows itself; `run`, `sample` and `postselect` serve the noisy
-path.
+`apply_circuit` runs gates on all 2^N amplitudes; noisy circuits need
+it, because a Pauli error leaves the sector.  Noiseless shots stay in
+the sector, so the estimator draws them over the sector rows itself;
+`run`, `sample` and `postselect` serve the noisy path.
 
 One kernel does the full-space work: every gate, Pauli error and readout
-flip is one 2x2 matrix on its target qubit under its controls (X for X
-and CNOT, Z on CZ's second qubit, [[c, -s], [s, c]] for RY and MULTI_CRY,
-[[1 - p, p], [p, 1 - p]] for a readout flip on each qubit).
+flip is one real 2x2 matrix on its target qubit under its controls (X
+for X and CNOT, Z on CZ's second qubit, [[c, -s], [s, c]] for MULTI_CRY,
+[[1 - p, p], [p, 1 - p]] for a readout flip on each qubit).  Every gate
+the circuits hold is real, so a real state stays float64 from |0...0>
+on; a complex input stays complex.
 
 Noise is a stochastic Pauli trajectory model: after each gate, with
 probability p1 (one-qubit) or p2 (two-qubit), a uniformly random
 non-identity Pauli acts on the gate's qubits; measurement flips each
-read bit with probability p_readout.  Multi-controlled rotations are
-lowered to their CRY/CNOT network before noisy execution so error
-counts follow the depth accounting.
+read bit with probability p_readout.  A Y error is applied as the real
+[[0, -1], [1, 0]] = -iY, so a trajectory's state differs from the one Y
+would give only by a global phase i^k, which no probability, count or
+overlap modulus sees.  Multi-controlled rotations are lowered to their
+CRY/CNOT network before noisy execution so error counts follow the depth
+accounting.
 
 States and shots are plain arrays: `run` returns the normalized 2^N
 amplitudes, `sample` returns shot counts indexed like those amplitudes,
@@ -101,9 +105,8 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 # matrices are ((m00, m01), (m10, m11)) tuples of Python numbers
 _X = ((0.0, 1.0), (1.0, 0.0))
 _Z = ((1.0, 0.0), (0.0, -1.0))
-_PAULIS = (_X, ((0.0, -1j), (1j, 0.0)), _Z)  # X, Y, Z
-_H = tuple(tuple(m / math.sqrt(2.0) for m in row) for row in ((1.0, 1.0), (1.0, -1.0)))
-_FIXED_MATRICES = {"X": _X, "CNOT": _X, "CZ": _Z, "H": _H}
+_PAULIS = (_X, ((0.0, -1.0), (1.0, 0.0)), _Z)  # X, -iY, Z
+_FIXED_MATRICES = {"X": _X, "CNOT": _X, "CZ": _Z}
 
 
 def _apply_controlled(tensor, controls, target, mat):
@@ -132,13 +135,9 @@ def _apply_controlled(tensor, controls, target, mat):
 
 def _gate_matrix(g: Gate):
     """The 2x2 matrix a gate applies to its last qubit, controlled by the others."""
-    if g.kind in _FIXED_MATRICES:
+    if g.kind != "MULTI_CRY":
         return _FIXED_MATRICES[g.kind]
-    if g.kind not in ("RY", "MULTI_CRY", "RZ"):
-        raise ValueError(f"unknown gate kind {g.kind}")
     c, s = math.cos(g.angle / 2.0), math.sin(g.angle / 2.0)
-    if g.kind == "RZ":
-        return ((complex(c, -s), 0.0), (0.0, complex(c, s)))
     return ((c, -s), (s, c))
 
 
@@ -232,14 +231,15 @@ def apply_circuit(
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Apply c to amplitudes of shape (2^N, ...batch); returns a new complex array.
+    """Apply c to amplitudes of shape (2^N, ...batch); returns a new array of
+    the amplitudes' floating dtype (float64 for real or integer input).
 
     With noise, one stochastic Pauli trajectory is produced (rng required).
     """
     if noise is not None and rng is None:
         raise ValueError("noisy execution needs an rng")
     batch = amplitudes.shape[1:]
-    work = amplitudes.astype(complex).reshape((2,) * c.n_qubits + batch)
+    work = amplitudes.astype(np.result_type(amplitudes, float)).reshape((2,) * c.n_qubits + batch)
     gates = c.gates if noise is None else lower_circuit(c).gates
     for g in gates:
         _apply_controlled(work, g.qubits[:-1], g.qubits[-1], _gate_matrix(g))
@@ -263,8 +263,8 @@ def run(
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Normalized amplitudes of c applied to |0...0>."""
-    zero = np.zeros(1 << c.n_qubits, dtype=complex)
+    """Normalized float64 amplitudes of c applied to |0...0>."""
+    zero = np.zeros(1 << c.n_qubits)
     zero[0] = 1.0
     amps = apply_circuit(c, zero, noise, rng)
     amps /= np.linalg.norm(amps)

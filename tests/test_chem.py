@@ -67,6 +67,17 @@ def test_parse_packaged_fixture():
     assert np.abs(mi.h1 - mi.h1.T).max() < 1e-14
 
 
+def test_array_records_compare_and_hash_by_identity():
+    # a generated __eq__ would compare the arrays and raise; records of
+    # arrays are equal only to themselves, and hash by identity
+    path = fixture_path("h2_1.4.fcidump")
+    mi = parse_fcidump(path)
+    for record, twin in ((mi, parse_fcidump(path)), (spin_orbitalize(mi), spin_orbitalize(mi))):
+        assert record == record
+        assert record != twin
+        assert len({record, twin}) == 2
+
+
 def test_parse_rejects_missing_header():
     with pytest.raises(FcidumpError):
         parse_fcidump("&FCI NELEC=2,MS2=0,\n&END\n 0.0 0 0 0 0\n")

@@ -44,6 +44,10 @@ def test_gate_validation():
         x(0)
     with pytest.raises(ValueError):
         multi_cry((1, 2), 2, 0.3)
+    # only the kinds the builders emit, spelled as they spell them
+    for kind, qubits in (("FOO", (1, 2)), ("cnot", (1,)), ("H", (1,)), ("RY", (1,)), ("RZ", (1,))):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            Gate(kind, qubits, 0.3)
 
 
 def test_prep_reference_sets_low_qubits():

@@ -133,6 +133,15 @@ def test_one_body_group_diagonalizes(refs):
     assert g0.weight == 0.0 and not g0.factor.any()
 
 
+def test_groups_compare_and_hash_by_identity(refs):
+    # as for the integral records: a generated __eq__ on arrays would raise
+    _, t, eri, _ = _factorized(refs, "h3p")
+    g0, twin = one_body_group(t, eri), one_body_group(t, eri)
+    assert g0 == g0
+    assert g0 != twin
+    assert len({g0, twin}) == 2
+
+
 def test_two_body_requires_positive_tol(refs):
     _, _, eri, _ = _factorized(refs, "h2")
     with pytest.raises(ValueError):

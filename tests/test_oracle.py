@@ -9,7 +9,7 @@ from conftest import load_point
 from helpers import dense_perturbation, phase_distance
 from omp2sim import oracle
 from omp2sim.chem import orbital_energies, spin_orbitalize
-from omp2sim.circuits import Circuit, cnot, cz, h, multi_cry, rz, x
+from omp2sim.circuits import Circuit, cnot, cz, multi_cry, x
 from omp2sim.jw import hamming_weights
 from omp2sim.oracle import (
     ReferenceValues,
@@ -104,8 +104,6 @@ def test_number_block_matches_dense_reference(refs, molecule, distance):
 def test_unitary_hand_checks():
     ux = circuit_unitary(Circuit(1, (x(1),)))
     assert np.allclose(ux, [[0, 1], [1, 0]])
-    uh = circuit_unitary(Circuit(1, (h(1),)))
-    assert np.allclose(uh, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
     # qubit 1 is the most significant bit
     ucx = circuit_unitary(Circuit(2, (cnot(1, 2),)))
     perm = np.zeros((4, 4))
@@ -113,8 +111,6 @@ def test_unitary_hand_checks():
     assert np.allclose(ucx, perm)
     ucz = circuit_unitary(Circuit(2, (cz(1, 2),)))
     assert np.allclose(ucz, np.diag([1, 1, 1, -1]))
-    urz = circuit_unitary(Circuit(1, (rz(1, 0.5),)))
-    assert np.allclose(urz, np.diag([np.exp(-0.25j), np.exp(0.25j)]))
 
 
 def test_multi_cry_unitary_sectors():

@@ -22,6 +22,9 @@ def test_public_surface():
         (circuits.Circuit, "to_text"),
         (simulator, "default_seed"),
         (simulator, "SEED_ENV_VAR"),
+        (circuits, "h"),
+        (circuits, "ry"),
+        (circuits, "rz"),
     ]
     gone += [(omp2sim, name) for name in ("FactorizedPerturbation", "single_particle_action")]
     for owner, name in gone:

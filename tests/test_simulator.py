@@ -12,11 +12,8 @@ from omp2sim.circuits import (
     cnot,
     compile_orbital_rotation,
     cz,
-    h,
     lower_circuit,
     multi_cry,
-    ry,
-    rz,
     x,
 )
 from omp2sim.jw import hamming_weights, occupations
@@ -39,20 +36,15 @@ from omp2sim.simulator import (
 
 
 def random_circuit(n, seed, length=12):
+    # superpositions come from X gates that open the controls of a MULTI_CRY
     rng = np.random.default_rng(seed)
     gates = []
     for _ in range(length):
-        kind = rng.integers(6)
+        kind = rng.integers(4)
         q = int(rng.integers(1, n + 1))
         if kind == 0:
             gates.append(x(q))
         elif kind == 1:
-            gates.append(h(q))
-        elif kind == 2:
-            gates.append(ry(q, float(rng.normal())))
-        elif kind == 3:
-            gates.append(rz(q, float(rng.normal())))
-        elif kind == 4:
             t = int(rng.choice([p for p in range(1, n + 1) if p != q]))
             gates.append(cnot(q, t) if rng.integers(2) else cz(q, t))
         else:
@@ -147,17 +139,20 @@ def test_orbital_rotation_rejects_bad_input():
         number_sector(5, 2)
 
 
+# (|01> + |10>) / sqrt(2)
+BELL = Circuit(2, (x(2), multi_cry((2,), 1, np.pi / 2), cnot(1, 2)))
+
+
 def test_run_produces_normalized_state():
-    c = Circuit(2, (h(1), cnot(1, 2)))
-    amps = run(c)
+    amps = run(BELL)
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
-    assert abs(abs(amps[0b00]) ** 2 - 0.5) < 1e-12
-    assert abs(abs(amps[0b11]) ** 2 - 0.5) < 1e-12
+    assert abs(abs(amps[0b01]) ** 2 - 0.5) < 1e-12
+    assert abs(abs(amps[0b10]) ** 2 - 0.5) < 1e-12
     assert run(Circuit(3, ())).tolist() == [1.0] + [0.0] * 7
 
 
 def test_sample_rejects_bad_input():
-    amps = run(Circuit(2, (h(1),)))
+    amps = run(BELL)
     with pytest.raises(ValueError, match="shots"):
         sample(amps, 0, rng=rng_stream(1))
     for bad in (amps[:3], amps.reshape(2, 2), np.zeros(0), np.stack([amps, amps])):
@@ -168,7 +163,7 @@ def test_sample_rejects_bad_input():
 
 
 def test_sample_is_deterministic_per_stream():
-    amps = run(Circuit(2, (h(1), cnot(1, 2))))
+    amps = run(BELL)
     c1 = sample(amps, 500, rng=rng_stream(9, 1))
     c2 = sample(amps, 500, rng=rng_stream(9, 1))
     c3 = sample(amps, 500, rng=rng_stream(9, 2))
@@ -197,7 +192,8 @@ def test_sample_never_draws_an_outcome_of_probability_zero():
 def test_a_roundoff_probability_moves_no_seeded_count():
     # whether roundoff leaves an outcome at probability 1e-30 or exactly zero
     # must not shift the counts of the other outcomes
-    amps = run(Circuit(3, (h(1), ry(2, 0.7), cnot(1, 3))))
+    gates = (x(3), multi_cry((3,), 1, np.pi / 2), multi_cry((3,), 2, 0.7), cnot(1, 3))
+    amps = run(Circuit(3, gates))
     tiny = amps.copy()
     tiny[np.flatnonzero(amps == 0)[0]] = 1e-15
     for key in range(20):
@@ -337,7 +333,7 @@ def test_single_outcome_has_zero_variance():
 
 
 def test_noise_trajectories_deterministic():
-    c = Circuit(3, (h(1), cnot(1, 2), cnot(2, 3)))
+    c = Circuit(3, (x(2), multi_cry((2,), 1, np.pi / 2), cnot(1, 2), cnot(2, 3)))
     noise = NoiseModel(p1=0.05, p2=0.2, p_readout=0.0)
     s1 = run(c, noise=noise, rng=rng_stream(4, 0))
     s2 = run(c, noise=noise, rng=rng_stream(4, 0))
@@ -368,7 +364,7 @@ def test_pauli_errors_match_dense_reference(p, key):
     n = 4
     c = Circuit(
         n,
-        (x(1), h(2), cnot(1, 3), cz(2, 4), multi_cry((1, 3), 4, 0.7), ry(2, 0.3), rz(3, 0.4)),
+        (x(1), multi_cry((1,), 2, np.pi / 2), cnot(1, 3), cz(2, 4), multi_cry((1, 3), 4, 0.7)),
     )
     noise = NoiseModel(p1=p, p2=p, p_readout=0.0)
     draws = rng_stream(11, key)
@@ -384,6 +380,25 @@ def test_pauli_errors_match_dense_reference(p, key):
                 if letter:
                     expected = _dense_pauli(n, q, letter - 1) @ expected
     assert phase_distance(expected, run(c, noise, rng_stream(11, key))) < 1e-12
+
+
+def test_real_amplitudes_stay_float64_and_complex_stay_complex():
+    c = random_circuit(4, 7)
+    noise = NoiseModel(p1=0.5, p2=0.5, p_readout=0.0)
+    real = np.eye(16)[:, :3]
+    for out in (
+        apply_circuit(c, real),
+        apply_circuit(c, np.eye(16, dtype=int)[:, 0]),
+        apply_circuit(c, real, noise, rng_stream(1)),
+        run(c),
+        run(c, noise, rng_stream(2)),
+    ):
+        assert out.dtype == np.float64
+    # the kernel is linear and its noise draws do not read the state
+    noisy = apply_circuit(c, real, noise, rng_stream(1))
+    out = apply_circuit(c, 1j * real, noise, rng_stream(1))
+    assert out.dtype == np.complex128
+    assert np.abs(out - 1j * noisy).max() < 1e-15
 
 
 def test_noisy_run_requires_rng():
