@@ -4,7 +4,9 @@ Reads FCIDUMP files into spatial-orbital integral tensors, applies
 frozen-core / deleted-virtual reduction, expands to spin orbitals, and
 builds the one-body perturbation matrix and the closed-shell orbital
 energies, eps_p = h_pp + sum over the occupied spatial i of
-[2 (pp|ii) - (pi|ip)], that the rest of the pipeline consumes.
+[2 (pp|ii) - (pi|ip)], that the rest of the pipeline consumes.  The orbital
+rotation U = exp(kappa) and its adjoint derivative come from one real
+eigendecomposition of kappa (`kappa_spectrum`).
 
 Conventions (fixed here, relied on everywhere else):
   * spatial ERI stored chemist style, (pq|rs), full 8-fold symmetry;
@@ -19,6 +21,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -275,27 +278,69 @@ def build_perturbation(h1: np.ndarray, eps: np.ndarray, u: np.ndarray) -> np.nda
     return h1 - u @ np.diag(eps) @ u.T
 
 
-def expm_antisymmetric(kappa: np.ndarray) -> np.ndarray:
-    """exp(kappa) for a real antisymmetric kappa, from one Hermitian eigensolve.
+class KappaSpectrum(NamedTuple):
+    """The spectrum of 1j*kappa, for a real antisymmetric M x M kappa, from
+    `kappa_spectrum`: every eigenvalue lam twice, and z, M x 2M, one column
+    per copy.  Half the sum of z_k z_k^H over the copies of an eigenvalue is
+    its spectral projector."""
 
-    With 1j*kappa = V diag(lam) V^H, exp(kappa) = I + Re[V diag(expm1(-1j lam)) V^H];
-    writing it around I makes kappa = 0 give exactly I.  Only the lower
-    triangle of kappa is read.
+    lam: np.ndarray
+    z: np.ndarray
+
+
+def kappa_spectrum(kappa: np.ndarray) -> KappaSpectrum:
+    """The spectrum of 1j*kappa from one real symmetric eigendecomposition.
+
+    With K = kappa's strict lower triangle minus its transpose (kappa itself
+    when kappa is antisymmetric), 1j*kappa = 1j*K is the Hermitian matrix
+    whose real 2M x 2M form is R = [[0, -K], [K, 0]]: R [a; b] = lam [a; b]
+    exactly when (1j*K)(a + 1j b) = lam (a + 1j b), and [-b; a] is then an
+    eigenvector too, so each eigenvalue of 1j*kappa appears twice in R.  For
+    R = E diag(lam) E^T, z = E[:M] + 1j E[M:].  Whatever basis eigh picks
+    inside a degenerate space, half the sum of z z^H over it is the complex
+    projector.  Only the lower triangle of kappa is read.
     """
-    lam, v = np.linalg.eigh(1j * np.asarray(kappa, dtype=float))
-    return np.eye(len(lam)) + ((v * np.expm1(-1j * lam)) @ v.conj().T).real
+    lower = np.tril(np.asarray(kappa, dtype=float), -1)
+    k = lower - lower.T
+    m = len(k)
+    r = np.zeros((2 * m, 2 * m))
+    r[m:, :m], r[:m, m:] = k, -k
+    lam, e = np.linalg.eigh(r)
+    return KappaSpectrum(lam, e[:m] + 1j * e[m:])
 
 
-def expm_antisymmetric_adjoint(kappa: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The adjoint Frechet derivative of expm at a real antisymmetric kappa, applied to g.
+def _spectrum(kappa) -> KappaSpectrum:
+    return kappa if isinstance(kappa, KappaSpectrum) else kappa_spectrum(kappa)
+
+
+def expm_antisymmetric(kappa) -> np.ndarray:
+    """exp(kappa) for a real antisymmetric kappa, or for its `kappa_spectrum`.
+
+    exp(kappa) = I + 1/2 Re[z diag(expm1(-1j lam)) z^H]: each projector is
+    half the sum over the two copies of its eigenvalue, and writing it around
+    I makes kappa = 0 give exactly I.  Only the lower triangle of kappa is
+    read.  One decomposition feeds both U and the adjoint: a caller that
+    wants both passes them the same `kappa_spectrum`.
+    """
+    lam, z = _spectrum(kappa)
+    # two-operand einsums, no BLAS product
+    rotated = np.einsum("pk,qk->pq", z * np.expm1(-1j * lam), z.conj())
+    return np.eye(len(z)) + 0.5 * rotated.real
+
+
+def expm_antisymmetric_adjoint(kappa, g: np.ndarray) -> np.ndarray:
+    """The adjoint Frechet derivative of expm at a real antisymmetric kappa,
+    or at its `kappa_spectrum`, applied to g.
 
     This is dE/dkappa for dE/dU = g at U = exp(kappa), i.e. the Frechet
-    derivative of expm at kappa^T in direction g.  In the eigenbasis of
-    1j*kappa (eigenvalues lam) it is the Daleckii-Krein product with
+    derivative of expm at kappa^T in direction g.  Over the spectrum of
+    1j*kappa it is the Daleckii-Krein product 1/4 Re[z (Phi o (z^H g z)) z^H],
+    the 1/4 from the two half projectors, with
     Phi_jk = exp(1j (lam_j + lam_k)/2) sinc((lam_j - lam_k)/2pi), which needs
     no branch for equal eigenvalues.
     """
-    lam, v = np.linalg.eigh(1j * np.asarray(kappa, dtype=float))
+    lam, z = _spectrum(kappa)
     phi = np.exp(0.5j * (lam[:, None] + lam)) * np.sinc((lam[:, None] - lam) / (2.0 * np.pi))
-    vh = v.conj().T
-    return (v @ ((vh @ g @ v) * phi) @ vh).real
+    zh = z.conj()
+    inner = np.einsum("jq,qk->jk", np.einsum("pj,pq->jq", zh, g), z) * phi
+    return 0.25 * np.einsum("pk,qk->pq", np.einsum("pj,jk->pk", z, inner), zh).real

@@ -27,6 +27,7 @@ convention of module jw (qubit p = spin orbital p, |1> = occupied):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +41,19 @@ TWO_QUBIT_KINDS = frozenset({"CNOT", "CZ"})
 
 @dataclass(frozen=True)
 class Gate:
+    """One gate of the alphabet on 1-based qubits, (*controls, target).
+
+    MULTI_CRY rotates its target by a finite angle when every control is
+    set; X, CNOT and CZ take no angle.
+    """
+
     kind: str
     qubits: tuple[int, ...]  # (*controls, target) for every kind
     angle: float | None = None
 
     def __post_init__(self):
+        if not all(isinstance(q, numbers.Integral) for q in self.qubits):
+            raise ValueError(f"qubit indices must be integers, got {self.qubits!r}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate operands must be distinct")
         if any(q < 1 for q in self.qubits):
@@ -56,8 +65,13 @@ class Gate:
             raise ValueError(f"{self.kind} takes one operand")
         if self.kind in TWO_QUBIT_KINDS and n_ops != 2:
             raise ValueError(f"{self.kind} takes two operands")
-        if self.kind == "MULTI_CRY" and n_ops < 2:
-            raise ValueError("MULTI_CRY needs at least one control")
+        if self.kind == "MULTI_CRY":
+            if n_ops < 2:
+                raise ValueError("MULTI_CRY needs at least one control")
+            if not isinstance(self.angle, numbers.Real) or not math.isfinite(self.angle):
+                raise ValueError(f"MULTI_CRY needs a finite angle, got {self.angle!r}")
+        elif self.angle is not None:
+            raise ValueError(f"{self.kind} takes no angle, got {self.angle!r}")
 
     @property
     def controls(self) -> tuple[int, ...]:
@@ -86,6 +100,8 @@ def multi_cry(controls, target, angle):
 
 @dataclass(frozen=True)
 class Circuit:
+    """A gate sequence on n_qubits qubits, applied first to last."""
+
     n_qubits: int
     gates: tuple[Gate, ...]
 
@@ -98,6 +114,8 @@ class Circuit:
 
 @dataclass(frozen=True)
 class ResourceReport:
+    """The entangling cost of a circuit after lowering: CNOT-layer depth and CNOT count."""
+
     cnot_depth: int
     cnot_count: int
 

@@ -31,7 +31,9 @@ reference itself.  A double with both spin masks 0 changes S_z, and its
 residual is 0 at every theta.  The same intermediates give the analytic
 gradient in theta, diagnostics["gradient"]: the OMP2 functional of
 Bozkaya, Turney, Yamaguchi, Schaefer and Sherrill, JCP 135, 104103 (2011),
-pulled back to kappa through the adjoint Frechet derivative of exp.
+pulled back to kappa through the adjoint Frechet derivative of exp.  u and
+that pull-back come from one real eigendecomposition of kappa per
+evaluation (`chem.kappa_spectrum`).
 E2 is then summed as in shots mode, by `_assemble`.
 Noiseless shots rotate determinants: each group rotates the reference
 and one determinant per double once, by O^T u (O the group's measurement
@@ -76,6 +78,7 @@ from .chem import (
     build_perturbation,
     expm_antisymmetric,
     expm_antisymmetric_adjoint,
+    kappa_spectrum,
     orbital_energies,
     spin_orbitalize,
 )
@@ -203,6 +206,10 @@ def enumerate_doubles(n_spin: int, n_electrons: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
+    """One evaluation's electronic energy, total = e0 + e1 + e2, and its
+    estimated variance (0 in exact mode); diagnostics holds the per-double
+    residuals and, by mode, the gradient or the shot statistics."""
+
     e0: float
     e1: float
     e2: float
@@ -216,6 +223,9 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """How an `Estimator` evaluates: exact, or from seeded shots, optionally
+    noisy and postselected; truncation_tol drops two-body groups."""
+
     mode: str = "exact"  # exact | shots
     shots: int = 100_000
     noise: NoiseModel | None = None
@@ -248,6 +258,8 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class ResourceSummary:
+    """The circuits one evaluation runs and the CNOT cost of the deepest."""
+
     n_qubits: int
     n_parameters: int
     n_doubles: int
@@ -347,10 +359,11 @@ class Estimator:
             # and R(rotation.T) R(u) = R(rotation.T u)
             yield coeff, rotate_determinants(g.rotation.T @ u, self._probes.states, self._sector)
 
-    def _exact_breakdown(self, kappa: np.ndarray, u: np.ndarray) -> EnergyBreakdown:
+    def _exact_breakdown(self, spectrum, u: np.ndarray) -> EnergyBreakdown:
         """E1, the residuals and E2 from the measured integrals rotated by
         u = exp(kappa), and the energy's gradient in theta (the module
-        docstring gives the closed form)."""
+        docstring gives the closed form).  spectrum is `kappa_spectrum(kappa)`,
+        the decomposition that gave u; the gradient's pull-back reuses it."""
         h1, eri = self._integrals
         n_occ = self.n_electrons // 2
         occ, virt = u[:, :n_occ], u[:, n_occ:]
@@ -372,7 +385,7 @@ class Estimator:
         grad_u[:, :n_occ] = 4.0 * np.einsum("xq,qi->xi", fock, occ)
         grad_u[:, :n_occ] += 4.0 * np.einsum("xajb,iajb->xi", xajb, amp)
         grad_u[:, n_occ:] = 4.0 * np.einsum("xqjb,qi,iajb->xa", half, occ, amp)
-        grad = expm_antisymmetric_adjoint(kappa, grad_u)
+        grad = expm_antisymmetric_adjoint(spectrum, grad_u)
         bd.diagnostics["gradient"] = (grad - grad.T)[:n_occ, n_occ:].ravel()
         return bd
 
@@ -487,9 +500,10 @@ class Estimator:
         """
         kappa = self._kappa(theta)
         self.n_evaluations += 1
-        u = expm_antisymmetric(kappa)
+        spectrum = kappa_spectrum(kappa)  # the evaluation's one eigendecomposition
+        u = expm_antisymmetric(spectrum)
         if self.cfg.mode == "exact":
-            return self._exact_breakdown(kappa, u)
+            return self._exact_breakdown(spectrum, u)
         return self._shots_breakdown(u)
 
     def optimize(self, maxiter: int = 200) -> tuple[ThetaParams, EnergyBreakdown]:

@@ -30,6 +30,8 @@ _ORDERING_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class ReferencePoint:
+    """The packaged reference energies (hartree) of one geometry and its fixture's name."""
+
     distance_bohr: float
     e_hf: float
     e_mp2: float
@@ -41,6 +43,8 @@ class ReferencePoint:
 
 @dataclass(frozen=True)
 class MoleculeReference:
+    """One molecule's reference curve and the active space the CLI applies to it."""
+
     name: str
     n_electrons: int
     n_spatial: int
@@ -56,6 +60,8 @@ class MoleculeReference:
 
 @dataclass(frozen=True)
 class ReferenceValues:
+    """The packaged reference table, by molecule; `load` reads it."""
+
     source: str
     molecules: dict[str, MoleculeReference]
 

@@ -69,6 +69,8 @@ _ROW_CHUNK = 1024  # sector rows per step of rotate_determinants
 
 @dataclass(frozen=True)
 class NoiseModel:
+    """Depolarizing rates after one- and two-qubit gates, and a readout flip probability."""
+
     p1: float
     p2: float
     p_readout: float
@@ -81,6 +83,9 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class FidelityEstimate:
+    """A mean trajectory fidelity and its standard error; a postselected one
+    also carries the mean kept fraction."""
+
     fidelity: float
     stderr: float
     kept_fraction_mean: float | None = None

@@ -300,3 +300,37 @@ def test_expm_adjoint_with_degenerate_spectrum(copies, angle):
     ref = expm_frechet(kappa.T, g, compute_expm=False)
     assert np.abs(expm_antisymmetric_adjoint(kappa, g) - ref).max() <= 1e-12
     assert np.abs(expm_antisymmetric(kappa) - expm(kappa)).max() <= 1e-13
+
+
+def _rotation_blocks(angles, odd=False):
+    """Block-diagonal 2x2 generators at the given angles, and a zero 1x1
+    block after them if odd."""
+    m = 2 * len(angles) + odd
+    kappa = np.zeros((m, m))
+    for k, angle in enumerate(angles):
+        kappa[2 * k, 2 * k + 1], kappa[2 * k + 1, 2 * k] = angle, -angle
+    return kappa
+
+
+@pytest.mark.parametrize(
+    "angles,odd", [((0.7, 0.7 + 1e-9), False), ((0.7, 1.9), True), ((0.7, 0.7), True)]
+)
+def test_expm_adjoint_with_near_degenerate_spectrum(angles, odd):
+    # eigenvalues 1e-9 apart, and an odd size with a zero eigenvalue: in the
+    # real form each eigenvalue appears twice, so eigh's basis inside every
+    # pair is arbitrary, and the projectors must not depend on it
+    kappa = _rotation_blocks(angles, odd)
+    g = np.random.default_rng(len(kappa)).normal(size=kappa.shape)
+    ref = expm_frechet(kappa.T, g, compute_expm=False)
+    assert np.abs(expm_antisymmetric_adjoint(kappa, g) - ref).max() <= 1e-12
+    assert np.abs(expm_antisymmetric(kappa) - expm(kappa)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_expm_antisymmetric_reads_only_the_lower_triangle(n):
+    kappa = _antisymmetric(n, 1.3, n)
+    junk = kappa.copy()
+    junk[np.triu_indices(n)] = np.random.default_rng(n).normal(size=n * (n + 1) // 2)
+    assert np.array_equal(expm_antisymmetric(junk), expm_antisymmetric(kappa))
+    g = np.random.default_rng(n + 1).normal(size=(n, n))
+    assert np.array_equal(expm_antisymmetric_adjoint(junk, g), expm_antisymmetric_adjoint(kappa, g))

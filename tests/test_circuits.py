@@ -50,6 +50,27 @@ def test_gate_validation():
             Gate(kind, qubits, 0.3)
 
 
+@pytest.mark.parametrize(
+    "kind,qubits,angle,message",
+    [
+        ("MULTI_CRY", (1, 2), None, "finite angle"),
+        ("MULTI_CRY", (1, 2), float("nan"), "finite angle"),
+        ("MULTI_CRY", (1, 2), float("inf"), "finite angle"),
+        ("MULTI_CRY", (1, 2), "0.5", "finite angle"),
+        ("X", (1,), 0.5, "takes no angle"),
+        ("CNOT", (1, 2), float("inf"), "takes no angle"),
+        ("CZ", (1, 2), 0.0, "takes no angle"),
+        ("X", (1.5,), None, "must be integers"),
+        ("CNOT", (1, 2.0), None, "must be integers"),
+    ],
+)
+def test_gate_rejects_operands_run_cannot_apply(kind, qubits, angle, message):
+    # these used to construct and fail only in run: a TypeError from the
+    # missing angle, or a row of nan amplitudes from a nan one
+    with pytest.raises(ValueError, match=message):
+        Gate(kind, qubits, angle)
+
+
 def test_prep_reference_sets_low_qubits():
     c = prep_reference(4, 2)
     u = circuit_unitary(c)

@@ -510,6 +510,29 @@ def test_exact_optimize_needs_few_evaluations(refs):
     assert bd.total + mi.e_core == pytest.approx(pt.e_omp2, abs=1e-6)
 
 
+def test_exact_optimize_eigendecomposes_real_symmetric_input_once_per_evaluation(
+    refs, monkeypatch
+):
+    # exp(kappa) and its gradient pull-back share one real eigendecomposition
+    # per evaluation; the set-up adds the supermatrix's
+    inputs = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    mi, _ = load_point(refs, "h4", 2.6)
+    est = Estimator(mi)
+    assert len(inputs) == 1
+    _, bd = est.optimize()
+    assert bd.diagnostics["n_evaluations"] > 1
+    assert len(inputs) == 1 + bd.diagnostics["n_evaluations"]
+    for a in inputs:
+        assert a.dtype == np.float64 and np.array_equal(a, a.T)
+
+
 def test_shots_optimize_never_calls_the_gradient(refs, monkeypatch):
     def no_gradient(*args):
         raise AssertionError("shots mode must not use the closed-form gradient")
@@ -1058,13 +1081,13 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
 
     monkeypatch.setattr(omp2, "rotate_determinants", sector_rotate)
     rotations = []
-    expm_antisymmetric = omp2.expm_antisymmetric
+    kappa_spectrum = omp2.kappa_spectrum
 
-    def count_expm(kappa):
+    def count_spectra(kappa):
         rotations.append(kappa.shape)
-        return expm_antisymmetric(kappa)
+        return kappa_spectrum(kappa)
 
-    monkeypatch.setattr(omp2, "expm_antisymmetric", count_expm)
+    monkeypatch.setattr(omp2, "kappa_spectrum", count_spectra)
 
     def sector_calls():
         info = simulator.number_sector.cache_info()
