@@ -6,7 +6,7 @@ builds the one-body perturbation matrix and the closed-shell orbital
 energies, eps_p = h_pp + sum over the occupied spatial i of
 [2 (pp|ii) - (pi|ip)], that the rest of the pipeline consumes.  The orbital
 rotation U = exp(kappa) and its adjoint derivative come from one real
-eigendecomposition of kappa (`kappa_spectrum`).
+M x M eigendecomposition of S = P kappa (`kappa_spectrum`).
 
 Conventions (fixed here, relied on everywhere else):
   * spatial ERI stored chemist style, (pq|rs), full 8-fold symmetry;
@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -278,69 +277,61 @@ def build_perturbation(h1: np.ndarray, eps: np.ndarray, u: np.ndarray) -> np.nda
     return h1 - u @ np.diag(eps) @ u.T
 
 
-class KappaSpectrum(NamedTuple):
-    """The spectrum of 1j*kappa, for a real antisymmetric M x M kappa, from
-    `kappa_spectrum`: every eigenvalue lam twice, and z, M x 2M, one column
-    per copy.  Half the sum of z_k z_k^H over the copies of an eigenvalue is
-    its spectral projector."""
+def kappa_spectrum(kappa: np.ndarray, n_occ: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, v, p): S = P kappa = v diag(s) v^T from one real symmetric M x M
+    eigh, and p the diagonal of P, +1 on the n_occ occupied orbitals and -1
+    on the virtual ones.
 
-    lam: np.ndarray
-    z: np.ndarray
-
-
-def kappa_spectrum(kappa: np.ndarray) -> KappaSpectrum:
-    """The spectrum of 1j*kappa from one real symmetric eigendecomposition.
-
-    With K = kappa's strict lower triangle minus its transpose (kappa itself
-    when kappa is antisymmetric), 1j*kappa = 1j*K is the Hermitian matrix
-    whose real 2M x 2M form is R = [[0, -K], [K, 0]]: R [a; b] = lam [a; b]
-    exactly when (1j*K)(a + 1j b) = lam (a + 1j b), and [-b; a] is then an
-    eigenvector too, so each eigenvalue of 1j*kappa appears twice in R.  For
-    R = E diag(lam) E^T, z = E[:M] + 1j E[M:].  Whatever basis eigh picks
-    inside a degenerate space, half the sum of z z^H over it is the complex
-    projector.  Only the lower triangle of kappa is read.
+    kappa = [[0, Theta], [-Theta^T, 0]] rotates occupied against virtual
+    orbitals, S = [[0, Theta], [Theta^T, 0]] is symmetric and kappa^2 = -S^2,
+    so exp(kappa) = cos S + P sin S (Edelman, Arias and Smith, SIAM J. Matrix
+    Anal. Appl. 20, 303 (1998)).  ValueError unless kappa is exactly
+    antisymmetric and zero within the occupied and within the virtual block.
     """
-    lower = np.tril(np.asarray(kappa, dtype=float), -1)
-    k = lower - lower.T
-    m = len(k)
-    r = np.zeros((2 * m, 2 * m))
-    r[m:, :m], r[:m, m:] = k, -k
-    lam, e = np.linalg.eigh(r)
-    return KappaSpectrum(lam, e[:m] + 1j * e[m:])
+    kappa = np.asarray(kappa, dtype=float)
+    p = np.where(np.arange(len(kappa)) < n_occ, 1.0, -1.0)
+    sym = p[:, None] * kappa
+    # for an antisymmetric kappa, S is symmetric exactly when both diagonal blocks are 0
+    if not (np.array_equal(kappa, -kappa.T) and np.array_equal(sym, sym.T)):
+        raise ValueError("kappa must be antisymmetric and rotate occupied against virtual only")
+    return (*np.linalg.eigh(sym), p)
 
 
-def _spectrum(kappa) -> KappaSpectrum:
-    return kappa if isinstance(kappa, KappaSpectrum) else kappa_spectrum(kappa)
+def expm_antisymmetric(spectrum) -> np.ndarray:
+    """exp(kappa) = cos S + P sin S from kappa's `kappa_spectrum`.
 
-
-def expm_antisymmetric(kappa) -> np.ndarray:
-    """exp(kappa) for a real antisymmetric kappa, or for its `kappa_spectrum`.
-
-    exp(kappa) = I + 1/2 Re[z diag(expm1(-1j lam)) z^H]: each projector is
-    half the sum over the two copies of its eigenvalue, and writing it around
-    I makes kappa = 0 give exactly I.  Only the lower triangle of kappa is
-    read.  One decomposition feeds both U and the adjoint: a caller that
-    wants both passes them the same `kappa_spectrum`.
+    S's eigenvalues pair as +-sigma, with eigenvectors x and y = P x.  Over
+    the sigma > 0, with c = -2 sin^2(sigma/2) and d = sin sigma,
+    U = I + x diag(c) x^T + y diag(c) y^T + y diag(d) x^T - x diag(d) y^T.
+    Forming each y from its x keeps the pairs exact, which eigh's whole
+    spectrum, rounded by about |S| eps, does not; kappa = 0 gives exactly I.
     """
-    lam, z = _spectrum(kappa)
+    s, v, p = spectrum
+    positive = s > 0
+    sigma, x = s[positive], v[:, positive]
+    y = p[:, None] * x
+    c, d = -2.0 * np.sin(0.5 * sigma) ** 2, np.sin(sigma)
     # two-operand einsums, no BLAS product
-    rotated = np.einsum("pk,qk->pq", z * np.expm1(-1j * lam), z.conj())
-    return np.eye(len(z)) + 0.5 * rotated.real
+    left = np.concatenate([x, y], axis=1)
+    right = np.concatenate([x * c - y * d, y * c + x * d], axis=1)
+    return np.eye(len(v)) + np.einsum("pk,qk->pq", left, right)
 
 
-def expm_antisymmetric_adjoint(kappa, g: np.ndarray) -> np.ndarray:
-    """The adjoint Frechet derivative of expm at a real antisymmetric kappa,
-    or at its `kappa_spectrum`, applied to g.
+def expm_antisymmetric_adjoint(spectrum, g: np.ndarray) -> np.ndarray:
+    """P dE/dS for dE/dU = g at U = cos S + P sin S, from kappa's
+    `kappa_spectrum`.  On kappa's occupied-virtual blocks this is
+    dE/dkappa, the Frechet derivative of expm at kappa^T in direction g.
 
-    This is dE/dkappa for dE/dU = g at U = exp(kappa), i.e. the Frechet
-    derivative of expm at kappa^T in direction g.  Over the spectrum of
-    1j*kappa it is the Daleckii-Krein product 1/4 Re[z (Phi o (z^H g z)) z^H],
-    the 1/4 from the two half projectors, with
-    Phi_jk = exp(1j (lam_j + lam_k)/2) sinc((lam_j - lam_k)/2pi), which needs
-    no branch for equal eigenvalues.
+    By Daleckii-Krein, dE/dS = v [C o (v^T g v) + D o (v^T P g v)] v^T with
+    C_jk = -sin(m) w and D_jk = cos(m) w, the divided differences of cos and
+    sin over s, for m = (s_j + s_k)/2 and w = sinc((s_j - s_k)/2pi), which
+    needs no branch for equal eigenvalues.
     """
-    lam, z = _spectrum(kappa)
-    phi = np.exp(0.5j * (lam[:, None] + lam)) * np.sinc((lam[:, None] - lam) / (2.0 * np.pi))
-    zh = z.conj()
-    inner = np.einsum("jq,qk->jk", np.einsum("pj,pq->jq", zh, g), z) * phi
-    return 0.25 * np.einsum("pk,qk->pq", np.einsum("pj,jk->pk", z, inner), zh).real
+    s, v, p = spectrum
+    m = 0.5 * (s[:, None] + s)
+    w = np.sinc((s[:, None] - s) / (2.0 * np.pi))
+    gv = np.einsum("pq,qk->pk", g, v)
+    vgv = np.einsum("pj,pk->jk", v, gv)
+    vpgv = np.einsum("pj,pk->jk", p[:, None] * v, gv)
+    inner = w * (np.cos(m) * vpgv - np.sin(m) * vgv)
+    return p[:, None] * np.einsum("pk,qk->pq", np.einsum("pj,jk->pk", v, inner), v)

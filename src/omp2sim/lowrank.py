@@ -75,7 +75,8 @@ def factor_supermatrix(eri: np.ndarray, tol: float):
     if np.abs(super_a - super_a.T).max() > 1e-10:
         raise ValueError("eri supermatrix not symmetric")
     w, v = np.linalg.eigh(super_a)
-    kept = [idx for idx in np.argsort(-np.abs(w), kind="stable") if abs(w[idx]) > tol]
+    # Python's sort is stable, so equal |w| keep eigh's order
+    kept = sorted((idx for idx in range(len(w)) if abs(w[idx]) > tol), key=lambda idx: -abs(w[idx]))
     g = np.array([_canonical_sign(v[:, idx]) for idx in kept]).reshape(-1, m, m)
     dropped = float(np.abs(w).max(initial=0.0, where=np.abs(w) <= tol))
     return w[kept], 0.5 * (g + g.transpose(0, 2, 1)), dropped

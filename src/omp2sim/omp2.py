@@ -32,7 +32,7 @@ residual is 0 at every theta.  The same intermediates give the analytic
 gradient in theta, diagnostics["gradient"]: the OMP2 functional of
 Bozkaya, Turney, Yamaguchi, Schaefer and Sherrill, JCP 135, 104103 (2011),
 pulled back to kappa through the adjoint Frechet derivative of exp.  u and
-that pull-back come from one real eigendecomposition of kappa per
+that pull-back come from one real M x M eigendecomposition per
 evaluation (`chem.kappa_spectrum`).
 E2 is then summed as in shots mode, by `_assemble`.
 Noiseless shots rotate determinants: each group rotates the reference
@@ -125,6 +125,7 @@ _ARMIJO_ULPS = 64  # over 10x the energy's roundoff, at most 5.3 ulps on H4 and 
 _MAX_BACKTRACKS = 30
 _MAX_STEP = 1.0  # radians: the largest angle change of a trial step
 _NM_XATOL, _NM_FATOL = 1e-3, 1e-6  # Nelder-Mead's simplex spread in theta and in f
+_MAX_COUNT = 2**63 - 1  # the most shots numpy's Generator.multinomial draws
 
 
 class CapacityError(ValueError):
@@ -239,6 +240,8 @@ class EstimatorConfig:
             value = getattr(self, name)  # numpy integers pass; bool is an Integral, but no count
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value > _MAX_COUNT:
+                raise ValueError(f"{name} must be at most 2**63 - 1, got {value}")
         if self.mode not in ("exact", "shots"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.shots < 1:
@@ -362,7 +365,7 @@ class Estimator:
     def _exact_breakdown(self, spectrum, u: np.ndarray) -> EnergyBreakdown:
         """E1, the residuals and E2 from the measured integrals rotated by
         u = exp(kappa), and the energy's gradient in theta (the module
-        docstring gives the closed form).  spectrum is `kappa_spectrum(kappa)`,
+        docstring gives the closed form).  spectrum is kappa's `kappa_spectrum`,
         the decomposition that gave u; the gradient's pull-back reuses it."""
         h1, eri = self._integrals
         n_occ = self.n_electrons // 2
@@ -482,12 +485,12 @@ class Estimator:
         variance = float(var_e1 + var_e2)
         return EnergyBreakdown(self.e0, e1, float(e2), variance, diagnostics)
 
-    def _kappa(self, theta: ThetaParams) -> np.ndarray:
-        """kappa = theta.to_matrix(); ValueError if theta is for another problem."""
+    def _kappa(self, theta: ThetaParams) -> tuple:
+        """The `kappa_spectrum` of theta.to_matrix(); ValueError if theta is for another problem."""
         given, ours = (theta.n_spin, theta.n_electrons), (self.n_qubits, self.n_electrons)
         if given != ours:
             raise ValueError(f"theta is for (n_spin, n_electrons) = {given}, the problem is {ours}")
-        return theta.to_matrix()
+        return kappa_spectrum(theta.to_matrix(), self.n_electrons // 2)
 
     # -- public interface ----------------------------------------------------
 
@@ -498,9 +501,8 @@ class Estimator:
         diagnostics["gradient"].  Postselecting, it is the kept shots'
         estimate; diagnostics["raw"] is all shots'.
         """
-        kappa = self._kappa(theta)
+        spectrum = self._kappa(theta)  # the evaluation's one eigendecomposition
         self.n_evaluations += 1
-        spectrum = kappa_spectrum(kappa)  # the evaluation's one eigendecomposition
         u = expm_antisymmetric(spectrum)
         if self.cfg.mode == "exact":
             return self._exact_breakdown(spectrum, u)
@@ -529,7 +531,7 @@ class Estimator:
         if self.cfg.mode == "exact":
             bd = evaluated[theta.values]  # _lbfgs returns a point it evaluated
         else:
-            bd = self._shots_breakdown(expm_antisymmetric(theta.to_matrix()), final=True)
+            bd = self._shots_breakdown(expm_antisymmetric(self._kappa(theta)), final=True)
         bd.diagnostics.update(
             converged=bool(res.success),
             n_iterations=int(res.nit),

@@ -14,6 +14,7 @@ from omp2sim.chem import (
     expm_antisymmetric,
     expm_antisymmetric_adjoint,
     freeze_active_space,
+    kappa_spectrum,
     orbital_energies,
     parse_fcidump,
     spin_orbitalize,
@@ -250,87 +251,104 @@ def test_perturbation_trace_invariant(a, b):
     kappa = np.zeros((3, 3))
     kappa[0, 1] = a
     kappa[0, 2] = b
-    t = build_perturbation(mi.h1, eps, expm_antisymmetric(kappa - kappa.T))
+    t = build_perturbation(mi.h1, eps, expm_antisymmetric(kappa_spectrum(kappa - kappa.T, 1)))
     t0 = build_perturbation(mi.h1, eps, np.eye(3))
     assert abs(np.trace(t) - np.trace(t0)) < 1e-10
 
 
-def _antisymmetric(n: int, norm: float, seed: int) -> np.ndarray:
-    """A random real antisymmetric n x n matrix of spectral norm `norm` (0 for n = 1)."""
-    a = np.random.default_rng(seed).normal(size=(n, n))
-    kappa = a - a.T
-    size = np.linalg.norm(kappa, 2)
+def _occupied_virtual(theta: np.ndarray) -> np.ndarray:
+    """kappa = [[0, theta], [-theta^T, 0]], n_occ = theta.shape[0]."""
+    n_occ, n_virt = theta.shape
+    kappa = np.zeros((n_occ + n_virt, n_occ + n_virt))
+    kappa[:n_occ, n_occ:] = theta
+    return kappa - kappa.T
+
+
+def _random_kappa(n_occ: int, n_virt: int, norm: float, seed: int) -> np.ndarray:
+    """A random occupied-virtual kappa of spectral norm `norm` (0 without a pair)."""
+    kappa = _occupied_virtual(np.random.default_rng(seed).normal(size=(n_occ, n_virt)))
+    size = np.linalg.norm(kappa, 2) if kappa.any() else 0.0
     return kappa * (norm / size) if size else kappa
 
 
+def _adjoint_error(kappa: np.ndarray, n_occ: int, g: np.ndarray) -> float:
+    """The pull-back's largest distance from expm_frechet(kappa^T, g) over
+    the occupied-virtual and virtual-occupied entries, the ones theta reads."""
+    adjoint = expm_antisymmetric_adjoint(kappa_spectrum(kappa, n_occ), g)
+    occupied = np.arange(len(kappa)) < n_occ
+    between = occupied[:, None] != occupied
+    ref = expm_frechet(kappa.T, g, compute_expm=False)
+    return np.abs((adjoint - ref)[between]).max(initial=0.0)
+
+
+def _assert_matches_scipy(kappa: np.ndarray, n_occ: int):
+    """U against expm and the pull-back against expm_frechet."""
+    g = np.random.default_rng(len(kappa)).normal(size=kappa.shape)
+    assert _adjoint_error(kappa, n_occ, g) <= 1e-12
+    assert np.abs(expm_antisymmetric(kappa_spectrum(kappa, n_occ)) - expm(kappa)).max() <= 1e-13
+
+
+_BLOCK_SIZES = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda ov: sum(ov) > 0)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
-@example(2, 8.5, 0)
-def test_expm_antisymmetric_matches_mpmath(n, norm, seed):
+@given(_BLOCK_SIZES, st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+@example((1, 1), 8.5, 0)
+def test_expm_antisymmetric_matches_mpmath(sizes, norm, seed):
     # the reference is exp(kappa) in 30-digit arithmetic: scipy's expm is up
-    # to 1.4e-13 off at these norms (n = 2, norm 8.5, seed 0, against the
-    # exact rotation), more than the tolerance
-    kappa = _antisymmetric(n, norm, seed)
+    # to 1.4e-13 off at these norms (one occupied and one virtual orbital,
+    # norm 8.5, against the exact rotation), more than the tolerance
+    kappa = _random_kappa(*sizes, norm, seed)
     with mpmath.workdps(30):
         exact = np.array(mpmath.expm(mpmath.matrix(kappa.tolist())).tolist(), dtype=float)
-    assert np.abs(expm_antisymmetric(kappa) - exact).max() <= 1e-13
+    u = expm_antisymmetric(kappa_spectrum(kappa, sizes[0]))
+    assert np.abs(u - exact).max() <= 1e-13
 
 
 def test_expm_antisymmetric_of_zero_is_exactly_identity():
     for n in range(1, 9):
-        assert np.array_equal(expm_antisymmetric(np.zeros((n, n))), np.eye(n))
+        for n_occ in range(n + 1):
+            u = expm_antisymmetric(kappa_spectrum(np.zeros((n, n)), n_occ))
+            assert np.array_equal(u, np.eye(n))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
-def test_expm_adjoint_matches_scipy_frechet(n, norm, seed):
-    kappa = _antisymmetric(n, norm, seed)
-    g = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, (n, n))
-    ref = expm_frechet(kappa.T, g, compute_expm=False)
-    assert np.abs(expm_antisymmetric_adjoint(kappa, g) - ref).max() <= 1e-12
+@given(_BLOCK_SIZES, st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+def test_expm_adjoint_matches_scipy_frechet(sizes, norm, seed):
+    kappa = _random_kappa(*sizes, norm, seed)
+    g = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, kappa.shape)
+    assert _adjoint_error(kappa, sizes[0], g) <= 1e-12
 
 
 @pytest.mark.parametrize("copies,angle", [(1, 0.0), (3, 0.0), (3, 0.7), (4, 2.5)])
 def test_expm_adjoint_with_degenerate_spectrum(copies, angle):
-    # kappa = 0, or block-diagonal copies of one 2x2 generator: every
-    # eigenvalue repeats, the case a divided difference must not divide by
-    block = np.array([[0.0, angle], [-angle, 0.0]])
-    kappa = np.kron(np.eye(copies), block)
-    g = np.random.default_rng(copies).normal(size=kappa.shape)
-    ref = expm_frechet(kappa.T, g, compute_expm=False)
-    assert np.abs(expm_antisymmetric_adjoint(kappa, g) - ref).max() <= 1e-12
-    assert np.abs(expm_antisymmetric(kappa) - expm(kappa)).max() <= 1e-13
-
-
-def _rotation_blocks(angles, odd=False):
-    """Block-diagonal 2x2 generators at the given angles, and a zero 1x1
-    block after them if odd."""
-    m = 2 * len(angles) + odd
-    kappa = np.zeros((m, m))
-    for k, angle in enumerate(angles):
-        kappa[2 * k, 2 * k + 1], kappa[2 * k + 1, 2 * k] = angle, -angle
-    return kappa
+    # theta = angle * I: every singular value repeats, the case a divided
+    # difference must not divide by
+    _assert_matches_scipy(_occupied_virtual(angle * np.eye(copies)), copies)
 
 
 @pytest.mark.parametrize(
     "angles,odd", [((0.7, 0.7 + 1e-9), False), ((0.7, 1.9), True), ((0.7, 0.7), True)]
 )
 def test_expm_adjoint_with_near_degenerate_spectrum(angles, odd):
-    # eigenvalues 1e-9 apart, and an odd size with a zero eigenvalue: in the
-    # real form each eigenvalue appears twice, so eigh's basis inside every
-    # pair is arbitrary, and the projectors must not depend on it
-    kappa = _rotation_blocks(angles, odd)
-    g = np.random.default_rng(len(kappa)).normal(size=kappa.shape)
-    ref = expm_frechet(kappa.T, g, compute_expm=False)
-    assert np.abs(expm_antisymmetric_adjoint(kappa, g) - ref).max() <= 1e-12
-    assert np.abs(expm_antisymmetric(kappa) - expm(kappa)).max() <= 1e-13
+    # singular values 1e-9 apart, and one virtual orbital more than occupied,
+    # which gives S a zero eigenvalue: eigh's basis inside a degenerate space
+    # is arbitrary, and neither U nor the pull-back may depend on it
+    theta = np.hstack([np.diag(angles), np.zeros((len(angles), int(odd)))])
+    _assert_matches_scipy(_occupied_virtual(theta), len(angles))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_expm_antisymmetric_reads_only_the_lower_triangle(n):
-    kappa = _antisymmetric(n, 1.3, n)
-    junk = kappa.copy()
-    junk[np.triu_indices(n)] = np.random.default_rng(n).normal(size=n * (n + 1) // 2)
-    assert np.array_equal(expm_antisymmetric(junk), expm_antisymmetric(kappa))
-    g = np.random.default_rng(n + 1).normal(size=(n, n))
-    assert np.array_equal(expm_antisymmetric_adjoint(junk, g), expm_antisymmetric_adjoint(kappa, g))
+@pytest.mark.parametrize(
+    "entry",
+    [(0, 1), (2, 3), None],
+    ids=["occupied-occupied", "virtual-virtual", "not-antisymmetric"],
+)
+def test_kappa_spectrum_rejects_a_kappa_outside_the_occupied_virtual_blocks(entry):
+    # two occupied and two virtual orbitals, and a valid occupied-virtual angle
+    kappa = _occupied_virtual(np.array([[0.3, 0.0], [0.0, -0.2]]))
+    if entry is None:
+        kappa[0, 2] = 0.5  # kappa[2, 0] stays -0.3
+    else:
+        kappa[entry], kappa[entry[::-1]] = 0.1, -0.1
+    with pytest.raises(ValueError, match="antisymmetric"):
+        kappa_spectrum(kappa, 2)

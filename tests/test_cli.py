@@ -116,6 +116,10 @@ def test_usage_errors(tmp_path, capsys):
         ("energy", "--fixture", H2_FIXTURE, "--postselect"),
         ("curve", "--fixture-dir", fixtures, "--postselect"),
         ("noise-study", "--fixture", H2_FIXTURE, "--trajectories", "0"),
+        # counts past int64: an OverflowError and a ValueError from np.full used to end these
+        ("energy", "--fixture", H2_FIXTURE, "--mode", "shots", "--shots", str(2**63)),
+        ("noise-study", "--fixture", H2_FIXTURE, "--noise", "ibm_auckland",
+         "--trajectories", str(10**20)),
         ("energy", "--fixture", H2_FIXTURE, "--mode", "shots", "--seed", "-1"),
     ):
         assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE, argv

@@ -13,6 +13,7 @@ from helpers import (
 from omp2sim.chem import (
     build_perturbation,
     expm_antisymmetric,
+    kappa_spectrum,
     orbital_energies,
     parse_fcidump,
     spin_orbitalize,
@@ -70,7 +71,7 @@ def test_two_body_groups_ignore_theta(refs):
     mi, _ = load_point(refs, "h2", 1.4)
     si = spin_orbitalize(mi)
     eps = orbital_energies(si, 2)[0::2]
-    u = expm_antisymmetric(np.array([[0.0, 0.17], [-0.17, 0.0]]))
+    u = expm_antisymmetric(kappa_spectrum(np.array([[0.0, 0.17], [-0.17, 0.0]]), 1))
     t0 = build_perturbation(mi.h1, eps, np.eye(2))
     t1 = build_perturbation(mi.h1, eps, u)
     groups0 = factorize(t0, mi.eri, 1e-12)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -179,6 +180,16 @@ def test_estimator_config_rejects_non_integral_counts(field, value):
         EstimatorConfig(mode="shots", **{field: value})
 
 
+@pytest.mark.parametrize("field", ["shots", "trajectories"])
+def test_estimator_config_rejects_counts_past_int64(field):
+    # the most numpy's multinomial draws; 2**63 shots ended in an
+    # OverflowError mid-evaluation, 1e20 trajectories in np.full
+    assert getattr(EstimatorConfig(mode="shots", **{field: 2**63 - 1}), field) == 2**63 - 1
+    for value in (2**63, 10**20):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be at most 2**63 - 1")):
+            EstimatorConfig(mode="shots", **{field: value})
+
+
 def test_estimator_config_accepts_numpy_integers():
     cfg = EstimatorConfig(mode="shots", shots=np.int64(5), trajectories=np.int32(2), seed=np.uint8(3))
     assert (cfg.shots, cfg.trajectories, cfg.seed) == (5, 2, 3)
@@ -297,7 +308,7 @@ def _rotated_column_energies(est, u):
 def _sector_reference(est, theta):
     """What `_assemble` makes of each column's exact expectation, sum coeff x^2
     over the probe determinants rotated in the sector (rotate_determinants)."""
-    cols = _rotated_column_energies(est, omp2.expm_antisymmetric(theta.to_matrix()))
+    cols = _rotated_column_energies(est, omp2.expm_antisymmetric(est._kappa(theta)))
     return est._assemble(*est._column_residuals(cols, np.zeros_like(cols)))
 
 
@@ -514,7 +525,7 @@ def test_exact_optimize_eigendecomposes_real_symmetric_input_once_per_evaluation
     refs, monkeypatch
 ):
     # exp(kappa) and its gradient pull-back share one real eigendecomposition
-    # per evaluation; the set-up adds the supermatrix's
+    # per evaluation, of the M x M S = P kappa; the set-up adds the supermatrix's
     inputs = []
     eigh = np.linalg.eigh
 
@@ -529,6 +540,8 @@ def test_exact_optimize_eigendecomposes_real_symmetric_input_once_per_evaluation
     _, bd = est.optimize()
     assert bd.diagnostics["n_evaluations"] > 1
     assert len(inputs) == 1 + bd.diagnostics["n_evaluations"]
+    # after the supermatrix, each input is one evaluation's M x M S
+    assert all(a.shape == (mi.n_spatial, mi.n_spatial) for a in inputs[1:])
     for a in inputs:
         assert a.dtype == np.float64 and np.array_equal(a, a.T)
 
@@ -548,7 +561,7 @@ def test_shots_optimize_never_calls_the_gradient(refs, monkeypatch):
     # its own, not the stored one, the lowest estimate Nelder-Mead compared;
     # streams are keyed by seed and group, not by the evaluations before
     fresh = Estimator(mi, cfg)
-    assert fresh._shots_breakdown(omp2.expm_antisymmetric(theta.to_matrix()), final=True) == bd
+    assert fresh._shots_breakdown(omp2.expm_antisymmetric(fresh._kappa(theta)), final=True) == bd
     assert fresh.mp2_energy(theta) != bd
 
 
@@ -1083,9 +1096,9 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
     rotations = []
     kappa_spectrum = omp2.kappa_spectrum
 
-    def count_spectra(kappa):
+    def count_spectra(kappa, n_occ):
         rotations.append(kappa.shape)
-        return kappa_spectrum(kappa)
+        return kappa_spectrum(kappa, n_occ)
 
     monkeypatch.setattr(omp2, "kappa_spectrum", count_spectra)
 
