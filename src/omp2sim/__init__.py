@@ -50,7 +50,7 @@ from .omp2 import (
     ThetaParams,
     enumerate_doubles,
 )
-from .oracle import ReferenceValues, canonical_mp2, circuit_unitary, fci_energy
+from .oracle import ReferenceValues, canonical_mp2
 from .simulator import (
     FidelityEstimate,
     NoiseModel,
@@ -85,13 +85,11 @@ __all__ = [
     "apply_circuit",
     "build_perturbation",
     "canonical_mp2",
-    "circuit_unitary",
     "cnot_depth",
     "compile_orbital_rotation",
     "double_excitation",
     "enumerate_doubles",
     "expectation_with_variance",
-    "fci_energy",
     "freeze_active_space",
     "load_noise_presets",
     "lower_circuit",

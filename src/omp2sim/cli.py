@@ -257,14 +257,16 @@ def cmd_noise_study(args) -> int:
 
 
 def _reference_fidelity(est: Estimator):
-    """Raw vs post-selected fidelity of the undoubled measurement circuit."""
+    """Raw vs post-selected fidelity of the undoubled measurement circuit, from
+    as many trajectories as the energy's shots ran (at most one per shot)."""
     cfg = est.cfg
+    n_traj = min(cfg.trajectories, cfg.shots)
     n = est.n_qubits
     u_circ = compile_orbital_rotation(np.eye(n))
     meas = est.measurement_circuits(ThetaParams.zeros(n, est.n_electrons))
     circuit = Circuit(n, prep_reference(n, est.n_electrons).gates + u_circ.gates + meas[0].gates)
     raw, ps = trajectory_fidelity(
-        run(circuit), circuit, cfg.noise, cfg.trajectories, est.n_electrons, seed=cfg.seed
+        run(circuit), circuit, cfg.noise, n_traj, est.n_electrons, seed=cfg.seed
     )
     return {
         "raw": {"fidelity": raw.fidelity, "stderr": raw.stderr},
@@ -273,7 +275,7 @@ def _reference_fidelity(est: Estimator):
             "stderr": ps.stderr,
             "kept_fraction_mean": ps.kept_fraction_mean,
         },
-        "n_trajectories": cfg.trajectories,
+        "n_trajectories": n_traj,
     }
 
 

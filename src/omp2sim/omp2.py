@@ -434,18 +434,19 @@ class Estimator:
         tail = (STREAM_FINAL,) if final else ()
         if cfg.noise is not None:
             u_gates = compile_orbital_rotation(np.kron(u, np.eye(2))).gates
-            # cfg.shots split over the trajectories, each run and sampled on its own stream
-            per = np.full(cfg.trajectories, cfg.shots // cfg.trajectories)
-            per[: cfg.shots % cfg.trajectories] += 1
+            # cfg.shots split over at most one trajectory per shot, each on its own stream
+            n_traj = min(cfg.trajectories, cfg.shots)
+            per = np.full(n_traj, cfg.shots // n_traj)
+            per[: cfg.shots % n_traj] += 1
             for l, g in enumerate(self._groups_at(u)):
                 suffix = u_gates + _measurement_circuit(g).gates
                 counts = np.zeros((p.det.size, 1 << self.n_qubits), dtype=np.int64)
                 for col, row in enumerate(counts):
                     # the columns are lowered, so run's own lowering only scans the gates
                     full = Circuit(self.n_qubits, self._column_gates[col] + suffix)
-                    for t in np.flatnonzero(per):
+                    for t, n_shots in enumerate(per):
                         rng = rng_stream(cfg.seed, STREAM_TRAJECTORY, col, l, t, *tail)
-                        row += sample(run(full, cfg.noise, rng), int(per[t]), cfg.noise, rng=rng)
+                        row += sample(run(full, cfg.noise, rng), int(n_shots), cfg.noise, rng=rng)
                 yield coefficient_vector(g, self.n_qubits), counts
             return
         for l, (coeff, x) in enumerate(self._rotated_determinants(u)):

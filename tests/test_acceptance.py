@@ -17,11 +17,13 @@ from scipy.stats import special_ortho_group
 import conftest
 from conftest import load_point
 from helpers import (
+    circuit_unitary,
     dense_group_operator,
     dense_perturbation,
     ladder_ops,
     operator_norm,
     phase_distance,
+    single_particle_action,
 )
 from omp2sim.chem import build_perturbation, orbital_energies, spin_orbitalize
 from omp2sim.circuits import (
@@ -36,10 +38,8 @@ from omp2sim.lowrank import factor_supermatrix, factorize
 from omp2sim.omp2 import Estimator, EstimatorConfig, ThetaParams
 from omp2sim.oracle import (
     canonical_mp2,
-    circuit_unitary,
     hartree_fock_energy,
     fixture_path,
-    single_particle_action,
 )
 from omp2sim.simulator import (
     NoiseModel,

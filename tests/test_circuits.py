@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import special_ortho_group
 
-from helpers import double_excitation_depth_formula, ladder_ops, phase_distance
+from helpers import (
+    circuit_unitary,
+    double_excitation_depth_formula,
+    ladder_ops,
+    phase_distance,
+    single_particle_action,
+)
 from omp2sim.circuits import (
     Circuit,
     Gate,
@@ -22,7 +28,6 @@ from omp2sim.circuits import (
     single_excitation,
     x,
 )
-from omp2sim.oracle import circuit_unitary, single_particle_action
 
 
 def dense_single(n, p, alpha):

@@ -576,6 +576,19 @@ def test_noise_study_preset_json(tmp_path):
     assert fid["postselected"]["fidelity"] >= fid["raw"]["fidelity"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_more_trajectories_than_shots_run_one_per_shot(capsys, fmt):
+    code = run_cli(
+        "noise-study", "--fixture", H2_FIXTURE, "--noise", "ibm_auckland", "--shots", "20",
+        "--trajectories", str(2**63 - 1), "--format", fmt,
+    )
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK
+    assert "Traceback" not in err
+    if fmt == "json":
+        assert json.loads(out)["fidelity"]["n_trajectories"] == 20
+
+
 def test_outputs_are_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("noise-study", "--fixture", H2_FIXTURE, "--noise", "ibm_lima",

@@ -19,7 +19,7 @@ from omp2sim.chem import (
     parse_fcidump,
     spin_orbitalize,
 )
-from helpers import dense_perturbation
+from helpers import circuit_unitary, dense_perturbation, fci_energy
 from omp2sim.circuits import Circuit, compile_orbital_rotation, double_excitation, prep_reference
 from omp2sim.lowrank import one_body_group
 from omp2sim import circuits, jw, lowrank, omp2, simulator
@@ -33,8 +33,6 @@ from omp2sim.omp2 import (
 )
 from omp2sim.oracle import (
     canonical_mp2,
-    circuit_unitary,
-    fci_energy,
     fixture_path,
     hartree_fock_energy,
 )

@@ -6,16 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import load_point
-from helpers import dense_perturbation, phase_distance
-from omp2sim import oracle
+from helpers import (
+    _number_block,
+    circuit_unitary,
+    dense_perturbation,
+    fci_energy,
+    phase_distance,
+)
 from omp2sim.chem import orbital_energies, spin_orbitalize
 from omp2sim.circuits import Circuit, cnot, cz, multi_cry, x
 from omp2sim.jw import hamming_weights
 from omp2sim.oracle import (
     ReferenceValues,
     canonical_mp2,
-    circuit_unitary,
-    fci_energy,
     fixture_path,
     hartree_fock_energy,
 )
@@ -94,7 +97,7 @@ def test_fci_matches_reference_midpoints(refs, molecule, distance):
 def test_number_block_matches_dense_reference(refs, molecule, distance):
     mi, _ = load_point(refs, molecule, distance)
     si = spin_orbitalize(mi)
-    block = oracle._number_block(si, mi.n_electrons)
+    block = _number_block(si, mi.n_electrons)
     states = np.flatnonzero(hamming_weights(si.n_spin) == mi.n_electrons)
     dense = dense_perturbation(si.h1s, si)[np.ix_(states, states)]
     assert np.abs(block - dense).max() < 1e-12

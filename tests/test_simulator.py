@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
-from helpers import phase_distance
+from helpers import circuit_unitary, phase_distance
 from omp2sim.circuits import (
     Circuit,
     cnot,
@@ -17,7 +17,6 @@ from omp2sim.circuits import (
     x,
 )
 from omp2sim.jw import hamming_weights, occupations
-from omp2sim.oracle import circuit_unitary
 from omp2sim.simulator import (
     NoiseModel,
     _readout_distribution,
