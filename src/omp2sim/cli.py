@@ -259,8 +259,7 @@ def cmd_noise_study(args) -> int:
 def _reference_fidelity(est: Estimator):
     """Raw vs post-selected fidelity of the undoubled measurement circuit, from
     as many trajectories as the energy's shots ran (at most one per shot)."""
-    cfg = est.cfg
-    n_traj = min(cfg.trajectories, cfg.shots)
+    cfg, n_traj = est.cfg, est.n_trajectories
     n = est.n_qubits
     u_circ = compile_orbital_rotation(np.eye(n))
     meas = est.measurement_circuits(ThetaParams.zeros(n, est.n_electrons))

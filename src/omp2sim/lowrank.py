@@ -118,12 +118,11 @@ def factorize(t: np.ndarray, eri: np.ndarray, tol: float) -> tuple[MeasurementGr
     return (one_body_group(t, eri), *two_body_groups(w, g))
 
 
-def occupation_coefficients(g: MeasurementGroup, occ: np.ndarray) -> np.ndarray:
-    """coeff evaluated on each row of a spin-orbital occupation table."""
-    n = (occ[:, 0::2] + occ[:, 1::2]).astype(float)
+def occupation_coefficients(g: MeasurementGroup, n: np.ndarray) -> np.ndarray:
+    """coeff evaluated on each row n of electrons per spatial orbital, alpha plus beta."""
     return n @ g.linear + 0.5 * g.weight * (n @ g.factor) ** 2
 
 
 def coefficient_vector(g: MeasurementGroup, n_qubits: int) -> np.ndarray:
     """coeff evaluated on every bitstring, ordered by basis index."""
-    return occupation_coefficients(g, occupations(n_qubits))
+    return occupation_coefficients(g, occupations(n_qubits).reshape(-1, n_qubits // 2, 2).sum(2))

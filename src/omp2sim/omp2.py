@@ -43,11 +43,11 @@ suite, and the exact path's test reference), and draws every column from
 (c R|ref> + s R|D>)^2 over the sector rows, as one count matrix from the
 group's own stream, and each noisy trajectory from a stream of its own.
 Neither path compiles a circuit.  The gates run only on the noisy path,
-which alone holds 2^N amplitudes, counts and coefficients, and they back
-the depth and resource accounting.  Postselection discards outcomes of the
-counts already drawn: each count array is summed raw, then again over its
-kept outcomes, and the raw estimate of those same draws is kept in
-diagnostics["raw"].
+which alone holds 2^N amplitudes and counts, and they back the depth and
+resource accounting.  Both paths sum each count matrix onto the spatial
+occupation patterns (electrons per spatial orbital), which alone set a
+group's value.  Postselection keeps the patterns of n_e electrons among
+the counts already drawn; the raw estimate of those draws is diagnostics["raw"].
 
 Exact mode minimizes with the package's own L-BFGS (`_lbfgs`), one
 evaluation giving the energy and its gradient per trial step.  It stops on
@@ -90,8 +90,8 @@ from .circuits import (
     lower_circuit,
     prep_reference,
 )
+from .jw import occupations
 from .lowrank import (
-    coefficient_vector,
     factor_supermatrix,
     measured_integrals,
     occupation_coefficients,
@@ -106,7 +106,6 @@ from .simulator import (
     draw_counts,
     expectation_with_variance,
     number_sector,
-    postselect,
     rng_stream,
     rotate_determinants,
     run,
@@ -126,6 +125,7 @@ _MAX_BACKTRACKS = 30
 _MAX_STEP = 1.0  # radians: the largest angle change of a trial step
 _NM_XATOL, _NM_FATOL = 1e-3, 1e-6  # Nelder-Mead's simplex spread in theta and in f
 _MAX_COUNT = 2**63 - 1  # the most shots numpy's Generator.multinomial draws
+MAX_TRAJECTORIES = 2**20  # per noisy circuit; each runs the whole circuit again
 
 
 class CapacityError(ValueError):
@@ -319,6 +319,9 @@ class Estimator:
                 "the energies leave out the two-electron interaction",
                 stacklevel=2,
             )
+        self.n_trajectories = n = min(self.cfg.trajectories, self.cfg.shots)  # one per shot at most
+        if self.cfg.noise is not None and n > MAX_TRAJECTORIES:
+            raise CapacityError(f"{n} trajectories per circuit exceed the {MAX_TRAJECTORIES} cap")
         self.n_evaluations = 0
 
     @cached_property
@@ -345,7 +348,7 @@ class Estimator:
 
     def _groups_at(self, u: np.ndarray):
         """Every group at u, group 0 first.  Shots mode reads their rotations:
-        noisy shots as circuits, noiseless ones through `_rotated_determinants`."""
+        noisy shots as circuits, noiseless ones through `_rotated`."""
         t = build_perturbation(self.mi.h1, self.eps[0::2], u)
         return (one_body_group(t, self.mi.eri), *self._static_groups)
 
@@ -353,14 +356,28 @@ class Estimator:
     def _sector(self):
         return number_sector(self.n_qubits, self.n_electrons)
 
+    @cached_property
+    def _patterns(self):
+        """(n, index, order, starts): the distinct spatial occupation patterns n, each counted
+        outcome's pattern (outcomes: sector rows, or basis states if noisy), the outcomes
+        stably sorted by pattern, and where each pattern's run of them starts in that order."""
+        occ = occupations(self.n_qubits, self._sector.states if self.cfg.noise is None else None)
+        n, index, sizes = np.unique(
+            occ[:, 0::2] + occ[:, 1::2], axis=0, return_inverse=True, return_counts=True
+        )
+        index = index.reshape(-1)  # 1-D under every numpy version
+        return n, index, np.argsort(index, kind="stable"), np.cumsum(sizes) - sizes
+
+    def _rotated(self, g, u: np.ndarray) -> np.ndarray:
+        """The probe determinants after U(theta) and g's measurement circuit: R(g.rotation.T u)."""
+        return rotate_determinants(g.rotation.T @ u, self._probes.states, self._sector)
+
     def _rotated_determinants(self, u: np.ndarray):
-        """Yield (coeff, x) per group: sector coefficients and the probe
-        determinants after U(theta) and the group's measurement rotation."""
+        """Yield (coeff, x) per group of a noiseless estimator: its coefficient
+        on each sector row and `_rotated`'s probe determinants."""
+        n, index = self._patterns[:2]
         for g in self._groups_at(u):
-            coeff = occupation_coefficients(g, self._sector.occupations)
-            # the measurement circuit is compiled from kron(rotation, I_2).T,
-            # and R(rotation.T) R(u) = R(rotation.T u)
-            yield coeff, rotate_determinants(g.rotation.T @ u, self._probes.states, self._sector)
+            yield occupation_coefficients(g, n)[index], self._rotated(g, u)
 
     def _exact_breakdown(self, spectrum, u: np.ndarray) -> EnergyBreakdown:
         """E1, the residuals and E2 from the measured integrals rotated by
@@ -397,13 +414,15 @@ class Estimator:
         shots', with all shots' under diagnostics["raw"]: postselection
         discards outcomes of the same draws."""
         cfg = self.cfg
+        n, _, order, starts = self._patterns
         n_cols = self._probes.det.size
         moments = np.zeros((2, n_cols * (1 + cfg.postselect)))  # summed over groups
         kept_fractions = []
-        for l, (coeff, counts) in enumerate(self._shot_counts(u, final)):
+        for l, (g, counts) in enumerate(self._shot_counts(u, final)):
+            # each pattern's count, a segment sum of its outcomes' in a fixed order
+            counts = np.add.reduceat(counts[:, order], starts, axis=1)
             if cfg.postselect:
-                # noiseless counts never leave the sector
-                kept = counts if cfg.noise is None else postselect(counts, self.n_electrons)
+                kept = np.where(n.sum(axis=1) == self.n_electrons, counts, 0)
                 n_kept = kept.sum(axis=1)
                 if not n_kept.all():
                     raise RejectedShotsError(
@@ -412,7 +431,7 @@ class Estimator:
                     )
                 kept_fractions.append(n_kept / cfg.shots)
                 counts = np.concatenate([counts, kept])  # the raw rows, then the kept ones
-            moments += expectation_with_variance(counts, coeff)
+            moments += expectation_with_variance(counts, occupation_coefficients(g, n))
         raw = self._assemble(*self._column_residuals(*moments[:, :n_cols]))
         if not cfg.postselect:
             return raw
@@ -422,38 +441,32 @@ class Estimator:
         return bd
 
     def _shot_counts(self, u: np.ndarray, final: bool):
-        """Yield, per group, its coefficients and a (columns x outcomes) count matrix.
-
-        Noiseless counts never leave the sector, so they and the coefficients
-        are indexed by sector row; noisy ones by basis state.  Group l's
-        noiseless columns draw from the one stream (seed, group l); final
-        appends a key of its own to every stream.
-        """
+        """Yield every group and its (columns x outcomes) count matrix, by sector
+        row if noiseless, else by basis state.  Group l's noiseless columns draw
+        from the one stream (seed, group l); final appends a key to every stream."""
         cfg = self.cfg
         p = self._probes
         tail = (STREAM_FINAL,) if final else ()
         if cfg.noise is not None:
             u_gates = compile_orbital_rotation(np.kron(u, np.eye(2))).gates
-            # cfg.shots split over at most one trajectory per shot, each on its own stream
-            n_traj = min(cfg.trajectories, cfg.shots)
-            per = np.full(n_traj, cfg.shots // n_traj)
-            per[: cfg.shots % n_traj] += 1
+            # q shots per trajectory, and one more for the first r
+            q, r = divmod(cfg.shots, self.n_trajectories)
             for l, g in enumerate(self._groups_at(u)):
                 suffix = u_gates + _measurement_circuit(g).gates
                 counts = np.zeros((p.det.size, 1 << self.n_qubits), dtype=np.int64)
                 for col, row in enumerate(counts):
                     # the columns are lowered, so run's own lowering only scans the gates
                     full = Circuit(self.n_qubits, self._column_gates[col] + suffix)
-                    for t, n_shots in enumerate(per):
+                    for t in range(self.n_trajectories):
                         rng = rng_stream(cfg.seed, STREAM_TRAJECTORY, col, l, t, *tail)
-                        row += sample(run(full, cfg.noise, rng), int(n_shots), cfg.noise, rng=rng)
-                yield coefficient_vector(g, self.n_qubits), counts
+                        row += sample(run(full, cfg.noise, rng), q + (t < r), cfg.noise, rng=rng)
+                yield g, counts
             return
-        for l, (coeff, x) in enumerate(self._rotated_determinants(u)):
-            x = x.T  # one row per probe determinant
+        for l, g in enumerate(self._groups_at(u)):
+            x = self._rotated(g, u).T  # one row per probe determinant
             probs = (p.cos[:, None] * x[0] + p.sin[:, None] * x[p.det]) ** 2
             rng = rng_stream(cfg.seed, STREAM_SAMPLE, l, *tail)
-            yield coeff, draw_counts(probs, cfg.shots, rng)
+            yield g, draw_counts(probs, cfg.shots, rng)
 
     def _column_residuals(self, e_cols, var_cols):
         """(e1, var_e1, r, var_r) from the column energies and variances:

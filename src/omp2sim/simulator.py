@@ -18,7 +18,8 @@ them.  u is real, so the rotated determinants are float64.
 `apply_circuit` runs gates on all 2^N amplitudes; noisy circuits need
 it, because a Pauli error leaves the sector.  Noiseless shots stay in
 the sector, so the estimator draws them over the sector rows itself;
-`run`, `sample` and `postselect` serve the noisy path.
+`run` and `sample` serve the noisy path, whose counts the estimator
+sums onto spatial occupation patterns as it does the sector's (`omp2`).
 
 One kernel does the full-space work: every gate, Pauli error and readout
 flip is one real 2x2 matrix on its target qubit under its controls (X
@@ -151,16 +152,14 @@ class NumberSector:
     """Basis states of n_qubits (even) with exactly n_electrons set bits.
 
     states holds their sorted basis indices; sector amplitudes are the
-    full-space amplitudes gathered at states.  Per state, occupations is
-    jw.occupations(n_qubits, states), and alpha_strings, beta_strings and
-    spin_signs are jw.spin_strings(n_qubits, states): its strings, in the
-    one numbering that jw owns, and its spin sign.
+    full-space amplitudes gathered at states.  Per state, alpha_strings,
+    beta_strings and spin_signs are jw.spin_strings(n_qubits, states): its
+    strings, in the one numbering that jw owns, and its spin sign.
     """
 
     n_qubits: int
     n_electrons: int
     states: np.ndarray
-    occupations: np.ndarray
     alpha_strings: np.ndarray
     beta_strings: np.ndarray
     spin_signs: np.ndarray
@@ -177,7 +176,7 @@ def number_sector(n_qubits: int, n_electrons: int) -> NumberSector:
         raise ValueError(f"a number sector needs an even number of qubits, got {n_qubits}")
     fillings = combinations(range(1, n_qubits + 1), n_electrons)
     states = np.array(sorted(sum(1 << (n_qubits - p) for p in f) for f in fillings), np.intp)
-    tables = (states, occupations(n_qubits, states), *spin_strings(n_qubits, states))
+    tables = (states, *spin_strings(n_qubits, states))
     for a in tables:
         a.setflags(write=False)
     return NumberSector(n_qubits, n_electrons, *tables)

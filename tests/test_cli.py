@@ -589,6 +589,27 @@ def test_more_trajectories_than_shots_run_one_per_shot(capsys, fmt):
         assert json.loads(out)["fidelity"]["n_trajectories"] == 20
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trajectories_past_the_cap_exit_before_any_circuit(capsys, monkeypatch, fmt):
+    # min(trajectories, shots) is 2**63 - 1 here; one array entry per
+    # trajectory used to end this run in a traceback, "array is too big"
+    def no_run(*args, **kwargs):
+        raise AssertionError("a circuit ran")
+
+    for module in (omp2sim.omp2, cli):
+        monkeypatch.setattr(module, "run", no_run)
+    most = str(2**63 - 1)
+    code = run_cli(
+        "noise-study", "--fixture", H2_FIXTURE, "--noise", "ibm_auckland", "--shots", most,
+        "--trajectories", most, "--format", fmt,
+    )
+    out, err = capsys.readouterr()
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    cap = omp2sim.omp2.MAX_TRAJECTORIES
+    assert err == f"error: {most} trajectories per circuit exceed the {cap} cap\n"
+
+
 def test_outputs_are_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("noise-study", "--fixture", H2_FIXTURE, "--noise", "ibm_lima",

@@ -884,13 +884,74 @@ def test_noiseless_shots_draw_one_stream_per_group(refs, monkeypatch):
     assert est.resource_summary().circuits_per_evaluation == 803
 
 
+def _measured_outcomes(est):
+    """The basis states shots are counted over: every one if noisy, else the sector's."""
+    return np.arange(1 << est.n_qubits) if est.cfg.noise else est._sector.states
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("fixture", ["h2_1.4", "h4_2.6", "lih_3.1"])
+def test_occupation_patterns_cover_every_outcome_once(fixture, noisy):
+    # both paths read their counts through one table of spatial occupation
+    # patterns; each outcome's coefficient, from its own bitstring, is its
+    # pattern's (full-space LiH: 12 qubits, 4096 noisy or 495 sector outcomes)
+    mi = parse_fcidump(fixture_path(f"{fixture}.fcidump"))
+    noise = load_noise_presets()["ibm_lima"] if noisy else None
+    est = Estimator(mi, EstimatorConfig(mode="shots", noise=noise))
+    n, index, order, starts = est._patterns
+    outcomes = _measured_outcomes(est)
+    assert np.array_equal(np.sort(order), np.arange(outcomes.size))
+    assert np.all(np.diff(index[order]) >= 0)
+    assert np.array_equal(starts, np.flatnonzero(np.diff(index[order], prepend=-1)))
+    assert len(np.unique(n, axis=0)) == len(n) == len(starts)
+    occ = jw.occupations(est.n_qubits, outcomes)
+    assert np.array_equal(n[index], occ[:, 0::2] + occ[:, 1::2])
+    u = omp2.expm_antisymmetric(est._kappa(_random_theta(est, np.random.default_rng(6))))
+    groups = est._groups_at(u)
+    for g in groups:
+        per_outcome = lowrank.coefficient_vector(g, est.n_qubits)[outcomes]
+        assert np.array_equal(lowrank.occupation_coefficients(g, n)[index], per_outcome)
+    if not noisy:
+        for g, (coeff, _) in zip(groups, est._rotated_determinants(u), strict=True):
+            assert np.array_equal(coeff, lowrank.coefficient_vector(g, est.n_qubits)[outcomes])
+
+
+@pytest.mark.parametrize(
+    "fixture,noisy", [("h2_1.4", False), ("h4_2.6", False), ("lih_3.1", False), ("h2_1.4", True)]
+)
+def test_pattern_sums_give_the_per_outcome_estimate(fixture, noisy):
+    # summing each count matrix onto the patterns regroups the float sums of
+    # the estimate, no more: the same unfolded counts read outcome by outcome
+    mi = parse_fcidump(fixture_path(f"{fixture}.fcidump"))
+    noise = load_noise_presets()["ibm_lima"] if noisy else None
+    cfg = EstimatorConfig(mode="shots", shots=3000, seed=4, noise=noise, trajectories=3)
+    est = Estimator(mi, cfg)
+    u = omp2.expm_antisymmetric(est._kappa(_random_theta(est, np.random.default_rng(8))))
+    outcomes = _measured_outcomes(est)
+    moments = sum(
+        np.array(
+            simulator.expectation_with_variance(
+                counts, lowrank.coefficient_vector(g, est.n_qubits)[outcomes]
+            )
+        )
+        for g, counts in est._shot_counts(u, False)
+    )
+    ref = est._assemble(*est._column_residuals(*moments))
+    bd = est._shots_breakdown(u)
+    for got, want in [
+        (bd.e1, ref.e1), (bd.e2, ref.e2), (bd.total, ref.total), (bd.variance, ref.variance)
+    ]:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_rejected_shots_name_the_first_empty_column_and_group(monkeypatch):
     mi = parse_fcidump(fixture_path("h2_1.4.fcidump"))
     est = Estimator(mi, EstimatorConfig(mode="shots", shots=12, postselect=True))
     full = np.full((3, 6), 2)  # three columns over the six sector rows of H2
     empty = full.copy()
     empty[[1, 2]] = 0
-    groups = [(np.ones(6), full), (np.ones(6), empty)]
+    g = est._groups_at(np.eye(2))[0]
+    groups = [(g, full), (g, empty)]
     monkeypatch.setattr(est, "_shot_counts", lambda u, final: iter(groups))
     with pytest.raises(omp2.RejectedShotsError, match="column 1 in measurement group 1$"):
         est.mp2_energy(ThetaParams.zeros(4, mi.n_electrons))
@@ -901,6 +962,19 @@ def test_noiseless_postselection_keeps_everything(refs):
     cfg = EstimatorConfig(mode="shots", shots=1000, seed=3, postselect=True)
     bd = Estimator(mi, cfg).mp2_energy(ThetaParams.zeros(4, mi.n_electrons))
     assert bd.diagnostics["kept_fraction_mean"] == 1.0
+
+
+def test_noisy_trajectories_are_capped_per_circuit():
+    # a noisy circuit runs min(trajectories, shots) trajectories, each a whole
+    # run; past the cap the estimator refuses before any circuit runs
+    mi = parse_fcidump(fixture_path("h2_1.4.fcidump"))
+    cap = omp2.MAX_TRAJECTORIES
+    noisy = EstimatorConfig(mode="shots", noise=load_noise_presets()["ibm_lima"])
+    assert Estimator(mi, replace(noisy, trajectories=cap + 1, shots=cap)).n_trajectories == cap
+    with pytest.raises(omp2.CapacityError, match=f"^{cap + 1} trajectories per circuit"):
+        Estimator(mi, replace(noisy, trajectories=cap + 1, shots=cap + 1))
+    # noiseless shots run no trajectory
+    Estimator(mi, replace(noisy, noise=None, trajectories=cap + 1, shots=cap + 1))
 
 
 def test_noisy_postselection_discards_shots(refs):
@@ -1059,7 +1133,7 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
     def full_space(*args, **kwargs):
         raise AssertionError("noiseless modes must not build 2^N states, counts or coefficients")
 
-    for name in ("run", "coefficient_vector", "sample", "postselect"):
+    for name in ("run", "sample"):
         monkeypatch.setattr(omp2, name, full_space)
     monkeypatch.setattr(simulator, "hamming_weights", full_space)
     occupations = jw.occupations
@@ -1070,9 +1144,9 @@ def test_exact_mode_stays_in_the_sector(refs, monkeypatch):
         assert rows < 1 << 12, "noiseless shots must not tabulate all 2^N occupations"
         return occupations(n_qubits, states)
 
-    # the estimator reads the occupation table of the cached sector, and
+    # the estimator tabulates the occupation patterns of the sector rows, and
     # jw.spin_strings splits the states it is given into their spin strings
-    for module in (simulator, jw):
+    for module in (omp2, simulator, jw):
         monkeypatch.setattr(module, "occupations", sector_occupations)
     simulator.number_sector.cache_clear()
 

@@ -7,7 +7,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import omp2sim
-from omp2sim import circuits, lowrank, oracle, simulator
+from omp2sim import circuits, lowrank, omp2, oracle, simulator
 from omp2sim.chem import parse_fcidump
 from omp2sim.oracle import fixture_path
 
@@ -27,6 +27,8 @@ def test_public_surface():
         (circuits, "h"),
         (circuits, "ry"),
         (circuits, "rz"),
+        (omp2, "postselect"),
+        (omp2, "coefficient_vector"),
     ]
     moved_to_the_tests = (
         "fci_energy", "circuit_unitary", "single_particle_action", "_number_block",
@@ -42,6 +44,7 @@ def test_public_surface():
     for name in ("factorize", *left_the_package):
         assert name not in omp2sim.__all__, name
     assert "n_trajectories" not in {f.name for f in fields(simulator.FidelityEstimate)}
+    assert "occupations" not in {f.name for f in fields(simulator.NumberSector)}
     assert "single_qubit_count" not in {f.name for f in fields(circuits.ResourceReport)}
     assert not inspect.signature(simulator.load_noise_presets).parameters
     assert "atol" not in inspect.signature(oracle.MoleculeReference.point_at).parameters

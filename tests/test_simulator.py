@@ -16,7 +16,7 @@ from omp2sim.circuits import (
     multi_cry,
     x,
 )
-from omp2sim.jw import hamming_weights, occupations
+from omp2sim.jw import hamming_weights
 from omp2sim.simulator import (
     NoiseModel,
     _readout_distribution,
@@ -119,8 +119,8 @@ def test_number_sector_holds_every_state_of_its_weight(n):
         sector = number_sector(n, n_electrons)
         states = sector.states
         assert np.array_equal(states, np.flatnonzero(hamming_weights(n) == n_electrons))
-        assert np.array_equal(sector.occupations, occupations(n)[states])
-        assert not sector.occupations.flags.writeable
+        for table in (states, sector.alpha_strings, sector.beta_strings, sector.spin_signs):
+            assert not table.flags.writeable
 
 
 def test_orbital_rotation_rejects_bad_input():
